@@ -70,12 +70,6 @@ def _assemble(base, regimes):
     return bnd
 
 
-def _make(base, lam, psi, delta0, bnd):
-    out = DivisorClass(base, lam, psi, delta0)
-    object.__setattr__(out, "boundary", bnd)
-    return out
-
-
 def _dsum(d, S):
     return sum(d[s - 1] for s in S)
 
@@ -86,7 +80,7 @@ def weierstrass(g):
         raise GenusTooSmall("needs genus >= 2")
     base = ModuliBase(g, 1)
     bnd = _assemble(base, [(lambda k: True, lambda k: -_tri(g - k.i))])
-    return _make(base, -1, [_tri(g)], 0, bnd)
+    return DivisorClass._from_canonical(base, -1, [_tri(g)], 0, bnd)
 
 
 def diaz(g):
@@ -105,7 +99,7 @@ def diaz(g):
         return -Fraction(G * i * (G - i - 1) * (G + 1) ** 2, 2)
 
     bnd = _assemble(base, [(lambda k: True, c)])
-    return _make(base, lam, [], delta0, bnd)
+    return DivisorClass._from_canonical(base, lam, [], delta0, bnd)
 
 
 def residual(g):
@@ -123,7 +117,7 @@ def residual(g):
         return Fraction(g * (i - g) * (g * g * i + g * i - g + i - 1), 2)
 
     bnd = _assemble(base, [(lambda k: True, c)])
-    return _make(base, lam, [psi], delta0, bnd)
+    return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
 def d1_holo(g, k):
@@ -176,7 +170,7 @@ def d1_holo(g, k):
             (lambda key: key.i > g - k, high),
         ],
     )
-    return _make(base, lam, [psi], delta0, bnd)
+    return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
 def d1_mero(g, h):
@@ -208,7 +202,7 @@ def d1_mero(g, h):
         )
 
     bnd = _assemble(base, [(lambda key: True, c)])
-    return _make(base, lam, [psi], delta0, bnd)
+    return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
 def logan_class(g, d):
@@ -223,7 +217,7 @@ def logan_class(g, d):
         return -_tri(abs(_dsum(d, key.S) - key.i))
 
     bnd = _assemble(base, [(lambda key: True, c)])
-    return _make(base, -1, [_tri(x) for x in d], 0, bnd)
+    return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
 
 
 def theta_pullback_class(g, d):
@@ -261,7 +255,7 @@ def theta_pullback_class(g, d):
             (lambda key: key.S & P and not P <= key.S, split),
         ],
     )
-    return _make(base, -1, [_tri(x) for x in d], 0, bnd)
+    return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
 
 
 def theta_characteristic_locus(g, parity="total"):
@@ -294,7 +288,7 @@ def theta_characteristic_locus(g, parity="total"):
 
     delta0 = -pref * Fraction(2) ** (g - 3)
     bnd = _assemble(base, [(lambda key: True, c)])
-    return _make(base, lam, [psi], delta0, bnd)
+    return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
 def anti_ramification(g):
@@ -326,7 +320,7 @@ def _coupled_11(g):
             (lambda key: len(key.S) == 1, first_only),
         ],
     )
-    return _make(
+    return DivisorClass._from_canonical(
         base,
         pref * 2 ** (g + 1),
         [pref * 2 ** (g - 1)] * 2,
@@ -365,7 +359,7 @@ def _coupled_m2_1_1(g):
             (lambda key: key.S == frozenset({1}), pole_only),
         ],
     )
-    return _make(
+    return DivisorClass._from_canonical(
         base,
         pref * 2 ** (g + 1),
         [pref * 2 ** (g + 2), pref * 2 ** (g - 1), pref * 2 ** (g - 1)],
@@ -425,7 +419,9 @@ def _coupled_m2_2(g, parity):
             ),
         ],
     )
-    return _make(base, pref * lam, [pref * psi1, pref * psi2], pref * d0, bnd)
+    return DivisorClass._from_canonical(
+        base, pref * lam, [pref * psi1, pref * psi2], pref * d0, bnd
+    )
 
 
 def _coupled_general(g, d, parity):
@@ -478,7 +474,7 @@ def _coupled_general(g, d, parity):
             (lambda key: _dsum(d, key.S) != 0, unbalanced),
         ],
     )
-    return _make(
+    return DivisorClass._from_canonical(
         base, pref * lam, [pref * qpsi * x * x for x in d], pref * d0, bnd
     )
 
@@ -549,7 +545,7 @@ def d_infinity(g, parity="total"):
         return -q if len(key.S) == 1 else 0
 
     bnd = _assemble(base, [(lambda key: True, c)])
-    out = _make(base, 0, [q, q], 0, bnd)
+    out = DivisorClass._from_canonical(base, 0, [q, q], 0, bnd)
     return out * scale
 
 
@@ -581,7 +577,7 @@ def _pinch_holo(g, d):
             (lambda key: _dsum(d, key.S) >= key.i, mirrored),
         ],
     )
-    return _make(base, lam, psi, -2, bnd)
+    return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
 
 
 def _pinch_mero(g, d, j):
@@ -657,7 +653,7 @@ def _pinch_mero(g, d, j):
             (lambda key: not is_low(key), high),
         ],
     )
-    return _make(base, lam, psi, -2, bnd)
+    return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
 
 
 def pinch_partition(g, d):
@@ -689,7 +685,9 @@ def brill_noether(g):
     bnd = _assemble(
         base, [(lambda key: True, lambda key: -Fraction(key.i * (g - key.i)))]
     )
-    return _make(base, g + 3, [Fraction(0)], -Fraction(g + 1, 6), bnd)
+    return DivisorClass._from_canonical(
+        base, g + 3, [Fraction(0)], -Fraction(g + 1, 6), bnd
+    )
 
 
 def bn_coefficient_check(a):

@@ -47,24 +47,10 @@ def _build_class(args):
     fn, wants = CONSTRUCTORS[name]
     kw = []
     for w in wants:
-        if w == "g":
-            if args.g is None:
-                raise PicError("--g is required for %r" % name)
-            kw.append(args.g)
-        elif w == "k":
-            if args.k is None:
-                raise PicError("--k is required for %r" % name)
-            kw.append(args.k)
-        elif w == "h":
-            if args.h is None:
-                raise PicError("--h is required for %r" % name)
-            kw.append(args.h)
-        elif w == "d":
-            if args.d is None:
-                raise PicError("--d is required for %r" % name)
-            kw.append(args.d)
-        elif w == "parity":
-            kw.append(args.parity)
+        v = getattr(args, w)
+        if v is None:
+            raise PicError("--%s is required for %r" % (w, name))
+        kw.append(v)
     return fn(*kw)
 
 
@@ -192,7 +178,6 @@ def build_parser():
     p.add_argument("--hmax", type=int, default=4)
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("--out")
-    p.add_argument("--format", default="json")  # accepted for uniformity
     return ap
 
 

@@ -144,6 +144,18 @@ def enumerate_boundary(base):
     return sorted(out)
 
 
+def _acc(acc, key, c):
+    """Add c to acc[key] in a sparse coefficient dict, dropping a zero sum.
+    A None key (an unstable pair) or a zero c contributes nothing."""
+    if key is None or c == 0:
+        return
+    c2 = acc.get(key, Fraction(0)) + c
+    if c2 == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = c2
+
+
 def _frac(x):
     if isinstance(x, Fraction):
         return x
@@ -176,19 +188,18 @@ class DivisorClass:
             items = boundary.items() if isinstance(boundary, dict) else boundary
             for raw, c in items:
                 c = _frac(c)
-                if c == 0:
-                    continue
-                if isinstance(raw, BoundaryIndex):
-                    key = canonical_index(base, raw.i, raw.S)
-                else:
-                    i, S = raw
-                    key = canonical_index(base, i, S)
-                c2 = acc.get(key, Fraction(0)) + c
-                if c2 == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = c2
+                if c:
+                    i, S = (raw.i, raw.S) if isinstance(raw, BoundaryIndex) else raw
+                    _acc(acc, canonical_index(base, i, S), c)
         object.__setattr__(self, "boundary", acc)
+
+    @classmethod
+    def _from_canonical(cls, base, lam, psi, delta0, boundary):
+        """Trusted constructor: ``boundary`` must already be a dict on canonical
+        keys with nonzero coefficients, and is stored as given."""
+        out = cls(base, lam, psi, delta0)
+        object.__setattr__(out, "boundary", boundary)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
@@ -220,19 +231,14 @@ class DivisorClass:
         self._check(other)
         acc = dict(self.boundary)
         for k, c in other.boundary.items():
-            c2 = acc.get(k, Fraction(0)) + c
-            if c2 == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = c2
-        out = DivisorClass(
+            _acc(acc, k, c)
+        return DivisorClass._from_canonical(
             self.base,
             self.lam + other.lam,
             [a + b for a, b in zip(self.psi, other.psi)],
             self.delta0 + other.delta0,
+            acc,
         )
-        object.__setattr__(out, "boundary", acc)
-        return out
 
     def __neg__(self):
         return self * -1
@@ -244,14 +250,13 @@ class DivisorClass:
         c = _frac(c)
         if c == 0:
             return DivisorClass(self.base)
-        out = DivisorClass(
+        return DivisorClass._from_canonical(
             self.base,
             self.lam * c,
             [a * c for a in self.psi],
             self.delta0 * c,
+            {k: v * c for k, v in self.boundary.items()},
         )
-        object.__setattr__(out, "boundary", {k: v * c for k, v in self.boundary.items()})
-        return out
 
     __rmul__ = __mul__
 
@@ -261,7 +266,9 @@ class DivisorClass:
         return equals(self, other)
 
     def __hash__(self):
-        return hash((self.base, self.lam, self.psi, self.delta0))
+        # hash the form that ``equals`` compares, so equal classes hash alike
+        a = normalize_genus2(self) if self.base.g == 2 else self
+        return hash((a.base, a.lam, a.psi, a.delta0, frozenset(a.boundary.items())))
 
     def __repr__(self):
         return "DivisorClass(%s, %s)" % (self.base, to_latex_expr(self))
@@ -298,26 +305,16 @@ def normalize_genus2(a):
         raise NotGenus2("normalization applies only to genus 2, base is %s" % a.base)
     if a.lam == 0:
         return a
-    c = a.lam
+    # R = -lambda + delta_0/10 + (1/5) sum delta_{1:S} is zero on genus 2
     base = a.base
-    extra = {}
-    labels = sorted(base.labels())
-    rest = labels[1:] if base.n >= 1 else []
+    rest = list(base.labels())[1:]
+    lead = frozenset({1}) if base.n else frozenset()
+    bnd = {}
     for mask in range(1 << len(rest)):
-        S = {rest[t] for t in range(len(rest)) if mask >> t & 1}
-        if base.n >= 1:
-            S.add(1)
-        extra[(1, frozenset(S))] = c / 5
-    out = DivisorClass(base, 0, a.psi, a.delta0 + c / 10, extra)
-    acc = dict(out.boundary)
-    for k, v in a.boundary.items():
-        v2 = acc.get(k, Fraction(0)) + v
-        if v2 == 0:
-            acc.pop(k, None)
-        else:
-            acc[k] = v2
-    object.__setattr__(out, "boundary", acc)
-    return out
+        S = lead | {rest[t] for t in range(len(rest)) if mask >> t & 1}
+        bnd[BoundaryIndex(1, S)] = Fraction(1, 5)
+    R = DivisorClass._from_canonical(base, -1, None, Fraction(1, 10), bnd)
+    return a + a.lam * R
 
 
 def equals(a, b):
@@ -371,18 +368,14 @@ class TestCurve:
         self.name = name
         vec = {}
         for k, c in (pairing.items() if isinstance(pairing, dict) else pairing):
-            c = _frac(c)
-            if c == 0:
-                continue
-            if isinstance(k, tuple) and k and k[0] == "psi":
-                pass
-            elif isinstance(k, BoundaryIndex):
-                pass
-            elif k in ("lambda", "delta0"):
-                pass
-            else:
+            if isinstance(k, BoundaryIndex):
+                k = canonical_index(base, k.i, k.S)
+            elif isinstance(k, tuple) and k and k[0] == "psi":
+                if not (len(k) == 2 and isinstance(k[1], int) and 1 <= k[1] <= base.n):
+                    raise UnknownCurve("bad psi label %r on %s" % (k, base))
+            elif k not in ("lambda", "delta0"):
                 raise UnknownCurve("bad pairing key %r" % (k,))
-            vec[k] = vec.get(k, Fraction(0)) + c
+            _acc(vec, k, _frac(c))
         self.pairing = vec
 
     def __repr__(self):
@@ -507,17 +500,19 @@ def from_json(s):
 
 
 def _rows(a):
-    yield ("lambda", a.lam)
+    """(name, key, coefficient) per generator in output order; key is the
+    BoundaryIndex of a boundary row and None otherwise."""
+    yield ("lambda", None, a.lam)
     for j in a.base.labels():
-        yield ("psi_%d" % j, a.psi[j - 1])
-    yield ("delta_0", a.delta0)
+        yield ("psi_%d" % j, None, a.psi[j - 1])
+    yield ("delta_0", None, a.delta0)
     for k in sorted(a.boundary):
-        yield (str(k), a.boundary[k])
+        yield (str(k), k, a.boundary[k])
 
 
 def to_csv(a):
     lines = ["generator,coefficient"]
-    for name, c in _rows(a):
+    for name, _, c in _rows(a):
         lines.append('%s,%s' % (name, _fstr(c)))
     return "\n".join(lines) + "\n"
 
@@ -530,29 +525,25 @@ def _latex_frac(c):
     return r"%s\tfrac{%d}{%d}" % (s, abs(c.numerator), c.denominator)
 
 
-def _latex_gen(name, key=None):
+def _latex_gen(name, key):
+    if key is not None:
+        if not key.S:
+            return r"\delta_{%d}" % key.i
+        return r"\delta_{%d:\{%s\}}" % (key.i, ",".join(map(str, key.sorted_S())))
     if name == "lambda":
         return r"\lambda"
     if name == "delta_0":
         return r"\delta_{0}"
-    if name.startswith("psi_"):
-        return r"\psi_{%s}" % name[4:]
-    if not key.S:
-        return r"\delta_{%d}" % key.i
-    return r"\delta_{%d:\{%s\}}" % (key.i, ",".join(map(str, key.sorted_S())))
+    return r"\psi_{%s}" % name[4:]
 
 
 def to_latex_expr(a):
     """The class as a one-line LaTeX linear combination."""
     terms = []
-    gens = [("lambda", None, a.lam)]
-    gens += [("psi_%d" % j, None, a.psi[j - 1]) for j in a.base.labels()]
-    gens += [("delta_0", None, a.delta0)]
-    gens += [("", k, a.boundary[k]) for k in sorted(a.boundary)]
-    for name, key, c in gens:
+    for name, key, c in _rows(a):
         if c == 0:
             continue
-        sym = _latex_gen(name, key) if key is None else _latex_gen("", key)
+        sym = _latex_gen(name, key)
         mag = abs(c)
         body = sym if mag == 1 else _latex_frac(mag) + sym
         if not terms:
@@ -567,16 +558,7 @@ def to_latex_expr(a):
 def to_latex(a):
     """The class as a LaTeX coefficient table, one row per generator."""
     lines = [r"\begin{tabular}{ll}", r"generator & coefficient \\"]
-    for name, c in _rows(a):
-        lines.append(r"$%s$ & $%s$ \\" % (_latex_row_symbol(a, name), _latex_frac(c)))
+    for name, key, c in _rows(a):
+        lines.append(r"$%s$ & $%s$ \\" % (_latex_gen(name, key), _latex_frac(c)))
     lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
-
-
-def _latex_row_symbol(a, name):
-    if name in ("lambda", "delta_0") or name.startswith("psi_"):
-        return _latex_gen(name)
-    for k in a.boundary:
-        if str(k) == name:
-            return _latex_gen("", k)
-    return name

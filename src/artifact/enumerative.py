@@ -139,19 +139,33 @@ def residue_polynomial(j, k, m):
     )
 
 
+def _rem(a, b):
+    """Remainder of a divided by b; Fraction coefficient lists in increasing
+    degree, trimmed, with b nonzero."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for t, c in enumerate(b):
+            a[shift + t] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
 def count_distinct_nonzero_roots(p):
     """Number of distinct nonzero complex roots of an integer polynomial,
-    computed exactly via a square-free reduction."""
-    import sympy
-
+    computed exactly via a square-free reduction: the square-free part of p
+    has degree deg p - deg gcd(p, p')."""
     if p.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial is undefined")
     if p.degree == 0:
         return 0
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(list(reversed(p.coeffs)), t)
-    sqf = poly.quo(poly.gcd(poly.diff(t)))
-    count = sqf.degree()
+    a = [Fraction(c) for c in p.coeffs]
+    b = [e * c for e, c in enumerate(a)][1:]
+    while b:  # Euclid: a ends as gcd(p, p')
+        a, b = b, _rem(a, b)
+    count = p.degree - (len(a) - 1)
     if p.coeffs[0] == 0:
         count -= 1
     return count

@@ -5,6 +5,7 @@ from .core import (
     DivisorClass,
     ModuliBase,
     PicError,
+    _acc,
     mirror_index,
     try_canonical_index,
 )
@@ -85,16 +86,6 @@ def forget_point(domain, j=None):
     return GluingMap("forget", domain, cod, j=j)
 
 
-def _acc(acc, key, c):
-    if key is None or c == 0:
-        return
-    c2 = acc.get(key, Fraction(0)) + c
-    if c2 == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = c2
-
-
 def pullback(m, a):
     """Pull a divisor class on the codomain of ``m`` back to the domain."""
     if a.base != m.codomain:
@@ -135,7 +126,7 @@ def _pull_glue_tail(m, a):
         # remaining cases (S meets T without containing it, or the tail side
         # would get negative genus) restrict to nothing
     psi[at - 1] += psi_at
-    return _build(dom, lam, psi, delta0, bnd)
+    return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
 
 
 def _pull_glue_closed_tail(m, a):
@@ -156,7 +147,7 @@ def _pull_glue_closed_tail(m, a):
         # the class whose generic member is the tail itself also meets psi
         if (i, S) == (h, frozenset()) or mirror_index(cod, key) == (h, frozenset()):
             psi[at - 1] -= c
-    return _build(dom, lam, psi, delta0, bnd)
+    return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
 
 
 def _pull_identify_points(m, a):
@@ -181,7 +172,7 @@ def _pull_identify_points(m, a):
         Sd = frozenset(s + 2 for s in S)
         _acc(bnd, try_canonical_index(dom, i, Sd), c)
         _acc(bnd, try_canonical_index(dom, i - 1, Sd | {1, 2}), c)
-    return _build(dom, lam, psi, delta0, bnd)
+    return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
 
 
 def _pull_forget(m, a):
@@ -212,13 +203,7 @@ def _pull_forget(m, a):
         else:
             _acc(bnd, k1, c)
             _acc(bnd, k2, c)
-    return _build(dom, lam, psi, delta0, bnd)
-
-
-def _build(dom, lam, psi, delta0, bnd):
-    out = DivisorClass(dom, lam, psi, delta0)
-    object.__setattr__(out, "boundary", bnd)
-    return out
+    return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
 
 
 _HANDLERS = {

@@ -167,6 +167,11 @@ class TestVerifyVerb:
         assert code == 0
         assert all(e["relation"] == "R18" for e in json.loads(out)["entries"])
 
+    def test_format_flag_rejected(self, capsys):
+        # verify selects JSON with --json; --format is not one of its flags
+        code, _, _ = run(capsys, "verify", "--gmax", "3", "--format", "json")
+        assert code == 2
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "R999", "--gmax", "3")
         assert code == 2

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from artifact import core
+from artifact.catalog import weierstrass
 from artifact.core import (
     BaseMismatch,
     BoundaryIndex,
@@ -300,6 +302,47 @@ class TestPairings:
         assert pair(e, DivisorClass(base, lam=1)) == 1
         assert pair(e, DivisorClass(base, delta0=1)) == 12
         assert pair(e, DivisorClass(base, boundary=[((3, {1}), 1)])) == -1
+
+
+class TestHash:
+    def test_genus2_equal_classes_hash_alike(self):
+        a = DivisorClass(ModuliBase(2, 1), lam=1)
+        b = normalize_genus2(a)
+        assert equals(a, b)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_boundary_enters_the_hash(self):
+        base = ModuliBase(6, 3)
+        classes = [DivisorClass(base, boundary={k: 1}) for k in enumerate_boundary(base)]
+        assert len(classes) == 24
+        assert len({hash(a) for a in classes}) == 24
+
+
+class TestCurveKeys:
+    def test_boundary_key_is_canonicalized(self):
+        base = ModuliBase(3, 1)
+        mirror = core.TestCurve(base, "x", {BoundaryIndex(2, frozenset()): 1})
+        assert pair(mirror, weierstrass(3)) == -3
+
+    def test_psi_label_zero_rejected(self):
+        with pytest.raises(UnknownCurve):
+            core.TestCurve(ModuliBase(3, 1), "x", {("psi", 0): 1})
+
+    def test_psi_label_past_n_rejected(self):
+        with pytest.raises(UnknownCurve):
+            core.TestCurve(ModuliBase(3, 1), "x", {("psi", 2): 1})
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 3), st.fractions(max_denominator=12))
+def test_genus2_hash_agrees_with_equals(seed, n, t):
+    # a + t * (lambda - normalized lambda) equals a but carries a different lambda
+    base = ModuliBase(2, n)
+    a = random_class(seeded(seed), base)
+    lam = DivisorClass(base, lam=1)
+    b = a + t * (lam - normalize_genus2(lam))
+    assert equals(a, b)
+    assert hash(a) == hash(b)
 
 
 @given(st.integers(0, 10 ** 6))

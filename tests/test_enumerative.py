@@ -161,3 +161,22 @@ class TestRootCountOracle:
                     clusters.append(r)
             assert count_distinct_nonzero_roots(p) == len(clusters)
             checked += 1
+
+
+def test_root_count_matches_sympy_on_residue_table():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    checked = 0
+    for j in range(2, 13):
+        for k in range(2, 13):
+            for m in range(1, j + k - 2):
+                p = residue_polynomial(j, k, m)
+                if p.degree == 0:
+                    want = 0
+                else:
+                    poly = sympy.Poly(list(reversed(p.coeffs)), t)
+                    want = poly.quo(poly.gcd(poly.diff(t))).degree()
+                    want -= p.coeffs[0] == 0
+                assert count_distinct_nonzero_roots(p) == want, (j, k, m)
+                checked += 1
+    assert checked == 1331
