@@ -1,5 +1,6 @@
 from fractions import Fraction
 from dataclasses import dataclass
+import functools
 import json
 
 """
@@ -37,6 +38,10 @@ class UnknownCurve(PicError):
 
 
 class ParamOutOfRange(PicError):
+    pass
+
+
+class MalformedJSON(PicError):
     pass
 
 
@@ -83,6 +88,17 @@ class BoundaryIndex:
         return self.sort_key() < other.sort_key()
 
 
+def _sorted_keys(keys):
+    """Boundary keys in output order, the order of ``__lt__``; each sort key is
+    computed once per sort instead of once per comparison."""
+    return sorted(keys, key=BoundaryIndex.sort_key)
+
+
+@functools.cache
+def _label_set(base):
+    return frozenset(base.labels())
+
+
 def _raw_valid(base, i, S):
     # a raw pair is valid when each side of the corresponding degeneration is stable
     if i == 0 and len(S) < 2:
@@ -97,14 +113,15 @@ def try_canonical_index(base, i, S):
     a boundary class (genus out of range or an unstable side).  Used by formula
     code that treats such pairs as zero."""
     S = frozenset(S)
-    if i < 0 or i > base.g or not S <= frozenset(base.labels()):
+    labels = _label_set(base)
+    if i < 0 or i > base.g or not S <= labels:
         return None
     if not _raw_valid(base, i, S):
         return None
     if base.n >= 1:
         if 1 in S:
             return BoundaryIndex(i, S)
-        return BoundaryIndex(base.g - i, frozenset(base.labels()) - S)
+        return BoundaryIndex(base.g - i, labels - S)
     if 2 * i <= base.g:
         return BoundaryIndex(i, S)
     return BoundaryIndex(base.g - i, S)
@@ -128,11 +145,12 @@ def canonical_index(base, i, S):
 
 def mirror_index(base, key):
     """The non-canonical mirror representative of a canonical key."""
-    return (base.g - key.i, frozenset(base.labels()) - key.S)
+    return (base.g - key.i, _label_set(base) - key.S)
 
 
-def enumerate_boundary(base):
-    """All canonical boundary keys of the base, sorted."""
+@functools.cache
+def _boundary_keys(base):
+    # the keys of a base depend only on (g, n), and a process meets few bases
     out = set()
     labels = sorted(base.labels())
     for mask in range(1 << base.n):
@@ -141,17 +159,30 @@ def enumerate_boundary(base):
             key = try_canonical_index(base, i, S)
             if key is not None:
                 out.add(key)
-    return sorted(out)
+    return tuple(_sorted_keys(out))
+
+
+def enumerate_boundary(base):
+    """All canonical boundary keys of the base, sorted.
+
+    The keys are computed once per base and cached; each call returns a fresh
+    list, so a caller may change it without affecting later calls."""
+    return list(_boundary_keys(base))
 
 
 def _acc(acc, key, c):
     """Add c to acc[key] in a sparse coefficient dict, dropping a zero sum.
-    A None key (an unstable pair) or a zero c contributes nothing."""
-    if key is None or c == 0:
+    A None key (an unstable pair) or a zero c contributes nothing.  c must be
+    a Fraction: a new key stores it as given."""
+    if key is None or not c:
         return
-    c2 = acc.get(key, Fraction(0)) + c
+    old = acc.get(key)
+    if old is None:
+        acc[key] = c
+        return
+    c2 = old + c
     if c2 == 0:
-        acc.pop(key, None)
+        del acc[key]
     else:
         acc[key] = c2
 
@@ -350,7 +381,7 @@ def diff_first(a, b):
             return ("psi_%d" % j, a.psi[j - 1], b.psi[j - 1])
     if a.delta0 != b.delta0:
         return ("delta_0", a.delta0, b.delta0)
-    for key in sorted(set(a.boundary) | set(b.boundary)):
+    for key in _sorted_keys(a.boundary.keys() | b.boundary.keys()):
         if a.coeff(key) != b.coeff(key):
             return (str(key), a.coeff(key), b.coeff(key))
     return None
@@ -475,7 +506,7 @@ def to_json_dict(a):
         "delta0": _fstr(a.delta0),
         "boundary": [
             {"i": k.i, "S": k.sorted_S(), "c": _fstr(a.boundary[k])}
-            for k in sorted(a.boundary)
+            for k in _sorted_keys(a.boundary)
         ],
     }
 
@@ -484,19 +515,59 @@ def to_json(a):
     return json.dumps(to_json_dict(a), separators=(",", ":"), sort_keys=False)
 
 
+def _json_coeff(x):
+    # an int (not a bool) or a rational string; a JSON float is never exact
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is str:
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise MalformedJSON("coefficient %r is not an integer or a rational string" % (x,))
+
+
+def _json_fields(d, names):
+    if type(d) is not dict:
+        raise MalformedJSON("expected a JSON object, got %s" % type(d).__name__)
+    try:
+        return [d[k] for k in names]
+    except KeyError as e:
+        raise MalformedJSON("missing field %s" % e) from None
+
+
 def from_json_dict(d):
-    base = ModuliBase(d["g"], d["n"])
+    """Inverse of ``to_json_dict``.  g, n, i and the members of S must be
+    integers and every coefficient an integer or a rational string; anything
+    else raises MalformedJSON (or the PicError of the class it would name)."""
+    g, n, lam, psi, delta0, boundary = _json_fields(
+        d, ("g", "n", "lambda", "psi", "delta0", "boundary")
+    )
+    if type(g) is not int or type(n) is not int:
+        raise MalformedJSON("g and n must be integers, got %r and %r" % (g, n))
+    if type(psi) is not list or type(boundary) is not list:
+        raise MalformedJSON("psi and boundary must be lists")
+    bnd = []
+    for e in boundary:
+        i, S, c = _json_fields(e, ("i", "S", "c"))
+        if type(i) is not int or type(S) is not list or not all(type(s) is int for s in S):
+            raise MalformedJSON("bad boundary entry %r" % (e,))
+        bnd.append(((i, frozenset(S)), _json_coeff(c)))
     return DivisorClass(
-        base,
-        Fraction(d["lambda"]),
-        [Fraction(c) for c in d["psi"]],
-        Fraction(d["delta0"]),
-        [((e["i"], frozenset(e["S"])), Fraction(e["c"])) for e in d["boundary"]],
+        ModuliBase(g, n),
+        _json_coeff(lam),
+        [_json_coeff(c) for c in psi],
+        _json_coeff(delta0),
+        bnd,
     )
 
 
 def from_json(s):
-    return from_json_dict(json.loads(s))
+    try:
+        d = json.loads(s)
+    except (ValueError, RecursionError) as e:
+        raise MalformedJSON("not JSON: %s" % e) from None
+    return from_json_dict(d)
 
 
 def _rows(a):
@@ -506,7 +577,7 @@ def _rows(a):
     for j in a.base.labels():
         yield ("psi_%d" % j, None, a.psi[j - 1])
     yield ("delta_0", None, a.delta0)
-    for k in sorted(a.boundary):
+    for k in _sorted_keys(a.boundary):
         yield (str(k), k, a.boundary[k])
 
 

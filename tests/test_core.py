@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artifact import core
-from artifact.catalog import weierstrass
+from artifact.catalog import logan_class, weierstrass
 from artifact.core import (
     BaseMismatch,
     BoundaryIndex,
     DivisorClass,
     InvalidBoundary,
+    MalformedJSON,
     ModuliBase,
     NotGenus2,
     ParamOutOfRange,
+    PicError,
     UnknownCurve,
     builtin_test_curve,
     canonical_index,
@@ -100,10 +102,22 @@ class TestCanonicalIndex:
             (2, {1, 2}),
         ]
 
-    def test_enumeration_is_sorted_and_duplicate_free(self):
-        keys = enumerate_boundary(ModuliBase(5, 2))
+    @pytest.mark.parametrize("g,n", [(g, n) for g in range(2, 7) for n in range(6)])
+    def test_enumeration_is_sorted_and_duplicate_free(self, g, n):
+        # sorted() without a key compares through __lt__, the reference order
+        keys = enumerate_boundary(ModuliBase(g, n))
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("mutate", [list.clear, list.reverse])
+    def test_caller_cannot_touch_the_cache(self, mutate):
+        w, l = to_json(weierstrass(4)), to_json(logan_class(4, (2, 1, 1)))
+        for base in (ModuliBase(4, 1), ModuliBase(4, 3)):
+            keys = list(enumerate_boundary(base))
+            mutate(enumerate_boundary(base))
+            assert enumerate_boundary(base) == keys
+        assert to_json(weierstrass(4)) == w
+        assert to_json(logan_class(4, (2, 1, 1))) == l
 
 
 class TestVectorSpace:
@@ -262,6 +276,34 @@ class TestSerialization:
         assert to_latex_expr(zero_class(base)) == "0"
 
 
+_CLASS_31 = '"lambda":"1","psi":["0"],"delta0":"0","boundary":'
+
+
+class TestFromJsonRejects:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"g":3}',
+            '{"g":3,"n":1,%s[{"i":1,"c":"1"}]}' % _CLASS_31,
+            "[]",
+            '{"g":3,"n":0,"lambda":"x","psi":[],"delta0":"0","boundary":[]}',
+            '{"g":3,"n":0,"lambda":1.5,"psi":[],"delta0":"0","boundary":[]}',
+            '{"g":3,',
+            "[" * 100000,
+        ],
+        ids=["missing-n", "missing-S", "not-an-object", "bad-string", "float",
+             "not-json", "too-deep"],
+    )
+    def test_malformed_input_raises(self, text):
+        with pytest.raises(MalformedJSON):
+            from_json(text)
+
+    def test_integer_and_rational_string_coefficients_accepted(self):
+        a = from_json('{"g":3,"n":1,"lambda":-1,"psi":["6"],"delta0":0,"boundary":'
+                      '[{"i":1,"S":[1],"c":"-3"},{"i":2,"S":[1],"c":-1}]}')
+        assert equals(a, weierstrass(3))
+
+
 class TestPairings:
     def test_pair_is_linear(self):
         base = ModuliBase(4, 1)
@@ -349,3 +391,60 @@ def test_genus2_hash_agrees_with_equals(seed, n, t):
 def test_random_round_trip_property(seed):
     a = random_class(seeded(seed))
     assert equals(from_json(to_json(a)), a)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False)
+    | st.sampled_from(["1", "-2/3", "1/0", "x", "1.5", "g", "S"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["g", "n", "i", "S", "c", "lambda", "psi",
+                                       "delta0", "boundary"]), inner, max_size=6),
+    max_leaves=20,
+)
+
+
+@given(st.integers(0, 10 ** 6), st.data())
+def test_fuzzed_json_raises_only_pic_error(seed, data):
+    # replace one field, at any depth, of a valid class's JSON by a random value
+    d = json.loads(to_json(random_class(seeded(seed))))
+    node = d
+    while True:
+        field = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                          else range(len(node))))
+        child = node[field]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        node[field] = data.draw(_json_values)
+        break
+    for text in (json.dumps(d), json.dumps(d)[:data.draw(st.integers(0, 40))]):
+        try:
+            from_json(text)
+        except PicError:
+            pass
+
+
+@given(_json_values)
+def test_arbitrary_json_raises_only_pic_error(value):
+    try:
+        from_json(json.dumps(value))
+    except PicError:
+        pass
+
+
+@given(st.integers(0, 10 ** 6))
+def test_mirror_rekeying_gives_the_same_answers(seed):
+    rng = seeded(seed)
+    a = random_class(rng)
+    base = a.base
+    b = DivisorClass(base, a.lam, a.psi, a.delta0,
+                     [(mirror_index(base, k), c) for k, c in a.boundary.items()])
+    assert equals(a, b)
+    assert to_json(a) == to_json(b)
+    vec = {k: Fraction(rng.randint(-9, 9)) for k in enumerate_boundary(base)
+           if rng.random() < 0.5}
+    vec["lambda"], vec["delta0"] = 1, -2
+    mirrored = {BoundaryIndex(*mirror_index(base, k)) if isinstance(k, BoundaryIndex)
+                else k: c for k, c in vec.items()}
+    curve = core.TestCurve(base, "x", vec)
+    assert pair(curve, a) == pair(core.TestCurve(base, "x", mirrored), b)
