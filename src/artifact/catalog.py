@@ -6,6 +6,7 @@ from .core import (
     ModuliBase,
     ParamOutOfRange,
     PicError,
+    _frac,
     enumerate_boundary,
     mirror_index,
     relabel,
@@ -49,6 +50,16 @@ def _check_parity(parity):
         raise ParamOutOfRange("parity must be one of %s" % (PARITIES,))
 
 
+def _by_parity(parity, f):
+    """A coefficient of a spin-refined class from its formula f(e) in the
+    sign e: -1 for odd and +1 for even theta characteristics.  The total
+    class is the sum of the odd and even classes."""
+    _check_parity(parity)
+    if parity == "total":
+        return f(-1) + f(1)
+    return f(-1 if parity == "odd" else 1)
+
+
 def _tri(u):
     # u(u+1)/2, the coefficient pattern C(u+1, 2)
     return Fraction(u * (u + 1), 2)
@@ -64,7 +75,7 @@ def _assemble(base, regimes):
             raise AssertionError(
                 "%d regimes claim %s on %s" % (len(hits), key, base)
             )
-        c = Fraction(hits[0](key))
+        c = _frac(hits[0](key))
         if c:
             bnd[key] = c
     return bnd
@@ -260,33 +271,24 @@ def theta_pullback_class(g, d):
 
 def theta_characteristic_locus(g, parity="total"):
     """Divisor of 1-pointed curves with a theta characteristic vanishing at
-    the marked point, split by the parity of the characteristic."""
+    the marked point, split by the parity of the characteristic;
+    ``parity="total"`` is the sum of the odd and even classes."""
     if g < 2:
         raise GenusTooSmall("needs genus >= 2")
-    _check_parity(parity)
-    if parity == "total":
-        return theta_characteristic_locus(g, "odd") + theta_characteristic_locus(
-            g, "even"
-        )
     base = ModuliBase(g, 1)
     pref = Fraction(2) ** (g - 3)
-    if parity == "odd":
-        lam = pref * (2**g - 1)
-        psi = 2 * pref * (2**g - 1)
 
-        def c(key):
-            i = key.i
-            return -pref * (2**i + 1) * (2 ** (g - i) - 1)
+    def by_sign(f):
+        return _by_parity(parity, lambda e: pref * f(e))
 
-    else:
-        lam = pref * (2**g + 1)
-        psi = Fraction(0)
+    lam = by_sign(lambda e: 2**g + e)
+    psi = by_sign(lambda e: (1 - e) * (2**g + e))
+    delta0 = by_sign(lambda e: -pref)
 
-        def c(key):
-            i = key.i
-            return -pref * (2**i - 1) * (2 ** (g - i) - 1)
+    def c(key):
+        i = key.i
+        return by_sign(lambda e: -(2**i - e) * (2 ** (g - i) - 1))
 
-    delta0 = -pref * Fraction(2) ** (g - 3)
     bnd = _assemble(base, [(lambda key: True, c)])
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
@@ -374,54 +376,31 @@ def _coupled_m2_2(g, parity):
         raise GenusTooSmall("needs genus >= 2")
     base = ModuliBase(g, 2)
     pref = Fraction(2) ** (g - 3)
-    lam = {
-        "total": 2 ** (g + 1),
-        "odd": 2**g - 1,
-        "even": 2**g + 1,
-    }[parity]
-    psi1 = {
-        "total": 2 ** (g + 2),
-        "odd": 2 * (2**g - 1),
-        "even": 2 * (2**g + 1),
-    }[parity]
-    psi2 = {
-        "total": 2 * (2**g + 1),
-        "odd": 0,
-        "even": 2 * (2**g + 1),
-    }[parity]
-    d0 = {
-        "total": -Fraction(2) ** (g - 2),
-        "odd": -Fraction(2) ** (g - 3),
-        "even": -Fraction(2) ** (g - 3),
-    }[parity]
 
-    def f_both(i):
-        return {
-            "total": -(2 ** (i + 1)) * (2 ** (g - i) - 1),
-            "odd": -(2**i + 1) * (2 ** (g - i) - 1),
-            "even": -(2**i - 1) * (2 ** (g - i) - 1),
-        }[parity]
+    def by_sign(f):
+        return _by_parity(parity, lambda e: pref * f(e))
 
-    def f_zero(i):
-        return {
-            "total": -(2 ** (i + 1)) * (2 ** (g - i) + 1),
-            "odd": -(2**i - 1) * (2 ** (g - i) + 1),
-            "even": -(2**i + 1) * (2 ** (g - i) + 1),
-        }[parity]
+    lam = by_sign(lambda e: 2**g + e)
+    psi = [2 * lam, by_sign(lambda e: (1 + e) * (2**g + 1))]
+    delta0 = by_sign(lambda e: -pref)
+
+    def both(key):
+        i = key.i
+        return by_sign(lambda e: -(2**i - e) * (2 ** (g - i) - 1))
+
+    def zero_only(key):
+        # evaluate at the mirror index
+        i = g - key.i
+        return by_sign(lambda e: -(2**i + e) * (2 ** (g - i) + 1))
 
     bnd = _assemble(
         base,
         [
-            (lambda key: len(key.S) == 2, lambda key: pref * f_both(key.i)),
-            (
-                lambda key: len(key.S) == 1,
-                lambda key: pref * f_zero(g - key.i),
-            ),
+            (lambda key: len(key.S) == 2, both),
+            (lambda key: len(key.S) == 1, zero_only),
         ],
     )
-    return DivisorClass._from_canonical(
-        base, pref * lam, [pref * psi1, pref * psi2], pref * d0, bnd
-    )
+    return DivisorClass._from_canonical(base, lam, psi, delta0, bnd)
 
 
 def _coupled_general(g, d, parity):
@@ -430,42 +409,27 @@ def _coupled_general(g, d, parity):
     base = ModuliBase(g, len(d))
     pref = Fraction(2) ** (g - 2)
     n = len(d)
-    lam = {
-        "total": Fraction(2 ** (g + 1)),
-        "odd": Fraction(2**g - 1),
-        "even": Fraction(2**g + 1),
-    }[parity]
-    qpsi = {
-        "total": Fraction(2 ** (g - 1)),
-        "odd": Fraction(2**g - 1, 4),
-        "even": Fraction(2**g + 1, 4),
-    }[parity]
-    d0 = {
-        "total": -Fraction(2) ** (g - 2),
-        "odd": -Fraction(2) ** (g - 3),
-        "even": -Fraction(2) ** (g - 3),
-    }[parity]
 
-    def w(i):
-        return {
-            "total": 2 ** (g - i + 1) * (2**i - 1),
-            "odd": (2**i - 1) * (2 ** (g - i) + 1),
-            "even": (2**i - 1) * (2 ** (g - i) - 1),
-        }[parity]
+    def by_sign(f):
+        return _by_parity(parity, lambda e: pref * f(e))
+
+    lam = by_sign(lambda e: 2**g + e)
+    qpsi = by_sign(lambda e: Fraction(2**g + e, 4))
+    delta0 = by_sign(lambda e: -Fraction(2) ** (g - 3))
 
     def balanced(key):
-        total = 0
-        for i2, S2 in (
-            (key.i, key.S),
-            mirror_index(base, key),
-        ):
-            if len(S2) != n:
-                total += w(i2)
-        return -pref * total
+        sides = [
+            i2
+            for i2, S2 in ((key.i, key.S), mirror_index(base, key))
+            if len(S2) != n
+        ]
+        return by_sign(
+            lambda e: -sum((2**i - 1) * (2 ** (g - i) - e) for i in sides)
+        )
 
     def unbalanced(key):
         ds = _dsum(d, key.S)
-        return -pref * qpsi * ds * ds
+        return -qpsi * ds * ds
 
     bnd = _assemble(
         base,
@@ -475,7 +439,7 @@ def _coupled_general(g, d, parity):
         ],
     )
     return DivisorClass._from_canonical(
-        base, pref * lam, [pref * qpsi * x * x for x in d], pref * d0, bnd
+        base, lam, [qpsi * x * x for x in d], delta0, bnd
     )
 
 
@@ -497,7 +461,8 @@ def coupled_partition(g, d, parity="total"):
     """Divisor class of curves carrying a differential whose zeros and poles
     at the marked points are coupled through a spin structure; ``d`` is the
     weight vector at the marked points (nonzero, summing to zero, or the
-    distinguished pair (1,1))."""
+    distinguished pair (1,1)).  ``parity="total"`` is the sum of the odd and
+    even classes."""
     d = tuple(int(x) for x in d)
     _check_parity(parity)
     if not d or any(x == 0 for x in d):
@@ -529,24 +494,18 @@ def coupled_partition(g, d, parity="total"):
 
 def d_infinity(g, parity="total"):
     """The boundary-at-infinity class of the coupled family: the limit
-    divisor supported where the two marked points collide."""
+    divisor supported where the two marked points collide;
+    ``parity="total"`` is the sum of the odd and even classes."""
     if g < 2:
         raise GenusTooSmall("needs genus >= 2")
-    _check_parity(parity)
     base = ModuliBase(g, 2)
-    q = Fraction(2) ** (2 * g - 3)
-    scale = {
-        "total": Fraction(1),
-        "odd": Fraction(2**g - 1, 2 ** (g + 1)),
-        "even": Fraction(2**g + 1, 2 ** (g + 1)),
-    }[parity]
+    q = _by_parity(parity, lambda e: Fraction(2) ** (g - 4) * (2**g + e))
 
     def c(key):
         return -q if len(key.S) == 1 else 0
 
     bnd = _assemble(base, [(lambda key: True, c)])
-    out = DivisorClass._from_canonical(base, 0, [q, q], 0, bnd)
-    return out * scale
+    return DivisorClass._from_canonical(base, 0, [q, q], 0, bnd)
 
 
 def _pinch_holo(g, d):

@@ -444,19 +444,15 @@ def builtin_test_curve(name, base, i=None, n=None):
     def key(ii, S):
         return canonical_index(base, ii, S)
 
+    if name in ("A", "B", "C", "D", "E") and base.n != 1:
+        raise UnknownCurve("curve %s lives on a 1-pointed base" % name)
     if name == "A":
-        if base.n != 1:
-            raise UnknownCurve("curve A lives on a 1-pointed base")
         return TestCurve(base, "A", {("psi", 1): 2 * g - 2})
     if name == "B":
-        if base.n != 1:
-            raise UnknownCurve("curve B lives on a 1-pointed base")
         if i is None or not 0 < i < g - 1:
             raise ParamOutOfRange("curve B needs 0 < i < g-1")
         return TestCurve(base, "B_%d" % i, {key(i, {1}): 2 - 2 * (g - i)})
     if name == "C":
-        if base.n != 1:
-            raise UnknownCurve("curve C lives on a 1-pointed base")
         if i is None or not 1 <= i <= g - 1:
             raise ParamOutOfRange("curve C needs 1 <= i <= g-1")
         vec = {("psi", 1): 2 * i - 1}
@@ -464,14 +460,10 @@ def builtin_test_curve(name, base, i=None, n=None):
             vec[kk] = vec.get(kk, 0) + c
         return TestCurve(base, "C_%d" % i, vec)
     if name == "D":
-        if base.n != 1:
-            raise UnknownCurve("curve D lives on a 1-pointed base")
         return TestCurve(
             base, "D", {("psi", 1): 1, "delta0": 2 - 2 * g, key(g - 1, {1}): 1}
         )
     if name == "E":
-        if base.n != 1:
-            raise UnknownCurve("curve E lives on a 1-pointed base")
         return TestCurve(base, "E", {"lambda": 1, "delta0": 12, key(g - 1, {1}): -1})
     if name == "Bin":
         if base.n != g:

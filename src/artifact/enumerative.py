@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,14 +51,15 @@ def de_jonquieres(g, ks, ordered=True):
             "profile of length %d needs genus > %d" % (rho, rho)
         )
     prod = math.prod(ks)
+    # elementary symmetric sums e_0..e_rho of ks, one multiplicity at a time;
+    # dropping j of the rho points leaves the products summed in e_{rho-j}
+    esym = [1] + [0] * rho
+    for m, k in enumerate(ks, start=1):
+        for t in range(m, 0, -1):
+            esym[t] += k * esym[t - 1]
     inner = Fraction((-1) ** rho, g)
-    idx = range(rho)
     for j in range(rho):
-        tot = 0
-        for drop in itertools.combinations(idx, j):
-            dropped = set(drop)
-            tot += math.prod(ks[t] for t in idx if t not in dropped)
-        inner += Fraction((-1) ** j * tot, g - rho + j)
+        inner += Fraction((-1) ** j * esym[rho - j], g - rho + j)
     return Fraction(math.factorial(g), math.factorial(g - rho - 1)) * prod * inner
 
 

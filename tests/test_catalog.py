@@ -75,6 +75,48 @@ class TestPrintedClasses:
         assert bnd == {(1, (1,)): -2, (2, (1,)): -2}
 
 
+# (lambda, psi, delta0, boundary) of the genus-4 spin-refined classes, by
+# parity; each total is the sum of its odd and even rows
+PRINTED_SPIN = {
+    ("coupled", (-2, 2), "odd"): (30, (60, 0), -4, {
+        (0, (1, 2)): -60, (1, (1,)): -42, (1, (1, 2)): -42, (2, (1,)): -30,
+        (2, (1, 2)): -30, (3, (1,)): -18, (3, (1, 2)): -18}),
+    ("coupled", (-2, 2), "even"): (34, (68, 68), -4, {
+        (1, (1,)): -54, (1, (1, 2)): -14, (2, (1,)): -50, (2, (1, 2)): -18,
+        (3, (1,)): -54, (3, (1, 2)): -14}),
+    ("coupled", (-2, 2), "total"): (64, (128, 68), -8, {
+        (0, (1, 2)): -60, (1, (1,)): -96, (1, (1, 2)): -56, (2, (1,)): -80,
+        (2, (1, 2)): -48, (3, (1,)): -72, (3, (1, 2)): -32}),
+    ("coupled", (-4, 4), "odd"): (60, (240, 240), -8, {
+        (0, (1, 2)): -120, (1, (1,)): -240, (1, (1, 2)): -84,
+        (2, (1,)): -240, (2, (1, 2)): -60, (3, (1,)): -240,
+        (3, (1, 2)): -36}),
+    ("coupled", (-4, 4), "even"): (68, (272, 272), -8, {
+        (1, (1,)): -272, (1, (1, 2)): -28, (2, (1,)): -272,
+        (2, (1, 2)): -36, (3, (1,)): -272, (3, (1, 2)): -28}),
+    ("coupled", (-4, 4), "total"): (128, (512, 512), -16, {
+        (0, (1, 2)): -120, (1, (1,)): -512, (1, (1, 2)): -112,
+        (2, (1,)): -512, (2, (1, 2)): -96, (3, (1,)): -512,
+        (3, (1, 2)): -64}),
+    ("dinf", (), "odd"): (0, (15, 15), 0, {
+        (1, (1,)): -15, (2, (1,)): -15, (3, (1,)): -15}),
+    ("dinf", (), "even"): (0, (17, 17), 0, {
+        (1, (1,)): -17, (2, (1,)): -17, (3, (1,)): -17}),
+    ("dinf", (), "total"): (0, (32, 32), 0, {
+        (1, (1,)): -32, (2, (1,)): -32, (3, (1,)): -32}),
+}
+
+
+@pytest.mark.parametrize("name,d,parity", sorted(PRINTED_SPIN))
+def test_printed_spin_class_genus4(name, d, parity):
+    if name == "coupled":
+        a = coupled_partition(4, d, parity)
+    else:
+        a = d_infinity(4, parity)
+    lam, psi, d0, bnd = PRINTED_SPIN[name, d, parity]
+    assert coeffs(a) == (lam, psi, d0, bnd)
+
+
 class TestSpecializations:
     def test_double_zero_order_zero_is_weierstrass_multiple(self):
         for g in range(3, 9):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -58,6 +59,37 @@ class TestDeJonquieres:
                     inner += Fraction((-1) ** j * math.comb(rho, j), g - rho + j)
                 want = Fraction(math.factorial(g), math.factorial(g - rho - 1)) * inner
                 assert de_jonquieres(g, ks) == want
+
+
+def de_jonquieres_by_subsets(g, ks):
+    """The ordered count summed over every subset of dropped points, as
+    first written: exponential in rho, kept as the reference."""
+    ks = list(ks)
+    rho = len(ks)
+    inner = Fraction((-1) ** rho, g)
+    idx = range(rho)
+    for j in range(rho):
+        tot = 0
+        for drop in itertools.combinations(idx, j):
+            dropped = set(drop)
+            tot += math.prod(ks[t] for t in idx if t not in dropped)
+        inner += Fraction((-1) ** j * tot, g - rho + j)
+    return Fraction(math.factorial(g), math.factorial(g - rho - 1)) \
+        * math.prod(ks) * inner
+
+
+DJ_PROFILES = [
+    (3, ()), (2, (5,)), (4, (1, 2, 2)), (5, (2, 2, 2, 1)), (6, (3, 1, 4, 1)),
+    (7, (1, 1, 1, 1, 1)), (8, (2, 3, 5, 7, 11, 13)), (9, (9, 1, 8, 2, 7, 3, 6)),
+    (10, (4,) * 8), (12, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+    (13, (2, 1) * 6), (15, tuple(range(14, 0, -1))), (20, (1,) * 14),
+    (16, (3, 5, 1, 2, 8, 13, 21, 1, 1, 2, 4, 6, 9, 10)),
+]
+
+
+@pytest.mark.parametrize("g,ks", DJ_PROFILES)
+def test_de_jonquieres_matches_subset_sum(g, ks):
+    assert de_jonquieres(g, ks) == de_jonquieres_by_subsets(g, ks)
 
 
 class TestPlucker:

@@ -3,11 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from artifact.catalog import (
+    coupled_partition,
+    logan_class,
+    pinch_partition,
+    theta_pullback_class,
+)
 from artifact.core import (
     BaseMismatch,
     DivisorClass,
     ModuliBase,
     equals,
+    relabel,
     zero_class,
 )
 from artifact.maps import (
@@ -81,6 +88,41 @@ def test_pullback_is_linear(m, seed):
     c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
     assert equals(pullback(m, a + b), pullback(m, a) + pullback(m, b))
     assert equals(pullback(m, c * a), c * pullback(m, a))
+
+
+RELABEL_CLASSES = [
+    logan_class(4, (1, 2, 1)),
+    coupled_partition(4, (-2, 2), "odd"),
+    coupled_partition(3, (4, -2, -2), "even"),
+    pinch_partition(4, (1, 1, 1)),
+    theta_pullback_class(3, (3, -1)),
+]
+
+
+@given(st.sampled_from(RELABEL_CLASSES), st.data())
+def test_forget_pullback_commutes_with_relabel(a, data):
+    g, n = a.base.g, a.base.n
+    j = data.draw(st.integers(1, n + 1))
+    perm = dict(zip(range(1, n + 1), data.draw(st.permutations(range(1, n + 1)))))
+
+    def lift(k):
+        return k if k < j else k + 1
+
+    lifted = {lift(k): lift(v) for k, v in perm.items()}
+    lifted[j] = j
+    m = forget_point(ModuliBase(g, n + 1), j)
+    assert equals(pullback(m, relabel(a, perm)), relabel(pullback(m, a), lifted))
+
+
+@given(st.sampled_from(RELABEL_CLASSES), st.data())
+def test_glue_tail_pullback_commutes_with_relabel(a, data):
+    g, n = a.base.g, a.base.n
+    at = data.draw(st.integers(1, n))
+    rest = [k for k in range(1, n + 1) if k != at]
+    perm = dict(zip(rest, data.draw(st.permutations(rest))))
+    perm[at] = at
+    m = glue_tail(ModuliBase(g - 1, n), 1, 0, at)
+    assert equals(pullback(m, relabel(a, perm)), relabel(pullback(m, a), perm))
 
 
 class TestGlueTail:
