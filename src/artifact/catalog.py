@@ -7,6 +7,7 @@ from .core import (
     ParamOutOfRange,
     PicError,
     _frac,
+    _nogc,
     enumerate_boundary,
     mirror_index,
     relabel,
@@ -65,6 +66,7 @@ def _tri(u):
     return Fraction(u * (u + 1), 2)
 
 
+@_nogc
 def _assemble(base, regimes):
     """Boundary dict from piecewise regimes [(predicate, formula)], enforcing
     that exactly one regime claims each canonical generator."""

@@ -1,6 +1,8 @@
+from collections import namedtuple
 from fractions import Fraction
 from dataclasses import dataclass
 import functools
+import gc
 import json
 
 """
@@ -45,6 +47,27 @@ class MalformedJSON(PicError):
     pass
 
 
+def _nogc(fn):
+    """Run fn with the cyclic garbage collector paused.  The bulk builders make
+    no reference cycles, so a collection during them walks the whole heap and
+    frees nothing; reference counting still frees their garbage.  When the
+    collector is already off (a nested call, or a caller that turned it off)
+    fn runs as is, and the collector is turned back on only by the call that
+    turned it off, also when fn raises."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kw):
+        if not gc.isenabled():
+            return fn(*args, **kw)
+        gc.disable()
+        try:
+            return fn(*args, **kw)
+        finally:
+            gc.enable()
+
+    return wrapper
+
+
 @dataclass(frozen=True)
 class ModuliBase:
     """The pair (g, n) naming a moduli space of stable pointed curves."""
@@ -65,12 +88,14 @@ class ModuliBase:
         return "(%d,%d)" % (self.g, self.n)
 
 
-@dataclass(frozen=True)
-class BoundaryIndex:
-    """Canonical index (i, S) of a reducible boundary class delta_{i:S}."""
+class BoundaryIndex(namedtuple("BoundaryIndex", "i S")):
+    """Canonical index (i, S) of a reducible boundary class delta_{i:S}.
 
-    i: int
-    S: frozenset
+    A tuple, so that hashing and equality run in C: the hash is hash((i, S))
+    and a key equals the plain pair (i, S).  Order is the output order of
+    ``sort_key``, never the tuple order (which would compare S by subset)."""
+
+    __slots__ = ()
 
     def sorted_S(self):
         return sorted(self.S)
@@ -86,6 +111,15 @@ class BoundaryIndex:
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other):
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other):
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other):
+        return self.sort_key() >= other.sort_key()
 
 
 def _sorted_keys(keys):
@@ -220,7 +254,7 @@ class DivisorClass:
             for raw, c in items:
                 c = _frac(c)
                 if c:
-                    i, S = (raw.i, raw.S) if isinstance(raw, BoundaryIndex) else raw
+                    i, S = raw
                     _acc(acc, canonical_index(base, i, S), c)
         object.__setattr__(self, "boundary", acc)
 
@@ -309,6 +343,7 @@ def zero_class(base):
     return DivisorClass(base)
 
 
+@_nogc
 def relabel(a, perm):
     """Apply a marked-point relabeling to a class.
 
@@ -323,10 +358,12 @@ def relabel(a, perm):
     psi = [Fraction(0)] * base.n
     for j in base.labels():
         psi[perm[j] - 1] = a.psi[j - 1]
-    bnd = [
-        ((k.i, frozenset(perm[s] for s in k.S)), c) for k, c in a.boundary.items()
-    ]
-    return DivisorClass(base, a.lam, psi, a.delta0, bnd)
+    # a permutation maps canonical keys one-to-one onto valid pairs
+    bnd = {
+        try_canonical_index(base, k.i, frozenset(perm[s] for s in k.S)): c
+        for k, c in a.boundary.items()
+    }
+    return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, bnd)
 
 
 def normalize_genus2(a):
@@ -485,19 +522,16 @@ def builtin_test_curve(name, base, i=None, n=None):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fstr(x):
-    return str(Fraction(x))
-
-
+@_nogc
 def to_json_dict(a):
     return {
         "g": a.base.g,
         "n": a.base.n,
-        "lambda": _fstr(a.lam),
-        "psi": [_fstr(c) for c in a.psi],
-        "delta0": _fstr(a.delta0),
+        "lambda": str(a.lam),
+        "psi": [str(c) for c in a.psi],
+        "delta0": str(a.delta0),
         "boundary": [
-            {"i": k.i, "S": k.sorted_S(), "c": _fstr(a.boundary[k])}
+            {"i": k.i, "S": k.sorted_S(), "c": str(a.boundary[k])}
             for k in _sorted_keys(a.boundary)
         ],
     }
@@ -528,6 +562,7 @@ def _json_fields(d, names):
         raise MalformedJSON("missing field %s" % e) from None
 
 
+@_nogc
 def from_json_dict(d):
     """Inverse of ``to_json_dict``.  g, n, i and the members of S must be
     integers and every coefficient an integer or a rational string; anything
@@ -573,15 +608,16 @@ def _rows(a):
         yield (str(k), k, a.boundary[k])
 
 
+@_nogc
 def to_csv(a):
     lines = ["generator,coefficient"]
     for name, _, c in _rows(a):
-        lines.append('%s,%s' % (name, _fstr(c)))
+        lines.append('%s,%s' % (name, c))
     return "\n".join(lines) + "\n"
 
 
 def _latex_frac(c):
-    c = Fraction(c)
+    c = _frac(c)
     if c.denominator == 1:
         return str(c.numerator)
     s = "-" if c < 0 else ""
@@ -618,6 +654,7 @@ def to_latex_expr(a):
     return " ".join(terms)
 
 
+@_nogc
 def to_latex(a):
     """The class as a LaTeX coefficient table, one row per generator."""
     lines = [r"\begin{tabular}{ll}", r"generator & coefficient \\"]

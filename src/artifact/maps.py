@@ -6,6 +6,7 @@ from .core import (
     ModuliBase,
     PicError,
     _acc,
+    _nogc,
     mirror_index,
     try_canonical_index,
 )
@@ -86,6 +87,7 @@ def forget_point(domain, j=None):
     return GluingMap("forget", domain, cod, j=j)
 
 
+@_nogc
 def pullback(m, a):
     """Pull a divisor class on the codomain of ``m`` back to the domain."""
     if a.base != m.codomain:

@@ -1,5 +1,8 @@
+import gc
 import random
 from fractions import Fraction
+
+import pytest
 
 from artifact.core import DivisorClass, ModuliBase, enumerate_boundary
 
@@ -18,3 +21,12 @@ def random_class(rng, base=None):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that leaves Python's cyclic garbage collector disabled."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

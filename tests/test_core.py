@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artifact import core
-from artifact.catalog import logan_class, weierstrass
+from artifact.catalog import _assemble, logan_class, weierstrass
 from artifact.core import (
     BaseMismatch,
     BoundaryIndex,
@@ -35,6 +36,7 @@ from artifact.core import (
     zero_class,
 )
 
+from artifact.maps import forget_point, pullback
 from conftest import random_class, seeded
 
 
@@ -277,6 +279,64 @@ class TestSerialization:
 
 
 _CLASS_31 = '"lambda":"1","psi":["0"],"delta0":"0","boundary":'
+
+
+class TestBoundaryIndexContract:
+    def test_repr_bytes(self):
+        key = BoundaryIndex(1, frozenset({1, 3}))
+        assert repr(key) == "BoundaryIndex(i=1, S=frozenset({1, 3}))"
+
+    def test_hash_is_the_pair_hash(self):
+        for key in enumerate_boundary(ModuliBase(4, 3)):
+            assert hash(key) == hash((key.i, key.S))
+
+    def test_no_instance_dict(self):
+        assert not hasattr(BoundaryIndex(1, frozenset({1})), "__dict__")
+
+    def test_fields_are_read_only(self):
+        key = BoundaryIndex(1, frozenset({1}))
+        with pytest.raises(AttributeError):
+            key.i = 2
+
+    def test_order_is_the_sort_key_order_not_the_tuple_order(self):
+        a = BoundaryIndex(1, frozenset({1, 3}))
+        b = BoundaryIndex(1, frozenset({1, 2}))
+        # tuple order compares S by subset, so it finds neither key larger
+        for x, y in ((a, b), (b, a)):
+            kx, ky = x.sort_key(), y.sort_key()
+            assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+        assert (b < a, b <= a, a > b, a >= b) == (True, True, True, True)
+
+
+class TestCollectorPause:
+    def test_collector_is_paused_while_assembling(self):
+        seen = []
+        _assemble(ModuliBase(3, 1), [(lambda k: True, lambda k: seen.append(gc.isenabled()) or 1)])
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_restored_after_a_regime_gap(self):
+        with pytest.raises(AssertionError):
+            _assemble(ModuliBase(3, 1), [(lambda k: False, lambda k: 1)])
+        assert gc.isenabled()
+
+    def test_restored_after_a_base_mismatch(self):
+        with pytest.raises(BaseMismatch):
+            pullback(forget_point(ModuliBase(3, 2)), weierstrass(4))
+        assert gc.isenabled()
+
+    def test_restored_after_malformed_json(self):
+        with pytest.raises(MalformedJSON):
+            from_json('{"g":3}')
+        assert gc.isenabled()
+
+    def test_a_callers_pause_survives(self):
+        gc.disable()
+        try:
+            logan_class(4, (2, 1, 1))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestFromJsonRejects:
