@@ -62,8 +62,20 @@ def _by_parity(parity, f):
 
 
 def _tri(u):
-    # u(u+1)/2, the coefficient pattern C(u+1, 2)
-    return Fraction(u * (u + 1), 2)
+    # u(u+1)/2, the coefficient pattern C(u+1, 2); u(u+1) is always even
+    return u * (u + 1) // 2
+
+
+def _div(num, den):
+    """num/den exactly: an int when den divides num, a Fraction otherwise."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _pow2(e):
+    """2**e exactly: an int for e >= 0 and a Fraction below (2 ** -1 is a
+    float)."""
+    return 2**e if e >= 0 else Fraction(1, 2**-e)
 
 
 @_nogc
@@ -104,12 +116,12 @@ def diaz(g):
         raise GenusTooSmall("needs genus >= 3")
     G = g + 1
     base = ModuliBase(g, 0)
-    lam = Fraction(G * (G + 1) * (3 * G * G - 3 * G + 2), 2)
-    delta0 = -Fraction(G * G * (G - 1) * (G + 1), 6)
+    lam = _div(G * (G + 1) * (3 * G * G - 3 * G + 2), 2)
+    delta0 = -_div(G * G * (G - 1) * (G + 1), 6)
 
     def c(k):
         i = k.i
-        return -Fraction(G * i * (G - i - 1) * (G + 1) ** 2, 2)
+        return -_div(G * i * (G - i - 1) * (G + 1) ** 2, 2)
 
     bnd = _assemble(base, [(lambda k: True, c)])
     return DivisorClass._from_canonical(base, lam, [], delta0, bnd)
@@ -121,13 +133,13 @@ def residual(g):
     if g < 3:
         raise GenusTooSmall("needs genus >= 3")
     base = ModuliBase(g, 1)
-    psi = Fraction(g * (g + 1) * (g - 2), 2)
-    lam = Fraction(g * (3 * g**3 - 3 * g + 2), 2)
-    delta0 = Fraction(g**2 - g**4, 6)
+    psi = _div(g * (g + 1) * (g - 2), 2)
+    lam = _div(g * (3 * g**3 - 3 * g + 2), 2)
+    delta0 = _div(g**2 - g**4, 6)
 
     def c(k):
         i = k.i
-        return Fraction(g * (i - g) * (g * g * i + g * i - g + i - 1), 2)
+        return _div(g * (i - g) * (g * g * i + g * i - g + i - 1), 2)
 
     bnd = _assemble(base, [(lambda k: True, c)])
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
@@ -141,19 +153,19 @@ def d1_holo(g, k):
     if not 0 <= k <= g - 1:
         raise ParamOutOfRange("needs 0 <= k <= g-1")
     base = ModuliBase(g, 1)
-    psi = Fraction(
+    psi = _div(
         (k + 1) * (g - k) * ((k + 1) * g * g - (k * k + k + 1) * g - 2), 2
     )
-    lam = Fraction(
+    lam = _div(
         (k + 1)
         * (4 - 2 * g + 10 * k - 2 * g * k + 11 * k * k + 3 * k**3),
         2,
     )
-    delta0 = Fraction((k + 1) ** 2 - (k + 1) ** 4, 6)
+    delta0 = _div((k + 1) ** 2 - (k + 1) ** 4, 6)
 
     def low(key):
         i = key.i
-        return -Fraction(
+        return -_div(
             (k + 1)
             * (
                 i * (g - i + 1) * (g - i) * (k + 1)
@@ -165,7 +177,7 @@ def d1_holo(g, k):
 
     def high(key):
         i = key.i
-        return -Fraction(
+        return -_div(
             (g - i)
             * (k + 1)
             * (
@@ -194,10 +206,10 @@ def d1_mero(g, h):
     if h < 2:
         raise ParamOutOfRange("needs pole order h >= 2")
     base = ModuliBase(g, 1)
-    psi = Fraction(
+    psi = _div(
         g * (g + h + 1) * (h - 1) * (h * h + g * h + g + 1), 2
     )
-    lam = Fraction(
+    lam = _div(
         (1 + g + h)
         * (
             2 - 3 * g * g + 3 * g**3 - 2 * h - 4 * g * h
@@ -205,13 +217,18 @@ def d1_mero(g, h):
         ),
         2,
     )
-    delta0 = Fraction((g + h) ** 2 - (g + h) ** 4, 6)
+    delta0 = _div((g + h) ** 2 - (g + h) ** 4, 6)
 
     def c(key):
         i = key.i
-        return -Fraction((g - i) * (g + h + 1), 2) * (
-            g * g * i + g * h * h + 3 * g * h * i - g
-            + h**3 + 2 * h * h * i - h * h - h * i + h + i - 1
+        return -_div(
+            (g - i)
+            * (g + h + 1)
+            * (
+                g * g * i + g * h * h + 3 * g * h * i - g
+                + h**3 + 2 * h * h * i - h * h - h * i + h + i - 1
+            ),
+            2,
         )
 
     bnd = _assemble(base, [(lambda key: True, c)])
@@ -258,7 +275,7 @@ def theta_pullback_class(g, d):
         # poles on both sides; u(u+1)/2 is invariant under u -> -(u+1),
         # which is exactly what the mirror does here
         u = _dsum(d, key.S) - key.i
-        return -Fraction(u * (u + 1), 2)
+        return -_tri(u)
 
     bnd = _assemble(
         base,
@@ -278,7 +295,7 @@ def theta_characteristic_locus(g, parity="total"):
     if g < 2:
         raise GenusTooSmall("needs genus >= 2")
     base = ModuliBase(g, 1)
-    pref = Fraction(2) ** (g - 3)
+    pref = _pow2(g - 3)
 
     def by_sign(f):
         return _by_parity(parity, lambda e: pref * f(e))
@@ -308,7 +325,7 @@ def _coupled_11(g):
     if g < 2:
         raise GenusTooSmall("needs genus >= 2")
     base = ModuliBase(g, 2)
-    pref = Fraction(2) ** (g - 3)
+    pref = _pow2(g - 3)
 
     def both(key):
         i = key.i
@@ -338,7 +355,7 @@ def _coupled_m2_1_1(g):
     if g < 2:
         raise GenusTooSmall("needs genus >= 2")
     base = ModuliBase(g, 3)
-    pref = Fraction(2) ** (g - 3)
+    pref = _pow2(g - 3)
 
     def all_three(key):
         i = key.i
@@ -377,7 +394,7 @@ def _coupled_m2_2(g, parity):
     if g < 2:
         raise GenusTooSmall("needs genus >= 2")
     base = ModuliBase(g, 2)
-    pref = Fraction(2) ** (g - 3)
+    pref = _pow2(g - 3)
 
     def by_sign(f):
         return _by_parity(parity, lambda e: pref * f(e))
@@ -409,15 +426,15 @@ def _coupled_general(g, d, parity):
     if g < 2:
         raise GenusTooSmall("needs genus >= 2")
     base = ModuliBase(g, len(d))
-    pref = Fraction(2) ** (g - 2)
+    pref = 2 ** (g - 2)
     n = len(d)
 
     def by_sign(f):
         return _by_parity(parity, lambda e: pref * f(e))
 
     lam = by_sign(lambda e: 2**g + e)
-    qpsi = by_sign(lambda e: Fraction(2**g + e, 4))
-    delta0 = by_sign(lambda e: -Fraction(2) ** (g - 3))
+    qpsi = by_sign(lambda e: _div(2**g + e, 4))
+    delta0 = by_sign(lambda e: -_pow2(g - 3))
 
     def balanced(key):
         sides = [
@@ -501,7 +518,7 @@ def d_infinity(g, parity="total"):
     if g < 2:
         raise GenusTooSmall("needs genus >= 2")
     base = ModuliBase(g, 2)
-    q = _by_parity(parity, lambda e: Fraction(2) ** (g - 4) * (2**g + e))
+    q = _by_parity(parity, lambda e: _pow2(g - 4) * (2**g + e))
 
     def c(key):
         return -q if len(key.S) == 1 else 0
@@ -515,10 +532,10 @@ def _pinch_holo(g, d):
         raise GenusTooSmall("needs genus >= 3")
     base = ModuliBase(g, len(d))
     lam = -4 * (g - 7)
-    psi = [Fraction((2 * g * (x + 1) - 3 * x - 5) * x) for x in d]
+    psi = [(2 * g * (x + 1) - 3 * x - 5) * x for x in d]
 
     def c(i, ds):
-        return Fraction(
+        return (
             (3 - 2 * g) * ds * ds
             + (4 * g * i + 2 * g - 10 * i + 1) * ds
             - 2 * g * i * i + 7 * i * i - 2 * g * i - i - 2
@@ -547,14 +564,14 @@ def _pinch_mero(g, d, j):
     if h == 2:
         lam = 27 - 4 * g
         psi = [
-            Fraction(4 * g)
+            4 * g
             if t == j
-            else Fraction((4 * g * (d[t - 1] + 1) - 5 * d[t - 1] - 9) * d[t - 1], 2)
+            else _div((4 * g * (d[t - 1] + 1) - 5 * d[t - 1] - 9) * d[t - 1], 2)
             for t in base.labels()
         ]
 
         def cA(i, ds):
-            return Fraction(
+            return _div(
                 (5 - 4 * g) * ds * ds
                 + (8 * g * i + 4 * g - 18 * i + 3) * ds
                 - 4 * g * i * i - 4 * g * i + 13 * i * i - 3 * i - 4,
@@ -562,7 +579,7 @@ def _pinch_mero(g, d, j):
             )
 
         def cB(i, ds):
-            return Fraction(
+            return _div(
                 (5 - 4 * g) * ds * ds
                 + (8 * g * i - 4 * g - 18 * i + 9) * ds
                 - 4 * g * i * i + 4 * g * i + 13 * i * i - 17 * i,
@@ -572,19 +589,19 @@ def _pinch_mero(g, d, j):
     else:
         lam = 26 - 4 * g
         psi = [
-            Fraction(2 * d[t - 1] * ((g - 1) * d[t - 1] + g - 2))
+            2 * d[t - 1] * ((g - 1) * d[t - 1] + g - 2)
             for t in base.labels()
         ]
 
         def cA(i, ds):
-            return Fraction(
+            return (
                 (2 - 2 * g) * ds * ds
                 + 2 * (2 * g * i + g - 4 * i + 1) * ds
                 - 2 * (g * i * i + g * i - 3 * i * i + i + 1)
             )
 
         def cB(i, ds):
-            return Fraction(
+            return (
                 (2 - 2 * g) * ds * ds
                 + 2 * (2 * g * i - g - 4 * i + 2) * ds
                 - 2 * (g * i * i - 3 * i * i - g * i + 4 * i)
@@ -644,11 +661,9 @@ def brill_noether(g):
         raise GenusTooSmall("needs genus >= 3")
     base = ModuliBase(g, 1)
     bnd = _assemble(
-        base, [(lambda key: True, lambda key: -Fraction(key.i * (g - key.i)))]
+        base, [(lambda key: True, lambda key: -key.i * (g - key.i))]
     )
-    return DivisorClass._from_canonical(
-        base, g + 3, [Fraction(0)], -Fraction(g + 1, 6), bnd
-    )
+    return DivisorClass._from_canonical(base, g + 3, [0], -_div(g + 1, 6), bnd)
 
 
 def bn_coefficient_check(a):

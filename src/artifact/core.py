@@ -14,8 +14,10 @@ lambda, the cotangent classes psi_1..psi_n, the irreducible boundary class
 delta_0, and the reducible boundary classes delta_{i:S} indexed by a genus
 0 <= i <= g and a subset S of the marked points.  The pair (i, S) and its
 mirror (g - i, S^c) name the same class; every class is stored under a single
-canonical representative.  All coefficients are Fraction; there is no floating
-point anywhere in this package.
+canonical representative.  Every coefficient is exact and stored in one
+canonical form: an int when it is integral and a Fraction otherwise, so that
+integral arithmetic never builds a Fraction.  There is no floating point
+anywhere in this package.
 """
 
 
@@ -204,10 +206,24 @@ def enumerate_boundary(base):
     return list(_boundary_keys(base))
 
 
+def _frac(x):
+    """The canonical form of an exact number: an int (never a bool) when x is
+    integral, a Fraction otherwise.  A float is refused: it is not exact, and
+    one would mean that some formula divided two ints with ``/``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise ParamOutOfRange("coefficient %r is a float, not an exact number" % (x,))
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _acc(acc, key, c):
     """Add c to acc[key] in a sparse coefficient dict, dropping a zero sum.
     A None key (an unstable pair) or a zero c contributes nothing.  c must be
-    a Fraction: a new key stores it as given."""
+    in the canonical form of ``_frac``: a new key stores it as given, and a
+    sum is canonicalized, since two Fractions can add up to an integer."""
     if key is None or not c:
         return
     old = acc.get(key)
@@ -218,13 +234,7 @@ def _acc(acc, key, c):
     if c2 == 0:
         del acc[key]
     else:
-        acc[key] = c2
-
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+        acc[key] = _frac(c2)
 
 
 class DivisorClass:
@@ -270,7 +280,7 @@ class DivisorClass:
         raise AttributeError("DivisorClass is immutable")
 
     def coeff(self, key):
-        return self.boundary.get(key, Fraction(0))
+        return self.boundary.get(key, 0)
 
     def delta(self, i, S):
         """Coefficient of delta_{i:S} (any representative)."""
@@ -320,7 +330,7 @@ class DivisorClass:
             self.lam * c,
             [a * c for a in self.psi],
             self.delta0 * c,
-            {k: v * c for k, v in self.boundary.items()},
+            {k: _frac(v * c) for k, v in self.boundary.items()},
         )
 
     __rmul__ = __mul__
@@ -355,7 +365,7 @@ def relabel(a, perm):
         perm = {j + 1: p for j, p in enumerate(perm)}
     if sorted(perm) != list(base.labels()) or sorted(perm.values()) != list(base.labels()):
         raise ParamOutOfRange("relabeling must permute {1..%d}" % base.n)
-    psi = [Fraction(0)] * base.n
+    psi = [0] * base.n
     for j in base.labels():
         psi[perm[j] - 1] = a.psi[j - 1]
     # a permutation maps canonical keys one-to-one onto valid pairs
@@ -454,7 +464,7 @@ def pair(curve, a):
     """Exact intersection number of a test curve with a divisor class."""
     if curve.base != a.base:
         raise BaseMismatch("base mismatch: %s vs %s" % (curve.base, a.base))
-    total = Fraction(0)
+    total = 0
     for k, c in curve.pairing.items():
         if k == "lambda":
             total += c * a.lam
@@ -464,7 +474,7 @@ def pair(curve, a):
             total += c * a.coeff(k)
         else:
             total += c * a.psi[k[1] - 1]
-    return total
+    return _frac(total)
 
 
 def builtin_test_curve(name, base, i=None, n=None):
@@ -544,10 +554,10 @@ def to_json(a):
 def _json_coeff(x):
     # an int (not a bool) or a rational string; a JSON float is never exact
     if type(x) is int:
-        return Fraction(x)
+        return x
     if type(x) is str:
         try:
-            return Fraction(x)
+            return _frac(Fraction(x))
         except (ValueError, ZeroDivisionError):
             pass
     raise MalformedJSON("coefficient %r is not an integer or a rational string" % (x,))
@@ -617,7 +627,6 @@ def to_csv(a):
 
 
 def _latex_frac(c):
-    c = _frac(c)
     if c.denominator == 1:
         return str(c.numerator)
     s = "-" if c < 0 else ""

@@ -1,7 +1,6 @@
-from fractions import Fraction
-
 from .core import (
     BaseMismatch,
+    BoundaryIndex,
     DivisorClass,
     ModuliBase,
     PicError,
@@ -103,8 +102,8 @@ def _pull_glue_tail(m, a):
     h, j, at = m.params["h"], m.params["j"], m.params["attach"]
     T = frozenset({at} | set(range(dom.n + 1, dom.n + j + 1)))
     lam = a.lam
-    psi = [Fraction(0)] * dom.n
-    psi_at = Fraction(0)  # coefficient picked up on psi at the attach point
+    psi = [0] * dom.n
+    psi_at = 0  # coefficient picked up on psi at the attach point
     for k in cod.labels():
         c = a.psi[k - 1]
         if k in T:
@@ -136,7 +135,7 @@ def _pull_glue_closed_tail(m, a):
     h, at = m.params["h"], m.params["attach"]
     cd2dom = [x for x in dom.labels() if x != at]  # cod label k -> dom label
     lam = a.lam
-    psi = [Fraction(0)] * dom.n
+    psi = [0] * dom.n
     for k in cod.labels():
         psi[cd2dom[k - 1] - 1] += a.psi[k - 1]
     delta0 = a.delta0
@@ -155,20 +154,25 @@ def _pull_glue_closed_tail(m, a):
 def _pull_identify_points(m, a):
     dom, cod = m.domain, m.codomain
     lam = a.lam
-    psi = [Fraction(0)] * dom.n
+    psi = [0] * dom.n
     for k in cod.labels():
         psi[k + 1] += a.psi[k - 1]
     delta0 = a.delta0
     bnd = {}
     # every class separating the two glued points maps into the irreducible
-    # boundary; each such class has exactly one representative with 1 in S
-    # and 2 outside, so the sum below counts each once
+    # boundary; each such class has exactly one representative (i, S) with 1
+    # in S and 2 outside, and that is its canonical key, since 1 is in S.  The
+    # pair names a class when both sides are stable: i = 0 needs |S| >= 2, and
+    # i = g needs |S^c| >= 2, that is |S| < n - 1.  Each key is met once and
+    # bnd is still empty, so it is stored without canonicalizing or adding.
     if delta0 != 0:
-        rest = [x for x in dom.labels() if x not in (1, 2)]
-        for i in range(dom.g + 1):
-            for mask in range(1 << len(rest)):
-                S = {1} | {rest[t] for t in range(len(rest)) if mask >> t & 1}
-                _acc(bnd, try_canonical_index(dom, i, S), delta0)
+        g, n = dom.g, dom.n
+        for mask in range(1 << (n - 2)):
+            S = frozenset([1] + [x for x in range(3, n + 1) if mask >> (x - 3) & 1])
+            lo = 0 if len(S) >= 2 else 1
+            hi = g if len(S) < n - 1 else g - 1
+            for i in range(lo, hi + 1):
+                bnd[BoundaryIndex(i, S)] = delta0
     for key, c in a.boundary.items():
         i, S = key.i, key.S
         Sd = frozenset(s + 2 for s in S)
@@ -185,7 +189,7 @@ def _pull_forget(m, a):
         return k if k < j else k + 1
 
     lam = a.lam
-    psi = [Fraction(0)] * dom.n
+    psi = [0] * dom.n
     bnd = {}
     for k in cod.labels():
         c = a.psi[k - 1]

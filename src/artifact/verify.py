@@ -94,13 +94,19 @@ class Report:
         return "\n".join(lines)
 
 
+# A failure detail holds each computed number as a Fraction, also where it is
+# stored as an int, so the FAIL line that prints it with %r keeps its bytes.
+
 def _class_eq(lhs, rhs):
     d = diff_first(lhs, rhs)
-    return d is None, d
+    if d is None:
+        return True, None
+    label, ca, cb = d
+    return False, (label, Fraction(ca), Fraction(cb))
 
 
 def _value_eq(got, want):
-    return (got == want), (None if got == want else ("value", got, want))
+    return (got == want), (None if got == want else ("value", Fraction(got), want))
 
 
 class Relation:

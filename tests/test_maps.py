@@ -13,8 +13,11 @@ from artifact.core import (
     BaseMismatch,
     DivisorClass,
     ModuliBase,
+    _acc,
     equals,
     relabel,
+    to_json,
+    try_canonical_index,
     zero_class,
 )
 from artifact.maps import (
@@ -31,6 +34,27 @@ from conftest import random_class, seeded
 
 def cls(base, **kw):
     return DivisorClass(base, kw.get("lam", 0), kw.get("psi"), kw.get("delta0", 0), kw.get("bnd"))
+
+
+def identify_points_by_canonicalizing(m, a):
+    """The identify-points pullback that canonicalizes every raw pair (i, S)
+    of its delta_0 term, for every genus i; the reference for the handler,
+    which builds those keys directly."""
+    dom, cod = m.domain, m.codomain
+    psi = [0] * dom.n
+    for k in cod.labels():
+        psi[k + 1] += a.psi[k - 1]
+    bnd = {}
+    rest = [x for x in dom.labels() if x not in (1, 2)]
+    for i in range(dom.g + 1):
+        for mask in range(1 << len(rest)):
+            S = {1} | {rest[t] for t in range(len(rest)) if mask >> t & 1}
+            _acc(bnd, try_canonical_index(dom, i, S), a.delta0)
+    for key, c in a.boundary.items():
+        Sd = frozenset(s + 2 for s in key.S)
+        _acc(bnd, try_canonical_index(dom, key.i, Sd), c)
+        _acc(bnd, try_canonical_index(dom, key.i - 1, Sd | {1, 2}), c)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
 
 class TestConstructors:
@@ -215,6 +239,20 @@ class TestIdentifyPoints:
         m = identify_points(ModuliBase(2, 3))
         out = pullback(m, cls(m.codomain, psi=[5]))
         assert out.psi == (0, 0, 5)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_matches_canonicalizing_every_raw_pair(self, g, n):
+        m = identify_points(ModuliBase(g, n))
+        rng = seeded(100 * g + n)
+        for _ in range(3):
+            a = random_class(rng, m.codomain)
+            if a.delta0 == 0:
+                a = a + cls(m.codomain, delta0=Fraction(-5, 7))
+            out = pullback(m, a)
+            want = identify_points_by_canonicalizing(m, a)
+            assert out.boundary == want.boundary
+            assert to_json(out) == to_json(want)
 
 
 class TestForgetPoint:

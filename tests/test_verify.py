@@ -3,6 +3,7 @@ import json
 import pytest
 
 from artifact.catalog import CONSTRUCTORS, weierstrass
+from artifact.core import ModuliBase, builtin_test_curve, pair
 from artifact.verify import (
     RELATIONS,
     Relation,
@@ -10,6 +11,7 @@ from artifact.verify import (
     ReportEntry,
     UnknownRelation,
     _class_eq,
+    _value_eq,
     run_relation,
     run_suite,
 )
@@ -71,6 +73,19 @@ class TestReporting:
         label, lhs, rhs = detail
         assert label == "lambda"
         assert (lhs, rhs) == (-1, -2)
+
+    def test_fail_lines_print_coefficients_as_fractions(self):
+        w = weierstrass(3)
+        rep = Report([
+            ReportEntry("R1", (("g", 3),), *_class_eq(w, 2 * w)),
+            ReportEntry("R18", (("curve", "A"),),
+                        *_value_eq(pair(builtin_test_curve("A", ModuliBase(3, 1)), w), 7)),
+        ])
+        assert rep.summary() == (
+            "FAIL R1[g=3] first difference ('lambda', Fraction(-1, 1), Fraction(-2, 1))\n"
+            "FAIL R18[curve=A] first difference ('value', Fraction(24, 1), 7)\n"
+            "0/2 identities hold"
+        )
 
     def test_failing_report_serializes(self):
         entry = ReportEntry("X", (("g", 3),), False, ("psi_1", 1, 2))
