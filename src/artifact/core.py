@@ -1,6 +1,5 @@
 from collections import namedtuple
 from fractions import Fraction
-from dataclasses import dataclass
 import functools
 import gc
 import json
@@ -70,24 +69,28 @@ def _nogc(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class ModuliBase:
-    """The pair (g, n) naming a moduli space of stable pointed curves."""
+class ModuliBase(namedtuple("ModuliBase", "g n")):
+    """The pair (g, n) naming a moduli space of stable pointed curves.
 
-    g: int
-    n: int
+    A tuple, so that hashing and equality run in C: the hash is hash((g, n))
+    and a base equals the plain pair (g, n)."""
 
-    def __post_init__(self):
-        if self.g < 2:
-            raise ParamOutOfRange("genus must be at least 2, got %r" % (self.g,))
-        if self.n < 0:
+    __slots__ = ()
+
+    def __new__(cls, g, n):
+        if type(g) is not int or type(n) is not int:
+            raise ParamOutOfRange("g and n must be integers, got %r and %r" % (g, n))
+        if g < 2:
+            raise ParamOutOfRange("genus must be at least 2, got %r" % (g,))
+        if n < 0:
             raise ParamOutOfRange("number of marked points must be nonnegative")
+        return tuple.__new__(cls, (g, n))
 
     def labels(self):
         return range(1, self.n + 1)
 
     def __str__(self):
-        return "(%d,%d)" % (self.g, self.n)
+        return "(%d,%d)" % self
 
 
 class BoundaryIndex(namedtuple("BoundaryIndex", "i S")):
@@ -135,13 +138,10 @@ def _label_set(base):
     return frozenset(base.labels())
 
 
-def _raw_valid(base, i, S):
-    # a raw pair is valid when each side of the corresponding degeneration is stable
-    if i == 0 and len(S) < 2:
-        return False
-    if i == base.g and len(S) > base.n - 2:
-        return False
-    return True
+def _key(i, S):
+    """A BoundaryIndex made by tuple.__new__, without the Python-level __new__
+    of the named tuple; the caller has checked (i, S)."""
+    return tuple.__new__(BoundaryIndex, (i, S))
 
 
 def try_canonical_index(base, i, S):
@@ -149,18 +149,20 @@ def try_canonical_index(base, i, S):
     a boundary class (genus out of range or an unstable side).  Used by formula
     code that treats such pairs as zero."""
     S = frozenset(S)
+    g, n = base
     labels = _label_set(base)
-    if i < 0 or i > base.g or not S <= labels:
+    if i < 0 or i > g or not S <= labels:
         return None
-    if not _raw_valid(base, i, S):
+    # a pair names a class when each side of the degeneration is stable
+    if i == 0 and len(S) < 2 or i == g and len(S) > n - 2:
         return None
-    if base.n >= 1:
+    if n:
         if 1 in S:
-            return BoundaryIndex(i, S)
-        return BoundaryIndex(base.g - i, labels - S)
-    if 2 * i <= base.g:
-        return BoundaryIndex(i, S)
-    return BoundaryIndex(base.g - i, S)
+            return _key(i, S)
+        return _key(g - i, labels - S)
+    if 2 * i <= g:
+        return _key(i, S)
+    return _key(g - i, S)
 
 
 def canonical_index(base, i, S):
@@ -168,9 +170,17 @@ def canonical_index(base, i, S):
 
     The mirror pair (g - i, S^c) names the same class; the canonical
     representative contains the first marked point when n >= 1 and has
-    i <= g/2 when n = 0.  Raises InvalidBoundary for pairs that do not
-    name a class.
+    i <= g/2 when n = 0.  Raises InvalidBoundary for a genus or a label that
+    is not an int, and for pairs that do not name a class.
     """
+    try:
+        S = frozenset(S)
+    except TypeError:
+        raise InvalidBoundary("%r is not a set of marked points" % (S,)) from None
+    if type(i) is not int or not {int}.issuperset(map(type, S)):
+        raise InvalidBoundary(
+            "boundary genus and labels must be integers, got %r and %r" % (i, set(S))
+        )
     key = try_canonical_index(base, i, S)
     if key is None:
         raise InvalidBoundary(
@@ -186,16 +196,38 @@ def mirror_index(base, key):
 
 @functools.cache
 def _boundary_keys(base):
-    # the keys of a base depend only on (g, n), and a process meets few bases
-    out = set()
-    labels = sorted(base.labels())
-    for mask in range(1 << base.n):
-        S = frozenset(labels[t] for t in range(base.n) if mask >> t & 1)
-        for i in range(base.g + 1):
-            key = try_canonical_index(base, i, S)
-            if key is not None:
-                out.add(key)
-    return tuple(_sorted_keys(out))
+    # The keys of a base depend only on (g, n), and a process meets few bases.
+    # They are built in output order, without canonicalizing a raw pair.
+    #
+    # For n >= 1 the canonical keys are exactly the stable pairs (i, S) with
+    # 1 in S, 0 <= i <= g; a pair is stable unless i = 0 and |S| < 2, or i = g
+    # and |S| > n - 2.  try_canonical_index returns a stable pair with 1 in S
+    # as it is, and maps a stable pair without 1 to its mirror (g - i, S^c),
+    # which holds 1.  The mirror is stable too: i = 0 with |S| < 2 is the same
+    # condition as g - i = g with |S^c| > n - 2, and i = g with |S| > n - 2 the
+    # same as g - i = 0 with |S^c| < 2.  So every key has 1 in S, and every
+    # stable pair with 1 in S is its own key.  Output order is (i, sorted(S)):
+    # the subsets holding 1 are sorted once by their sorted members, and the
+    # loop over i goes outside.
+    #
+    # For n = 0 the only subset is the empty one, (i, {}) is stable exactly
+    # for 0 < i < g, and the key of i and g - i is the one with 2i <= g.
+    g, n = base
+    if not n:
+        return tuple(_key(i, frozenset()) for i in range(1, g // 2 + 1))
+    subsets = sorted(
+        (
+            frozenset([1] + [s for s in range(2, n + 1) if mask >> (s - 2) & 1])
+            for mask in range(1 << (n - 1))
+        ),
+        key=sorted,
+    )
+    keys = []
+    for i in range(g + 1):
+        lo = 2 if i == 0 else 1
+        hi = n - 2 if i == g else n
+        keys += [_key(i, S) for S in subsets if lo <= len(S) <= hi]
+    return tuple(keys)
 
 
 def enumerate_boundary(base):
@@ -261,10 +293,15 @@ class DivisorClass:
         acc = {}
         if boundary:
             items = boundary.items() if isinstance(boundary, dict) else boundary
-            for raw, c in items:
+            for entry in items:
+                try:
+                    (i, S), c = entry
+                except (TypeError, ValueError):
+                    raise InvalidBoundary(
+                        "boundary entry %r is not an ((i, S), c) pair" % (entry,)
+                    ) from None
                 c = _frac(c)
                 if c:
-                    i, S = raw
                     _acc(acc, canonical_index(base, i, S), c)
         object.__setattr__(self, "boundary", acc)
 
@@ -380,7 +417,7 @@ def normalize_genus2(a):
     """Eliminate lambda on a genus-2 base using the relation
     lambda = (1/10) delta_0 + (1/5) sum_{1 in S or S empty} delta_{1:S}."""
     if a.base.g != 2:
-        raise NotGenus2("normalization applies only to genus 2, base is %s" % a.base)
+        raise NotGenus2("normalization applies only to genus 2, base is %s" % (a.base,))
     if a.lam == 0:
         return a
     # R = -lambda + delta_0/10 + (1/5) sum delta_{1:S} is zero on genus 2
@@ -390,7 +427,7 @@ def normalize_genus2(a):
     bnd = {}
     for mask in range(1 << len(rest)):
         S = lead | {rest[t] for t in range(len(rest)) if mask >> t & 1}
-        bnd[BoundaryIndex(1, S)] = Fraction(1, 5)
+        bnd[_key(1, S)] = Fraction(1, 5)
     R = DivisorClass._from_canonical(base, -1, None, Fraction(1, 10), bnd)
     return a + a.lam * R
 
@@ -557,6 +594,10 @@ def _json_coeff(x):
         return x
     if type(x) is str:
         try:
+            # the common case, an ASCII integer, skips the Fraction regex;
+            # int() and Fraction agree on it, and both refuse too many digits
+            if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
+                return int(x)
             return _frac(Fraction(x))
         except (ValueError, ZeroDivisionError):
             pass
@@ -599,6 +640,7 @@ def from_json_dict(d):
     )
 
 
+@_nogc
 def from_json(s):
     try:
         d = json.loads(s)

@@ -53,6 +53,20 @@ class TestBase:
         assert list(ModuliBase(3, 2).labels()) == [1, 2]
 
 
+def enumerate_by_canonicalizing(base):
+    """The keys of a base by canonicalizing every raw pair, deduplicating and
+    sorting: the reference for the direct enumeration."""
+    out = set()
+    labels = sorted(base.labels())
+    for mask in range(1 << base.n):
+        S = frozenset(labels[t] for t in range(base.n) if mask >> t & 1)
+        for i in range(base.g + 1):
+            key = try_canonical_index(base, i, S)
+            if key is not None:
+                out.add(key)
+    return sorted(out, key=BoundaryIndex.sort_key)
+
+
 class TestCanonicalIndex:
     def test_unstable_rational_side_is_none(self):
         # genus-0 side with fewer than two special points is empty
@@ -110,6 +124,14 @@ class TestCanonicalIndex:
         keys = enumerate_boundary(ModuliBase(g, n))
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_enumeration_equals_canonicalizing_every_raw_pair(self, g):
+        for n in range(9):
+            base = ModuliBase(g, n)
+            keys = enumerate_boundary(base)
+            assert keys == enumerate_by_canonicalizing(base)
+            assert all(type(k) is BoundaryIndex for k in keys)
 
     @pytest.mark.parametrize("mutate", [list.clear, list.reverse])
     def test_caller_cannot_touch_the_cache(self, mutate):
@@ -308,6 +330,57 @@ class TestBoundaryIndexContract:
         assert (b < a, b <= a, a > b, a >= b) == (True, True, True, True)
 
 
+class TestModuliBaseContract:
+    def test_repr_and_str(self):
+        assert repr(ModuliBase(3, 1)) == "ModuliBase(g=3, n=1)"
+        assert str(ModuliBase(3, 1)) == "(3,1)"
+
+    def test_hash_and_equality_are_the_pair_ones(self):
+        for g, n in ((2, 0), (3, 1), (12, 12)):
+            base = ModuliBase(g, n)
+            assert hash(base) == hash((g, n))
+            assert base == (g, n) and base == ModuliBase(g, n)
+            assert base != ModuliBase(g, n + 1)
+
+    def test_no_instance_dict_and_read_only_fields(self):
+        base = ModuliBase(3, 1)
+        assert not hasattr(base, "__dict__")
+        with pytest.raises(AttributeError):
+            base.g = 4
+
+    def test_keyword_construction(self):
+        assert ModuliBase(g=4, n=2) == ModuliBase(4, 2)
+
+    def test_range_messages_unchanged(self):
+        with pytest.raises(ParamOutOfRange, match=r"^genus must be at least 2, got 1$"):
+            ModuliBase(1, 3)
+        with pytest.raises(ParamOutOfRange,
+                           match=r"^number of marked points must be nonnegative$"):
+            ModuliBase(3, -1)
+
+    def test_not_genus2_message(self):
+        with pytest.raises(NotGenus2) as e:
+            normalize_genus2(zero_class(ModuliBase(3, 0)))
+        assert str(e.value) == "normalization applies only to genus 2, base is (3,0)"
+
+    @pytest.mark.parametrize("g,n", [(2.5, 1), (3.0, 2), (3, 2.0), (3, True), ("3", 1)])
+    def test_non_int_base_refused(self, g, n):
+        with pytest.raises(ParamOutOfRange):
+            ModuliBase(g, n)
+
+    @pytest.mark.parametrize("i,S", [(1.5, {1}), (1, {1.0}), (True, {1}), (1, {1, "2"})])
+    def test_non_int_genus_or_label_refused(self, i, S):
+        with pytest.raises(InvalidBoundary):
+            canonical_index(ModuliBase(3, 2), i, S)
+        with pytest.raises(InvalidBoundary):
+            DivisorClass(ModuliBase(3, 2), boundary=[((i, S), 1)])
+
+    @pytest.mark.parametrize("entry", [(5, 1), ((1,), 1), ((1, 5), 1), ((1, [[1]]), 1), 5])
+    def test_boundary_entry_not_a_pair_refused(self, entry):
+        with pytest.raises(InvalidBoundary):
+            DivisorClass(ModuliBase(3, 2), boundary=[entry])
+
+
 class TestCollectorPause:
     def test_collector_is_paused_while_assembling(self):
         seen = []
@@ -328,6 +401,14 @@ class TestCollectorPause:
     def test_restored_after_malformed_json(self):
         with pytest.raises(MalformedJSON):
             from_json('{"g":3}')
+        assert gc.isenabled()
+
+    def test_collector_is_paused_while_parsing_json(self, monkeypatch):
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s: seen.append(gc.isenabled()) or loads(s))
+        assert equals(from_json(to_json(weierstrass(3))), weierstrass(3))
+        assert seen == [False]
         assert gc.isenabled()
 
     def test_a_callers_pause_survives(self):
@@ -357,6 +438,24 @@ class TestFromJsonRejects:
     def test_malformed_input_raises(self, text):
         with pytest.raises(MalformedJSON):
             from_json(text)
+
+    # the answers of the tree that parsed every string through Fraction
+    @pytest.mark.parametrize(
+        "text,value",
+        [("007", 7), ("-0", 0), ("+3", 3), (" 3", 3), ("3/1", 3), ("-", None),
+         ("", None), ("1_000", 1000), ("\u0663", 3), ("\u00b2", None),
+         ("9" * 5000, None)],
+        ids=["zeros", "minus-zero", "plus", "space", "over-one", "minus", "empty",
+             "underscore", "arabic-indic", "superscript", "too-many-digits"],
+    )
+    def test_coefficient_string_answers_unchanged(self, text, value):
+        doc = '{"g":3,"n":0,"lambda":%s,"psi":[],"delta0":"0","boundary":[]}'
+        if value is None:
+            with pytest.raises(MalformedJSON):
+                from_json(doc % json.dumps(text))
+        else:
+            lam = from_json(doc % json.dumps(text)).lam
+            assert lam == value and type(lam) is int
 
     def test_integer_and_rational_string_coefficients_accepted(self):
         a = from_json('{"g":3,"n":1,"lambda":-1,"psi":["6"],"delta0":0,"boundary":'
