@@ -241,13 +241,17 @@ def enumerate_boundary(base):
 def _frac(x):
     """The canonical form of an exact number: an int (never a bool) when x is
     integral, a Fraction otherwise.  A float is refused: it is not exact, and
-    one would mean that some formula divided two ints with ``/``."""
+    one would mean that some formula divided two ints with ``/``.  Anything
+    else that Fraction refuses raises ParamOutOfRange."""
     if type(x) is int:
         return x
     if isinstance(x, float):
         raise ParamOutOfRange("coefficient %r is a float, not an exact number" % (x,))
     if not isinstance(x, Fraction):
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ParamOutOfRange("coefficient %r is not an exact number" % (x,)) from None
     return x.numerator if x.denominator == 1 else x
 
 
@@ -283,7 +287,10 @@ class DivisorClass:
         object.__setattr__(self, "lam", _frac(lam))
         if psi is None:
             psi = [0] * base.n
-        psi = tuple(_frac(c) for c in psi)
+        try:
+            psi = tuple(_frac(c) for c in psi)
+        except TypeError:  # _frac raises none, so psi is not iterable
+            raise ParamOutOfRange("psi coefficients %r are not a sequence" % (psi,)) from None
         if len(psi) != base.n:
             raise BaseMismatch(
                 "expected %d psi coefficients, got %d" % (base.n, len(psi))
@@ -292,7 +299,12 @@ class DivisorClass:
         object.__setattr__(self, "delta0", _frac(delta0))
         acc = {}
         if boundary:
-            items = boundary.items() if isinstance(boundary, dict) else boundary
+            try:
+                items = iter(boundary.items() if isinstance(boundary, dict) else boundary)
+            except TypeError:
+                raise InvalidBoundary(
+                    "boundary %r is not a collection of ((i, S), c) pairs" % (boundary,)
+                ) from None
             for entry in items:
                 try:
                     (i, S), c = entry
@@ -399,8 +411,14 @@ def relabel(a, perm):
     """
     base = a.base
     if not isinstance(perm, dict):
-        perm = {j + 1: p for j, p in enumerate(perm)}
-    if sorted(perm) != list(base.labels()) or sorted(perm.values()) != list(base.labels()):
+        try:
+            perm = dict(enumerate(perm, 1))
+        except TypeError:
+            raise ParamOutOfRange("relabeling %r is not a sequence or a dict" % (perm,)) from None
+    labels = list(base.labels())
+    # labels are ints, never a bool, as in ModuliBase; checked before indexing
+    if not {int}.issuperset(map(type, [*perm, *perm.values()])) \
+            or sorted(perm) != labels or sorted(perm.values()) != labels:
         raise ParamOutOfRange("relabeling must permute {1..%d}" % base.n)
     psi = [0] * base.n
     for j in base.labels():

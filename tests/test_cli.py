@@ -180,12 +180,12 @@ class TestVerifyVerb:
         bad = artifact.verify.Relation(
             "BAD", ("weierstrass",),
             lambda G, N, H: [{}],
-            lambda: (False, ("lambda", 0, 1)),
+            lambda: [(weierstrass(3), 2 * weierstrass(3))],
         )
         monkeypatch.setitem(artifact.verify.RELATIONS, "BAD", bad)
         code, out, _ = run(capsys, "verify", "--suite", "BAD", "--gmax", "3")
         assert code == 1
-        assert "FAIL BAD" in out
+        assert "FAIL BAD[] first difference ('lambda'," in out
 
 
 class TestOutput:

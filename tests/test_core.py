@@ -186,6 +186,25 @@ class TestVectorSpace:
             a.lam = 1
 
 
+@pytest.mark.parametrize("build,error", [
+    (lambda b: DivisorClass(b, lam="x"), ParamOutOfRange),
+    (lambda b: DivisorClass(b, lam=None), ParamOutOfRange),
+    (lambda b: DivisorClass(b, lam="1/0"), ParamOutOfRange),
+    (lambda b: DivisorClass(b, delta0=[1]), ParamOutOfRange),
+    (lambda b: DivisorClass(b, psi=[1, object()]), ParamOutOfRange),
+    (lambda b: DivisorClass(b, psi=5), ParamOutOfRange),
+    (lambda b: DivisorClass(b, boundary=[((1, {1}), "x")]), ParamOutOfRange),
+    (lambda b: DivisorClass(b, boundary=5), InvalidBoundary),
+    (lambda b: DivisorClass(b, 1) * "x", ParamOutOfRange),
+    (lambda b: DivisorClass(b, 1) * None, ParamOutOfRange),
+], ids=["lam-text", "lam-none", "lam-zero-denominator", "delta0-list", "psi-object",
+        "psi-int", "boundary-text", "boundary-int", "times-text", "times-none"])
+def test_a_bad_coefficient_raises_pic_error(build, error):
+    with pytest.raises(error):
+        build(ModuliBase(3, 2))
+    assert issubclass(error, PicError)
+
+
 class TestGenus2Relation:
     def test_lambda_equals_boundary_combination(self):
         base = ModuliBase(2, 0)
@@ -253,6 +272,15 @@ class TestRelabel:
     def test_identity_permutation_fixes_class(self):
         a = random_class(seeded(9), ModuliBase(4, 3))
         assert equals(relabel(a, (1, 2, 3)), a)
+
+    @pytest.mark.parametrize("perm", [
+        (1, 2.0), {1: 2, 2: 1.0}, {1.0: 2, 2: 1}, (2, "1"), (2, None),
+        (2, True), {True: 2, 2: 1}, 5,
+    ])
+    def test_labels_that_are_not_ints_are_refused(self, perm):
+        a = DivisorClass(ModuliBase(3, 2), psi=[1, 2], boundary=[((1, {1}), 7)])
+        with pytest.raises(ParamOutOfRange):
+            relabel(a, perm)
 
 
 class TestSerialization:
