@@ -1,3 +1,22 @@
+"""
+The catalog of effective divisor classes: closures of Weierstrass-type,
+ramification and differential-stratum loci, expressed in the standard
+generators.  Every constructor assembles its boundary coefficients through a
+regime audit: each canonical boundary generator must be matched by exactly one
+formula regime, so a gap or an overlap in the piecewise formulas raises
+immediately instead of silently producing a wrong class.
+
+A multi-point coefficient of delta_{i:S} depends on the key only through a
+short view of one side of the degeneration, such as its genus i and its
+weight sum d_S.  Each constructor computes that view once per key, and both
+the regime predicates and the formulas read it.  The other side has genus
+g - i and weight sum sum(d) - d_S, so a formula stated for the other side is
+evaluated there without building the complement of S.
+
+Genera, orders and weights must be ints (a bool is refused): anything else
+raises ParamOutOfRange.
+"""
+
 from fractions import Fraction
 
 from .core import (
@@ -6,21 +25,14 @@ from .core import (
     ModuliBase,
     ParamOutOfRange,
     PicError,
+    _check_class,
+    _check_ints,
     _frac,
+    _int_tuple,
     _nogc,
     enumerate_boundary,
-    mirror_index,
     relabel,
 )
-
-"""
-The catalog of effective divisor classes: closures of Weierstrass-type,
-ramification and differential-stratum loci, expressed in the standard
-generators.  Every constructor assembles its boundary coefficients through a
-regime audit: each canonical boundary generator must be matched by exactly one
-formula regime, so a gap or an overlap in the piecewise formulas raises
-immediately instead of silently producing a wrong class.
-"""
 
 
 class GenusTooSmall(PicError):
@@ -51,6 +63,19 @@ def _check_parity(parity):
         raise ParamOutOfRange("parity must be one of %s" % (PARITIES,))
 
 
+def _check_genus(g, least):
+    _check_ints(ParamOutOfRange, g=g)
+    if g < least:
+        raise GenusTooSmall("needs genus >= %d" % least)
+
+
+def _check_weights(g, d):
+    """The weight vector d as a tuple, after checking that g and every weight
+    are ints."""
+    _check_ints(ParamOutOfRange, g=g)
+    return _int_tuple(ParamOutOfRange, "weights", d)
+
+
 def _by_parity(parity, f):
     """A coefficient of a spin-refined class from its formula f(e) in the
     sign e: -1 for odd and +1 for even theta characteristics.  The total
@@ -79,17 +104,20 @@ def _pow2(e):
 
 
 @_nogc
-def _assemble(base, regimes):
+def _assemble(base, regimes, view=None):
     """Boundary dict from piecewise regimes [(predicate, formula)], enforcing
-    that exactly one regime claims each canonical generator."""
+    that exactly one regime claims each canonical generator.  Predicates and
+    formulas read view(key), computed once per key; without a view they read
+    the key itself."""
     bnd = {}
-    for key in enumerate_boundary(base):
-        hits = [f for p, f in regimes if p(key)]
+    keys = enumerate_boundary(base)
+    for key, v in zip(keys, keys if view is None else map(view, keys)):
+        hits = [f for p, f in regimes if p(v)]
         if len(hits) != 1:
             raise AssertionError(
                 "%d regimes claim %s on %s" % (len(hits), key, base)
             )
-        c = _frac(hits[0](key))
+        c = _frac(hits[0](v))
         if c:
             bnd[key] = c
     return bnd
@@ -101,8 +129,7 @@ def _dsum(d, S):
 
 def weierstrass(g):
     """Closure of the locus where the marked point is a Weierstrass point."""
-    if g < 2:
-        raise GenusTooSmall("needs genus >= 2")
+    _check_genus(g, 2)
     base = ModuliBase(g, 1)
     bnd = _assemble(base, [(lambda k: True, lambda k: -_tri(g - k.i))])
     return DivisorClass._from_canonical(base, -1, [_tri(g)], 0, bnd)
@@ -112,8 +139,7 @@ def diaz(g):
     """Closure of the locus of curves with an exceptional Weierstrass point,
     the pushforward to the unpointed space of the residual construction one
     genus up."""
-    if g < 3:
-        raise GenusTooSmall("needs genus >= 3")
+    _check_genus(g, 3)
     G = g + 1
     base = ModuliBase(g, 0)
     lam = _div(G * (G + 1) * (3 * G * G - 3 * G + 2), 2)
@@ -130,8 +156,7 @@ def diaz(g):
 def residual(g):
     """Closure of the locus of 1-pointed curves carrying a differential with
     a zero of maximal order away from the marked point."""
-    if g < 3:
-        raise GenusTooSmall("needs genus >= 3")
+    _check_genus(g, 3)
     base = ModuliBase(g, 1)
     psi = _div(g * (g + 1) * (g - 2), 2)
     lam = _div(g * (3 * g**3 - 3 * g + 2), 2)
@@ -148,8 +173,8 @@ def residual(g):
 def d1_holo(g, k):
     """Closure of the stratum of 1-pointed curves with a differential
     vanishing to order k at the marked point and to maximal order elsewhere."""
-    if g < 3:
-        raise GenusTooSmall("needs genus >= 3")
+    _check_genus(g, 3)
+    _check_ints(ParamOutOfRange, k=k)
     if not 0 <= k <= g - 1:
         raise ParamOutOfRange("needs 0 <= k <= g-1")
     base = ModuliBase(g, 1)
@@ -201,8 +226,8 @@ def d1_holo(g, k):
 def d1_mero(g, h):
     """Closure of the stratum of 1-pointed curves with a differential having
     a pole of order h at the marked point and a zero of maximal order."""
-    if g < 2:
-        raise GenusTooSmall("needs genus >= 2")
+    _check_genus(g, 2)
+    _check_ints(ParamOutOfRange, h=h)
     if h < 2:
         raise ParamOutOfRange("needs pole order h >= 2")
     base = ModuliBase(g, 1)
@@ -238,7 +263,7 @@ def d1_mero(g, h):
 def logan_class(g, d):
     """Closure of the locus of pointed curves whose weighted marked points
     move in the canonical series: weights positive, summing to g."""
-    d = tuple(int(x) for x in d)
+    d = _check_weights(g, d)
     if not d or any(x < 1 for x in d) or sum(x for x in d) != g:
         raise BadWeights("weights must be positive and sum to the genus")
     base = ModuliBase(g, len(d))
@@ -254,7 +279,7 @@ def theta_pullback_class(g, d):
     """Pullback of the theta divisor along the weighted section of the
     universal Jacobian: weights nonzero, at least one negative, summing
     to g - 1."""
-    d = tuple(int(x) for x in d)
+    d = _check_weights(g, d)
     if not d or any(x == 0 for x in d) or sum(d) != g - 1:
         raise BadWeights("weights must be nonzero and sum to g-1")
     if not any(x < 0 for x in d):
@@ -262,28 +287,22 @@ def theta_pullback_class(g, d):
     base = ModuliBase(g, len(d))
     P = frozenset(j + 1 for j, x in enumerate(d) if x < 0)
 
-    def pole_free(key):
-        # all poles on the mirror side: evaluate here
-        return -_tri(abs(_dsum(d, key.S) - key.i))
-
-    def pole_heavy(key):
-        # all poles on this side: evaluate at the pole-free mirror
-        i2, S2 = mirror_index(base, key)
-        return -_tri(abs(_dsum(d, S2) - i2))
-
-    def split(key):
-        # poles on both sides; u(u+1)/2 is invariant under u -> -(u+1),
-        # which is exactly what the mirror does here
-        u = _dsum(d, key.S) - key.i
-        return -_tri(u)
+    def pole_free(i, ds):
+        return -_tri(abs(ds - i))
 
     bnd = _assemble(
         base,
         [
-            (lambda key: not key.S & P, pole_free),
-            (lambda key: key.S & P and P <= key.S, pole_heavy),
-            (lambda key: key.S & P and not P <= key.S, split),
+            # all poles on the other side: evaluate here
+            (lambda v: not v[2], lambda v: pole_free(v[0], v[1])),
+            # all poles on this side: evaluate at the pole-free other side,
+            # of genus g - i and weight sum g - 1 - d_S
+            (lambda v: v[2] == P, lambda v: pole_free(g - v[0], g - 1 - v[1])),
+            # poles on both sides; u(u+1)/2 is invariant under u -> -(u+1),
+            # which is exactly what passing to the other side does here
+            (lambda v: v[2] and v[2] != P, lambda v: -_tri(v[1] - v[0])),
         ],
+        lambda key: (key.i, _dsum(d, key.S), key.S & P),
     )
     return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
 
@@ -292,21 +311,16 @@ def theta_characteristic_locus(g, parity="total"):
     """Divisor of 1-pointed curves with a theta characteristic vanishing at
     the marked point, split by the parity of the characteristic;
     ``parity="total"`` is the sum of the odd and even classes."""
-    if g < 2:
-        raise GenusTooSmall("needs genus >= 2")
+    _check_genus(g, 2)
     base = ModuliBase(g, 1)
     pref = _pow2(g - 3)
-
-    def by_sign(f):
-        return _by_parity(parity, lambda e: pref * f(e))
-
-    lam = by_sign(lambda e: 2**g + e)
-    psi = by_sign(lambda e: (1 - e) * (2**g + e))
-    delta0 = by_sign(lambda e: -pref)
+    lam = pref * _by_parity(parity, lambda e: 2**g + e)
+    psi = pref * _by_parity(parity, lambda e: (1 - e) * (2**g + e))
+    delta0 = pref * _by_parity(parity, lambda e: -pref)
 
     def c(key):
         i = key.i
-        return by_sign(lambda e: -(2**i - e) * (2 ** (g - i) - 1))
+        return pref * _by_parity(parity, lambda e: -(2**i - e) * (2 ** (g - i) - 1))
 
     bnd = _assemble(base, [(lambda key: True, c)])
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
@@ -316,14 +330,12 @@ def anti_ramification(g):
     """Closure of the locus of (g-1)-pointed curves whose marked points
     support a differential with a double zero elsewhere; the weight-one
     member of the pinch family."""
-    if g < 3:
-        raise GenusTooSmall("needs genus >= 3")
+    _check_genus(g, 3)
     return pinch_partition(g, (1,) * (g - 1))
 
 
 def _coupled_11(g):
-    if g < 2:
-        raise GenusTooSmall("needs genus >= 2")
+    _check_genus(g, 2)
     base = ModuliBase(g, 2)
     pref = _pow2(g - 3)
 
@@ -352,8 +364,7 @@ def _coupled_11(g):
 
 def _coupled_m2_1_1(g):
     # standard label order: the double pole first, then the two simple zeros
-    if g < 2:
-        raise GenusTooSmall("needs genus >= 2")
+    _check_genus(g, 2)
     base = ModuliBase(g, 3)
     pref = _pow2(g - 3)
 
@@ -391,26 +402,21 @@ def _coupled_m2_1_1(g):
 
 def _coupled_m2_2(g, parity):
     # standard label order: double pole first, double zero second
-    if g < 2:
-        raise GenusTooSmall("needs genus >= 2")
+    _check_genus(g, 2)
     base = ModuliBase(g, 2)
     pref = _pow2(g - 3)
-
-    def by_sign(f):
-        return _by_parity(parity, lambda e: pref * f(e))
-
-    lam = by_sign(lambda e: 2**g + e)
-    psi = [2 * lam, by_sign(lambda e: (1 + e) * (2**g + 1))]
-    delta0 = by_sign(lambda e: -pref)
+    lam = pref * _by_parity(parity, lambda e: 2**g + e)
+    psi = [2 * lam, pref * _by_parity(parity, lambda e: (1 + e) * (2**g + 1))]
+    delta0 = pref * _by_parity(parity, lambda e: -pref)
 
     def both(key):
         i = key.i
-        return by_sign(lambda e: -(2**i - e) * (2 ** (g - i) - 1))
+        return pref * _by_parity(parity, lambda e: -(2**i - e) * (2 ** (g - i) - 1))
 
     def zero_only(key):
         # evaluate at the mirror index
         i = g - key.i
-        return by_sign(lambda e: -(2**i + e) * (2 ** (g - i) + 1))
+        return pref * _by_parity(parity, lambda e: -(2**i + e) * (2 ** (g - i) + 1))
 
     bnd = _assemble(
         base,
@@ -423,39 +429,31 @@ def _coupled_m2_2(g, parity):
 
 
 def _coupled_general(g, d, parity):
-    if g < 2:
-        raise GenusTooSmall("needs genus >= 2")
+    _check_genus(g, 2)
     base = ModuliBase(g, len(d))
     pref = 2 ** (g - 2)
     n = len(d)
+    lam = pref * _by_parity(parity, lambda e: 2**g + e)
+    qpsi = _frac(pref * _by_parity(parity, lambda e: _div(2**g + e, 4)))
+    delta0 = pref * _by_parity(parity, lambda e: -_pow2(g - 3))
 
-    def by_sign(f):
-        return _by_parity(parity, lambda e: pref * f(e))
+    def side(i, e):
+        return (2**i - 1) * (2 ** (g - i) - e)
 
-    lam = by_sign(lambda e: 2**g + e)
-    qpsi = by_sign(lambda e: _div(2**g + e, 4))
-    delta0 = by_sign(lambda e: -_pow2(g - 3))
-
-    def balanced(key):
-        sides = [
-            i2
-            for i2, S2 in ((key.i, key.S), mirror_index(base, key))
-            if len(S2) != n
-        ]
-        return by_sign(
-            lambda e: -sum((2**i - 1) * (2 ** (g - i) - e) for i in sides)
-        )
-
-    def unbalanced(key):
-        ds = _dsum(d, key.S)
-        return -qpsi * ds * ds
+    def balanced(v):
+        # a sum over the sides that miss a marked point; the other side
+        # never holds label 1, so it always misses one
+        i, size, _ = v
+        return -pref * _by_parity(
+            parity, lambda e: (side(i, e) if size != n else 0) + side(g - i, e))
 
     bnd = _assemble(
         base,
         [
-            (lambda key: _dsum(d, key.S) == 0, balanced),
-            (lambda key: _dsum(d, key.S) != 0, unbalanced),
+            (lambda v: v[2] == 0, balanced),
+            (lambda v: v[2] != 0, lambda v: -qpsi * v[2] * v[2]),
         ],
+        lambda key: (key.i, len(key.S), _dsum(d, key.S)),
     )
     return DivisorClass._from_canonical(
         base, lam, [qpsi * x * x for x in d], delta0, bnd
@@ -482,7 +480,7 @@ def coupled_partition(g, d, parity="total"):
     weight vector at the marked points (nonzero, summing to zero, or the
     distinguished pair (1,1)).  ``parity="total"`` is the sum of the odd and
     even classes."""
-    d = tuple(int(x) for x in d)
+    d = _check_weights(g, d)
     _check_parity(parity)
     if not d or any(x == 0 for x in d):
         raise UnsupportedWeights("weights must be nonzero")
@@ -515,8 +513,7 @@ def d_infinity(g, parity="total"):
     """The boundary-at-infinity class of the coupled family: the limit
     divisor supported where the two marked points collide;
     ``parity="total"`` is the sum of the odd and even classes."""
-    if g < 2:
-        raise GenusTooSmall("needs genus >= 2")
+    _check_genus(g, 2)
     base = ModuliBase(g, 2)
     q = _by_parity(parity, lambda e: _pow2(g - 4) * (2**g + e))
 
@@ -528,8 +525,7 @@ def d_infinity(g, parity="total"):
 
 
 def _pinch_holo(g, d):
-    if g < 3:
-        raise GenusTooSmall("needs genus >= 3")
+    _check_genus(g, 3)
     base = ModuliBase(g, len(d))
     lam = -4 * (g - 7)
     psi = [(2 * g * (x + 1) - 3 * x - 5) * x for x in d]
@@ -541,19 +537,14 @@ def _pinch_holo(g, d):
             - 2 * g * i * i + 7 * i * i - 2 * g * i - i - 2
         )
 
-    def direct(key):
-        return c(key.i, _dsum(d, key.S))
-
-    def mirrored(key):
-        i2, S2 = mirror_index(base, key)
-        return c(i2, _dsum(d, S2))
-
     bnd = _assemble(
         base,
         [
-            (lambda key: _dsum(d, key.S) <= key.i - 1, direct),
-            (lambda key: _dsum(d, key.S) >= key.i, mirrored),
+            (lambda v: v[1] <= v[0] - 1, lambda v: c(*v)),
+            # evaluate at the other side, of weight sum g - 1 - d_S
+            (lambda v: v[1] >= v[0], lambda v: c(g - v[0], g - 1 - v[1])),
         ],
+        lambda key: (key.i, _dsum(d, key.S)),
     )
     return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
 
@@ -607,29 +598,19 @@ def _pinch_mero(g, d, j):
                 - 2 * (g * i * i - 3 * i * i - g * i + 4 * i)
             )
 
-    def pole_free_rep(key):
-        if j in key.S:
-            return mirror_index(base, key)
-        return (key.i, key.S)
-
-    def low(key):
-        i2, S2 = pole_free_rep(key)
-        return cA(i2, _dsum(d, S2))
-
-    def high(key):
-        i2, S2 = pole_free_rep(key)
-        return cB(i2, _dsum(d, S2))
-
-    def is_low(key):
-        i2, S2 = pole_free_rep(key)
-        return _dsum(d, S2) <= i2 - 1
+    def pole_free_side(key):
+        # (genus, weight sum) of the side without the pole j; the other side
+        # of (i, S) has weight sum g - 2 - d_S
+        ds = _dsum(d, key.S)
+        return (g - key.i, g - 2 - ds) if j in key.S else (key.i, ds)
 
     bnd = _assemble(
         base,
         [
-            (is_low, low),
-            (lambda key: not is_low(key), high),
+            (lambda v: v[1] <= v[0] - 1, lambda v: cA(*v)),
+            (lambda v: v[1] >= v[0], lambda v: cB(*v)),
         ],
+        pole_free_side,
     )
     return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
 
@@ -638,7 +619,7 @@ def pinch_partition(g, d):
     """Divisor class of pointed curves carrying a differential with the given
     weights at the marked points and one extra double zero; holomorphic
     weights sum to g-1, a single pole of order >= 2 drops the sum to g-2."""
-    d = tuple(int(x) for x in d)
+    d = _check_weights(g, d)
     if not d:
         raise UnsupportedWeights("empty weight vector")
     if all(x >= 0 for x in d):
@@ -657,8 +638,7 @@ def pinch_partition(g, d):
 
 def brill_noether(g):
     """The pulled-back Brill-Noether divisor class on the 1-pointed space."""
-    if g < 3:
-        raise GenusTooSmall("needs genus >= 3")
+    _check_genus(g, 3)
     base = ModuliBase(g, 1)
     bnd = _assemble(
         base, [(lambda key: True, lambda key: -key.i * (g - key.i))]
@@ -670,6 +650,7 @@ def bn_coefficient_check(a):
     """Whether a class on a 1-pointed base satisfies the linear coefficient
     identity characterizing rational combinations of the Brill-Noether and
     Weierstrass classes."""
+    _check_class(a)
     if a.base.n != 1:
         raise BaseMismatch("check applies to classes on a 1-pointed base")
     g = a.base.g

@@ -1,3 +1,7 @@
+"""Command-line front end: build catalog classes, pull them back along the
+standard maps, pair them with test curves, evaluate the enumerative formulas
+and run the verification suite.  All output is byte-deterministic."""
+
 import argparse
 import json
 import sys
@@ -29,10 +33,6 @@ from .enumerative import (
 )
 from .catalog import CONSTRUCTORS
 from .verify import run_suite
-
-"""Command-line front end: build catalog classes, pull them back along the
-standard maps, pair them with test curves, evaluate the enumerative formulas
-and run the verification suite.  All output is byte-deterministic."""
 
 
 def _int_list(s):

@@ -1,9 +1,3 @@
-from collections import namedtuple
-from fractions import Fraction
-import functools
-import gc
-import json
-
 """
 Exact rational divisor classes on the moduli space of stable n-pointed genus-g
 curves.
@@ -18,6 +12,12 @@ canonical form: an int when it is integral and a Fraction otherwise, so that
 integral arithmetic never builds a Fraction.  There is no floating point
 anywhere in this package.
 """
+
+from collections import namedtuple
+from fractions import Fraction
+import functools
+import gc
+import json
 
 
 class PicError(Exception):
@@ -398,6 +398,31 @@ class DivisorClass:
         return "DivisorClass(%s, %s)" % (self.base, to_latex_expr(self))
 
 
+def _check_ints(error, **params):
+    """Raise error unless each value is an int.  A bool is an int, but never a
+    genus, a count, a label or a weight."""
+    for name, x in params.items():
+        if type(x) is not int:
+            raise error("%s must be an integer, got %r" % (name, x))
+
+
+def _int_tuple(error, name, xs):
+    """xs as a tuple, after checking that it is a sequence of ints."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise error("%s %r are not a sequence" % (name, xs)) from None
+    if not {int}.issuperset(map(type, xs)):
+        raise error("%s must be integers, got %r" % (name, xs))
+    return xs
+
+
+def _check_class(a):
+    """Raise BaseMismatch unless a is a DivisorClass."""
+    if not isinstance(a, DivisorClass):
+        raise BaseMismatch("expected a DivisorClass, got %r" % (a,))
+
+
 def zero_class(base):
     return DivisorClass(base)
 
@@ -409,6 +434,7 @@ def relabel(a, perm):
     ``perm`` maps each old label to its new label (a dict or sequence of the
     new labels in old-label order); must be a bijection of {1..n}.
     """
+    _check_class(a)
     base = a.base
     if not isinstance(perm, dict):
         try:
@@ -471,8 +497,8 @@ def equals(a, b):
 def diff_first(a, b):
     """First generator (in output order) where two classes differ, with both
     coefficients; None when the classes are equal.  Genus 2 normalizes first."""
-    if a.base != b.base:
-        raise BaseMismatch("base mismatch: %s vs %s" % (a.base, b.base))
+    _check_class(a)
+    a._check(b)
     if a.base.g == 2:
         a = normalize_genus2(a)
         b = normalize_genus2(b)
@@ -517,6 +543,9 @@ class TestCurve:
 
 def pair(curve, a):
     """Exact intersection number of a test curve with a divisor class."""
+    if not isinstance(curve, TestCurve):
+        raise UnknownCurve("%r is not a TestCurve" % (curve,))
+    _check_class(a)
     if curve.base != a.base:
         raise BaseMismatch("base mismatch: %s vs %s" % (curve.base, a.base))
     total = 0
@@ -589,6 +618,7 @@ def builtin_test_curve(name, base, i=None, n=None):
 
 @_nogc
 def to_json_dict(a):
+    _check_class(a)
     return {
         "g": a.base.g,
         "n": a.base.n,
@@ -670,6 +700,7 @@ def from_json(s):
 def _rows(a):
     """(name, key, coefficient) per generator in output order; key is the
     BoundaryIndex of a boundary row and None otherwise."""
+    _check_class(a)
     yield ("lambda", None, a.lam)
     for j in a.base.labels():
         yield ("psi_%d" % j, None, a.psi[j - 1])

@@ -1,9 +1,3 @@
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .core import PicError
-
 """
 Closed-form enumerative quantities: counts of divisors with prescribed
 vanishing in a linear series on a general curve, classical Pluecker numbers,
@@ -11,6 +5,12 @@ degrees of polarized Picard bundles, and the integer residue polynomials whose
 distinct nonzero roots count the components appearing in certain boundary
 degenerations.
 """
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .core import PicError, _check_ints, _int_tuple
 
 
 class ProfileTooLong(PicError):
@@ -37,7 +37,8 @@ def de_jonquieres(g, ks, ordered=True):
     the orderings of equal multiplicities.  Requires g - rho >= 1.  The empty
     profile gives 1.
     """
-    ks = list(ks)
+    _check_ints(OutOfRange, g=g)
+    ks = _int_tuple(OutOfRange, "multiplicities", ks)
     if not ordered:
         label = math.prod(math.factorial(ks.count(v)) for v in set(ks))
         return Fraction(de_jonquieres(g, ks), label)
@@ -66,13 +67,15 @@ def de_jonquieres(g, ks, ordered=True):
 def plucker(r, d, g):
     """Number of ramification points, counted with weight, of a general
     degree-d dimension-r linear series on a genus-g curve."""
+    _check_ints(OutOfRange, r=r, d=d, g=g)
     return (r + 1) * d + (r + 1) * r * (g - 1)
 
 
 def picard_degree(ks, g):
     """Top self-intersection degree attached to a full-length multiplicity
     vector: g! times the product of the squared multiplicities."""
-    ks = list(ks)
+    _check_ints(OutOfRange, g=g)
+    ks = _int_tuple(OutOfRange, "multiplicities", ks)
     if len(ks) != g:
         raise ArityMismatch(
             "expected %d multiplicities, got %d" % (g, len(ks))
@@ -130,6 +133,7 @@ def residue_polynomial(j, k, m):
     Requires j, k >= 2 and 1 <= m <= j+k-3 so that both poles have order at
     least two and both zero orders are positive.
     """
+    _check_ints(OutOfRange, j=j, k=k, m=m)
     if j < 2 or k < 2:
         raise OutOfRange("need pole orders j, k >= 2, got j=%d k=%d" % (j, k))
     if not 1 <= m <= j + k - 3:

@@ -1,15 +1,3 @@
-from .core import (
-    BaseMismatch,
-    BoundaryIndex,
-    DivisorClass,
-    ModuliBase,
-    PicError,
-    _acc,
-    _nogc,
-    mirror_index,
-    try_canonical_index,
-)
-
 """
 Pullback of divisor classes along the standard gluing, identification and
 point-forgetting maps between moduli spaces of stable pointed curves.
@@ -19,6 +7,19 @@ generator-by-generator substitution table to the canonical representative of
 every class in the input and re-canonicalizes the result.  Image boundary
 pairs that name an unstable (hence empty) degeneration are dropped as zero.
 """
+
+from .core import (
+    BaseMismatch,
+    BoundaryIndex,
+    DivisorClass,
+    ModuliBase,
+    PicError,
+    _acc,
+    _check_class,
+    _check_ints,
+    _nogc,
+    try_canonical_index,
+)
 
 
 class InvalidMap(PicError):
@@ -51,6 +52,7 @@ class GluingMap:
 
 
 def glue_tail(domain, h, j, attach=1):
+    _check_ints(InvalidMap, h=h, j=j, attach=attach)
     if h < 0 or j < 0 or (h == 0 and j == 0):
         raise InvalidMap("tail needs genus h >= 0 and j >= 0, not both trivial")
     if h == 0 and j < 1:
@@ -62,6 +64,7 @@ def glue_tail(domain, h, j, attach=1):
 
 
 def glue_closed_tail(domain, h, attach=1):
+    _check_ints(InvalidMap, h=h, attach=attach)
     if h < 1:
         raise InvalidMap("closed tail needs genus h >= 1")
     if domain.n < 1 or not 1 <= attach <= domain.n:
@@ -80,6 +83,7 @@ def identify_points(domain):
 def forget_point(domain, j=None):
     if j is None:
         j = domain.n
+    _check_ints(InvalidMap, j=j)
     if domain.n < 1 or not 1 <= j <= domain.n:
         raise InvalidMap("forgotten index %r out of range on %s" % (j, domain))
     cod = ModuliBase(domain.g, domain.n - 1)
@@ -89,6 +93,9 @@ def forget_point(domain, j=None):
 @_nogc
 def pullback(m, a):
     """Pull a divisor class on the codomain of ``m`` back to the domain."""
+    if not isinstance(m, GluingMap):
+        raise InvalidMap("%r is not a GluingMap" % (m,))
+    _check_class(a)
     if a.base != m.codomain:
         raise BaseMismatch(
             "class lives on %s, map has codomain %s" % (a.base, m.codomain)
@@ -140,13 +147,14 @@ def _pull_glue_closed_tail(m, a):
         psi[cd2dom[k - 1] - 1] += a.psi[k - 1]
     delta0 = a.delta0
     bnd = {}
+    # the class whose generic member is the tail itself also meets psi
+    tail_key = try_canonical_index(cod, h, ())
     for key, c in a.boundary.items():
         i, S = key.i, key.S
         Sd = frozenset(cd2dom[s - 1] for s in S)
         _acc(bnd, try_canonical_index(dom, i, Sd), c)
         _acc(bnd, try_canonical_index(dom, i - h, Sd | {at}), c)
-        # the class whose generic member is the tail itself also meets psi
-        if (i, S) == (h, frozenset()) or mirror_index(cod, key) == (h, frozenset()):
+        if key == tail_key:
             psi[at - 1] -= c
     return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
 

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from artifact.catalog import (
     BadWeights,
     CONSTRUCTORS,
     GenusTooSmall,
+    PARITIES,
     ParityUnavailable,
     UnsupportedWeights,
     _assemble,
@@ -305,3 +308,52 @@ class TestRegistry:
             assert isinstance(a, DivisorClass)
             assert len(args) == len(wants)
             json.loads(to_json(a))
+
+
+def _golden_weights(rng, n, total, lo, hi, ok):
+    """A weight vector of length n with entries in [lo, hi] summing to total
+    and passing ok, drawn by rejection."""
+    while True:
+        d = tuple(rng.randint(lo, hi) for _ in range(n - 1))
+        d += (total - sum(d),)
+        if lo <= d[-1] <= hi and ok(d):
+            return d
+
+
+def _golden_classes():
+    """The piecewise multi-point classes over a fixed seeded set of weight
+    vectors: theta pullbacks, holomorphic and meromorphic pinches, and
+    coupled classes in every parity they admit."""
+    rng = random.Random(20161124)
+    for _ in range(40):
+        g, n = rng.randint(3, 8), rng.randint(2, 6)
+        yield theta_pullback_class(g, _golden_weights(
+            rng, n, g - 1, -4, g + 3,
+            lambda d: 0 not in d and min(d) < 0))
+        yield pinch_partition(g, _golden_weights(
+            rng, n, g - 1, 0, g - 1, lambda d: True))
+        yield pinch_partition(g, _golden_weights(
+            rng, n, g - 2, -4, g + 2,
+            lambda d: sum(x < 0 for x in d) == 1 and min(d) <= -2))
+        d = _golden_weights(rng, n, 0, -4, 4, lambda d: 0 not in d)
+        for parity in PARITIES:
+            try:
+                yield coupled_partition(g, d, parity)
+            except ParityUnavailable:
+                pass
+        d = _golden_weights(rng, n, 0, -3, 3, lambda d: 0 not in d)
+        d = tuple(2 * x for x in d)
+        for parity in PARITIES:
+            yield coupled_partition(g, d, parity)
+
+
+def test_piecewise_classes_are_byte_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for a in _golden_classes():
+        digest.update(to_json(a).encode() + b"\n")
+        count += 1
+    assert count == 294
+    assert digest.hexdigest() == (
+        "95d7f0ebcfd30649390f4ddd4bec0e751f945b5113b5c4dee9c2a92759f7dc11"
+    )

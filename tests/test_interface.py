@@ -1,0 +1,98 @@
+"""The public surface: every entry point refuses a malformed argument with a
+PicError subclass, and every module documents itself."""
+
+import importlib
+
+import pytest
+
+from artifact import (
+    BaseMismatch,
+    ModuliBase,
+    OutOfRange,
+    ParamOutOfRange,
+    PicError,
+    UnknownCurve,
+    bn_coefficient_check,
+    builtin_test_curve,
+    coupled_partition,
+    d1_holo,
+    d1_mero,
+    de_jonquieres,
+    forget_point,
+    glue_closed_tail,
+    glue_tail,
+    logan_class,
+    pair,
+    picard_degree,
+    pinch_partition,
+    plucker,
+    pullback,
+    residue_polynomial,
+    theta_characteristic_locus,
+    theta_pullback_class,
+    to_csv,
+    to_json,
+    to_latex,
+    weierstrass,
+)
+from artifact.core import diff_first, relabel
+from artifact.maps import InvalidMap
+
+B21 = ModuliBase(2, 1)
+B32 = ModuliBase(3, 2)
+
+
+@pytest.mark.parametrize("call,error", [
+    # catalog parameters
+    ('weierstrass("3")', ParamOutOfRange),
+    ('weierstrass(True)', ParamOutOfRange),
+    ('d1_holo(4, "1")', ParamOutOfRange),
+    ('d1_mero(4, "3")', ParamOutOfRange),
+    ('theta_characteristic_locus("3", "odd")', ParamOutOfRange),
+    ('logan_class(3, 5)', ParamOutOfRange),
+    ('logan_class(3, (1, 1, 1.0))', ParamOutOfRange),
+    ('logan_class(3, (1, True, 1))', ParamOutOfRange),
+    ('logan_class("3", (1, 1, 1))', ParamOutOfRange),
+    ('pinch_partition(4, (1, "2"))', ParamOutOfRange),
+    ('pinch_partition("4", (1, 2))', ParamOutOfRange),
+    ('theta_pullback_class(4, (5, -2.0))', ParamOutOfRange),
+    ('coupled_partition(3, (-2, 2.0))', ParamOutOfRange),
+    # map parameters
+    ('glue_tail(B21, "1", 0, 1)', InvalidMap),
+    ('glue_tail(B21, 1.0, 0, 1)', InvalidMap),
+    ('glue_tail(B21, 1, 0, attach=True)', InvalidMap),
+    ('glue_closed_tail(B21, 1, attach=1.0)', InvalidMap),
+    ('forget_point(B32, 1.0)', InvalidMap),
+    ('forget_point(B32, True)', InvalidMap),
+    # enumerative parameters
+    ('de_jonquieres(5, [1, "2"])', OutOfRange),
+    ('de_jonquieres(5.0, [1, 2])', OutOfRange),
+    ('de_jonquieres(5, 3)', OutOfRange),
+    ('plucker(1.5, 2, 3)', OutOfRange),
+    ('picard_degree([1, 2], "2")', OutOfRange),
+    ('residue_polynomial(2, "3", 1)', OutOfRange),
+    # arguments that are not classes
+    ('pair(builtin_test_curve("A", B21), "x")', BaseMismatch),
+    ('pair("x", weierstrass(2))', UnknownCurve),
+    ('diff_first(weierstrass(2), 5)', BaseMismatch),
+    ('diff_first(5, weierstrass(2))', BaseMismatch),
+    ('to_json(5)', BaseMismatch),
+    ('to_csv(5)', BaseMismatch),
+    ('to_latex(5)', BaseMismatch),
+    ('relabel("x", (1,))', BaseMismatch),
+    ('pullback(forget_point(B32), 5)', BaseMismatch),
+    ('pullback(5, weierstrass(2))', InvalidMap),
+    ('bn_coefficient_check(5)', BaseMismatch),
+])
+def test_a_malformed_argument_raises_pic_error(call, error):
+    with pytest.raises(error):
+        eval(call)
+    assert issubclass(error, PicError)
+
+
+@pytest.mark.parametrize("name", ["__init__", "core", "maps", "catalog",
+                                  "enumerative", "verify", "cli"])
+def test_every_module_has_a_docstring(name):
+    module = importlib.import_module(
+        "artifact" if name == "__init__" else "artifact." + name)
+    assert module.__doc__ and module.__doc__.strip()
