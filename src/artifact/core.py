@@ -150,19 +150,53 @@ def try_canonical_index(base, i, S):
     code that treats such pairs as zero."""
     S = frozenset(S)
     g, n = base
-    labels = _label_set(base)
-    if i < 0 or i > g or not S <= labels:
+    if i < 0 or i > g or not S <= _label_set(base):
         return None
     # a pair names a class when each side of the degeneration is stable
     if i == 0 and len(S) < 2 or i == g and len(S) > n - 2:
         return None
+    return _stable_key(base, i, S)
+
+
+def _stable_key(base, i, S):
+    """Canonical key of a pair (i, S) that names a boundary class: S is a
+    frozenset of labels of the base, 0 <= i <= g and both sides are stable.
+    The caller has checked this; the pullbacks and ``relabel`` prove it for
+    each image instead of testing it.  The key is the pair itself when it
+    holds the first marked point (n >= 1) or has 2i <= g (n = 0), and its
+    mirror (g - i, S^c) otherwise."""
+    g, n = base
     if n:
         if 1 in S:
             return _key(i, S)
-        return _key(g - i, labels - S)
+        return _key(g - i, _label_set(base) - S)
     if 2 * i <= g:
         return _key(i, S)
     return _key(g - i, S)
+
+
+class _PerSet(dict):
+    """f(S) for each label set S, computed on the first lookup and kept.  The
+    keys of a class repeat each set S for many genera i, so a pullback or a
+    relabeling maps each distinct S once rather than once per key."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, S):
+        v = self[S] = self.f(S)
+        return v
+
+
+def _set_map(new):
+    """S -> frozenset(new[s] for s in S) for a label map given as a list
+    (new[0] unused), once per distinct S; S itself when new keeps every
+    label."""
+    if new == list(range(len(new))):
+        return _PerSet(lambda S: S)
+    return _PerSet(lambda S: frozenset(map(new.__getitem__, S)))
 
 
 def canonical_index(base, i, S):
@@ -449,11 +483,11 @@ def relabel(a, perm):
     psi = [0] * base.n
     for j in base.labels():
         psi[perm[j] - 1] = a.psi[j - 1]
-    # a permutation maps canonical keys one-to-one onto valid pairs
-    bnd = {
-        try_canonical_index(base, k.i, frozenset(perm[s] for s in k.S)): c
-        for k, c in a.boundary.items()
-    }
+    # A permutation keeps i and |S|, so it maps a stable pair to a stable
+    # pair, and it maps distinct classes to distinct classes: each image is
+    # stored under its key, without a stability test or a sum.
+    image = _set_map([0, *map(perm.__getitem__, labels)])
+    bnd = {_stable_key(base, i, image[S]): c for (i, S), c in a.boundary.items()}
     return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, bnd)
 
 
@@ -570,6 +604,8 @@ def builtin_test_curve(name, base, i=None, n=None):
     pencil).  On (g, g): "Bin" (sliding node with n of the g points on one
     side, needs i and n).
     """
+    given = {"i": i, "n": n}
+    _check_ints(ParamOutOfRange, **{k: v for k, v in given.items() if v is not None})
     g = base.g
 
     def key(ii, S):

@@ -90,7 +90,7 @@ class IntPolynomial:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(_int_tuple(OutOfRange, "coefficients", coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -161,6 +161,8 @@ def count_distinct_nonzero_roots(p):
     """Number of distinct nonzero complex roots of an integer polynomial,
     computed exactly via a square-free reduction: the square-free part of p
     has degree deg p - deg gcd(p, p')."""
+    if not isinstance(p, IntPolynomial):
+        raise OutOfRange("%r is not an IntPolynomial" % (p,))
     if p.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial is undefined")
     if p.degree == 0:

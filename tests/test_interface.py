@@ -13,7 +13,9 @@ from artifact import (
     PicError,
     UnknownCurve,
     bn_coefficient_check,
+    IntPolynomial,
     builtin_test_curve,
+    count_distinct_nonzero_roots,
     coupled_partition,
     d1_holo,
     d1_mero,
@@ -21,6 +23,7 @@ from artifact import (
     forget_point,
     glue_closed_tail,
     glue_tail,
+    identify_points,
     logan_class,
     pair,
     picard_degree,
@@ -40,6 +43,7 @@ from artifact.maps import InvalidMap
 
 B21 = ModuliBase(2, 1)
 B32 = ModuliBase(3, 2)
+B51 = ModuliBase(5, 1)
 
 
 @pytest.mark.parametrize("call,error", [
@@ -64,6 +68,16 @@ B32 = ModuliBase(3, 2)
     ('glue_closed_tail(B21, 1, attach=1.0)', InvalidMap),
     ('forget_point(B32, 1.0)', InvalidMap),
     ('forget_point(B32, True)', InvalidMap),
+    # map domains that are not a ModuliBase
+    ('glue_tail((2, 1), 1, 0)', InvalidMap),
+    ('glue_closed_tail((2, 1), 1)', InvalidMap),
+    ('identify_points(None)', InvalidMap),
+    ('forget_point((3, 2))', InvalidMap),
+    # test-curve parameters
+    ('builtin_test_curve("B", B51, i="1")', ParamOutOfRange),
+    ('builtin_test_curve("B", B51, i=1.5)', ParamOutOfRange),
+    ('builtin_test_curve("C", B51, i=True)', ParamOutOfRange),
+    ('builtin_test_curve("Bin", ModuliBase(3, 3), i=1, n=2.0)', ParamOutOfRange),
     # enumerative parameters
     ('de_jonquieres(5, [1, "2"])', OutOfRange),
     ('de_jonquieres(5.0, [1, 2])', OutOfRange),
@@ -71,6 +85,11 @@ B32 = ModuliBase(3, 2)
     ('plucker(1.5, 2, 3)', OutOfRange),
     ('picard_degree([1, 2], "2")', OutOfRange),
     ('residue_polynomial(2, "3", 1)', OutOfRange),
+    ('IntPolynomial([1.5, 2])', OutOfRange),
+    ('IntPolynomial(["x"])', OutOfRange),
+    ('IntPolynomial([1, True])', OutOfRange),
+    ('IntPolynomial(5)', OutOfRange),
+    ('count_distinct_nonzero_roots(5)', OutOfRange),
     # arguments that are not classes
     ('pair(builtin_test_curve("A", B21), "x")', BaseMismatch),
     ('pair("x", weierstrass(2))', UnknownCurve),

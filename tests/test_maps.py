@@ -9,11 +9,15 @@ from artifact.catalog import (
     pinch_partition,
     theta_pullback_class,
 )
+from artifact import core, maps
 from artifact.core import (
     BaseMismatch,
+    BoundaryIndex,
     DivisorClass,
     ModuliBase,
     _acc,
+    _frac,
+    enumerate_boundary,
     equals,
     relabel,
     to_json,
@@ -36,6 +40,84 @@ def cls(base, **kw):
     return DivisorClass(base, kw.get("lam", 0), kw.get("psi"), kw.get("delta0", 0), kw.get("bnd"))
 
 
+# Reference loops: each pullback (and relabel) as it was written before the
+# handlers built their image keys directly, canonicalizing every raw image
+# pair with try_canonical_index and adding it with _acc.
+
+def glue_tail_by_canonicalizing(m, a):
+    dom, cod = m.domain, m.codomain
+    h, j, at = m.params["h"], m.params["j"], m.params["attach"]
+    T = frozenset({at} | set(range(dom.n + 1, dom.n + j + 1)))
+    psi = [0] * dom.n
+    for k in cod.labels():
+        if k not in T:
+            psi[k - 1] += a.psi[k - 1]
+    bnd = {}
+    tail_key = try_canonical_index(cod, h, T)
+    for key, c in a.boundary.items():
+        i, S = key.i, key.S
+        if key == tail_key:
+            psi[at - 1] -= c
+        elif not S & T:
+            _acc(bnd, try_canonical_index(dom, i, S), c)
+        elif T <= S and i >= h:
+            _acc(bnd, try_canonical_index(dom, i - h, (S - T) | {at}), c)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
+
+
+def glue_closed_tail_by_canonicalizing(m, a):
+    dom, cod = m.domain, m.codomain
+    h, at = m.params["h"], m.params["attach"]
+    cd2dom = [x for x in dom.labels() if x != at]
+    psi = [0] * dom.n
+    for k in cod.labels():
+        psi[cd2dom[k - 1] - 1] += a.psi[k - 1]
+    bnd = {}
+    tail_key = try_canonical_index(cod, h, ())
+    for key, c in a.boundary.items():
+        Sd = frozenset(cd2dom[s - 1] for s in key.S)
+        _acc(bnd, try_canonical_index(dom, key.i, Sd), c)
+        _acc(bnd, try_canonical_index(dom, key.i - h, Sd | {at}), c)
+        if key == tail_key:
+            psi[at - 1] -= c
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
+
+
+def forget_by_canonicalizing(m, a):
+    dom, cod = m.domain, m.codomain
+    j = m.params["j"]
+
+    def lift(k):
+        return k if k < j else k + 1
+
+    psi = [0] * dom.n
+    bnd = {}
+    for k in cod.labels():
+        c = a.psi[k - 1]
+        if c:
+            psi[lift(k) - 1] += c
+            _acc(bnd, try_canonical_index(dom, 0, {lift(k), j}), -c)
+    for key, c in a.boundary.items():
+        Sd = frozenset(lift(s) for s in key.S)
+        k1 = try_canonical_index(dom, key.i, Sd)
+        k2 = try_canonical_index(dom, key.i, Sd | {j})
+        _acc(bnd, k1, c)
+        if k2 != k1:  # when both images name one class it appears once
+            _acc(bnd, k2, c)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
+
+
+def relabel_by_canonicalizing(a, perm):
+    perm = dict(enumerate(perm, 1))
+    psi = [0] * a.base.n
+    for j in a.base.labels():
+        psi[perm[j] - 1] = a.psi[j - 1]
+    bnd = {}
+    for k, c in a.boundary.items():
+        _acc(bnd, try_canonical_index(a.base, k.i, {perm[s] for s in k.S}), c)
+    return DivisorClass._from_canonical(a.base, a.lam, psi, a.delta0, bnd)
+
+
 def identify_points_by_canonicalizing(m, a):
     """The identify-points pullback that canonicalizes every raw pair (i, S)
     of its delta_0 term, for every genus i; the reference for the handler,
@@ -55,6 +137,37 @@ def identify_points_by_canonicalizing(m, a):
         _acc(bnd, try_canonical_index(dom, key.i, Sd), c)
         _acc(bnd, try_canonical_index(dom, key.i - 1, Sd | {1, 2}), c)
     return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
+
+
+REFERENCE = {
+    "glue-tail": glue_tail_by_canonicalizing,
+    "glue-closed-tail": glue_closed_tail_by_canonicalizing,
+    "identify-points": identify_points_by_canonicalizing,
+    "forget": forget_by_canonicalizing,
+}
+
+
+def canonical_class(rng, base):
+    """A random class on about half the keys of the base (every key of an
+    unpointed base, so its symmetric delta_{g/2} is met), with integral and
+    fractional coefficients, built without canonicalizing."""
+    def fr():
+        return _frac(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3))))
+
+    bnd = {k: fr() for k in enumerate_boundary(base) if not base.n or rng.random() < 0.5}
+    return DivisorClass._from_canonical(base, fr(), [fr() for _ in range(base.n)], fr(), bnd)
+
+
+def maps_from(dom):
+    """Every map out of dom with a tail genus of at most 2 and at most two
+    new points."""
+    out = [forget_point(dom, j) for j in dom.labels()]
+    for at in dom.labels():
+        out += [glue_tail(dom, h, j, at) for h in range(3) for j in range(3) if h or j]
+        out += [glue_closed_tail(dom, h, at) for h in (1, 2)]
+    if dom.n >= 2:
+        out.append(identify_points(dom))
+    return out
 
 
 class TestConstructors:
@@ -286,3 +399,91 @@ class TestForgetPoint:
         m = forget_point(ModuliBase(3, 1), 1)
         out = pullback(m, cls(m.codomain, lam=2, delta0=-3))
         assert (out.lam, out.delta0) == (2, -3)
+
+
+class TestDirectKeysMatchCanonicalizing:
+    """The handlers and relabel build each image key in canonical form; the
+    reference loops canonicalize every raw image pair and add it."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_pullbacks(self, g, n):
+        rng = seeded(1000 * g + n)
+        classes = {}
+        for m in maps_from(ModuliBase(g, n)):
+            if m.codomain not in classes:
+                classes[m.codomain] = canonical_class(rng, m.codomain)
+            a = classes[m.codomain]
+            out, want = pullback(m, a), REFERENCE[m.variant](m, a)
+            assert out.boundary == want.boundary, m
+            assert to_json(out) == to_json(want), m
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_relabel(self, g, n):
+        rng = seeded(2000 * g + n)
+        a = canonical_class(rng, ModuliBase(g, n))
+        for _ in range(3):
+            perm = rng.sample(range(1, n + 1), n)
+            out, want = relabel(a, perm), relabel_by_canonicalizing(a, perm)
+            assert out.boundary == want.boundary
+            assert to_json(out) == to_json(want)
+
+
+PROPERTY_MAPS = [m for dom in (ModuliBase(2, 1), ModuliBase(3, 1), ModuliBase(2, 2),
+                               ModuliBase(3, 3), ModuliBase(4, 4), ModuliBase(2, 5))
+                 for m in maps_from(dom)]
+
+
+@given(st.sampled_from(PROPERTY_MAPS), st.integers(0, 10 ** 6))
+def test_pullback_and_relabel_keys_are_canonical_and_nonzero(m, seed):
+    rng = seeded(seed)
+    a = canonical_class(rng, m.codomain)
+    out = pullback(m, a)
+    outs = [out, relabel(a, rng.sample(range(1, a.base.n + 1), a.base.n)),
+            relabel(out, rng.sample(range(1, out.base.n + 1), out.base.n))]
+    for b in outs:
+        for k, c in b.boundary.items():
+            assert type(k) is BoundaryIndex
+            assert k == try_canonical_index(b.base, k.i, k.S)
+            assert c != 0 and type(_frac(c)) is type(c)
+
+
+class TestNoPerKeyCanonicalizing:
+    """A pullback or a relabeling canonicalizes O(n) pairs, never one per key:
+    the image keys are built in canonical form."""
+
+    g = 8
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        real = core.try_canonical_index
+
+        def counted(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(core, "try_canonical_index", counted)
+        monkeypatch.setattr(maps, "try_canonical_index", counted)
+        return count
+
+    def test_calls_per_pullback_and_relabel(self, calls):
+        g, M = self.g, ModuliBase
+        a = logan_class(g, (1,) * g)
+        assert len(a.boundary) > 1000
+        for m in [
+            glue_tail(M(g, 1), 0, g - 1, 1),
+            glue_tail(M(g - 1, g - 1), 1, 1, attach=g - 1),
+            glue_closed_tail(M(g - 1, g + 1), 1, 1),
+            glue_closed_tail(M(g - 1, g + 1), 1, g + 1),
+            identify_points(M(g - 1, g + 2)),
+            forget_point(M(g, g + 1)),
+            forget_point(M(g, g + 1), 1),
+        ]:
+            calls[0] = 0
+            pullback(m, a)
+            assert calls[0] <= m.domain.n, m
+        calls[0] = 0
+        relabel(a, [g, *range(1, g)])
+        assert calls[0] <= g
