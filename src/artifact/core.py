@@ -204,9 +204,11 @@ def canonical_index(base, i, S):
 
     The mirror pair (g - i, S^c) names the same class; the canonical
     representative contains the first marked point when n >= 1 and has
-    i <= g/2 when n = 0.  Raises InvalidBoundary for a genus or a label that
-    is not an int, and for pairs that do not name a class.
+    i <= g/2 when n = 0.  Raises ParamOutOfRange for a base that is not a
+    ModuliBase, and InvalidBoundary for a genus or a label that is not an int
+    and for pairs that do not name a class.
     """
+    _check_base(base)
     try:
         S = frozenset(S)
     except TypeError:
@@ -317,6 +319,7 @@ class DivisorClass:
     __slots__ = ("base", "lam", "psi", "delta0", "boundary")
 
     def __init__(self, base, lam=0, psi=None, delta0=0, boundary=None):
+        _check_base(base)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "lam", _frac(lam))
         if psi is None:
@@ -402,6 +405,7 @@ class DivisorClass:
         return self * -1
 
     def __sub__(self, other):
+        self._check(other)
         return self + (-other)
 
     def __mul__(self, c):
@@ -455,6 +459,12 @@ def _check_class(a):
     """Raise BaseMismatch unless a is a DivisorClass."""
     if not isinstance(a, DivisorClass):
         raise BaseMismatch("expected a DivisorClass, got %r" % (a,))
+
+
+def _check_base(base):
+    """Raise ParamOutOfRange unless base is a ModuliBase."""
+    if not isinstance(base, ModuliBase):
+        raise ParamOutOfRange("%r is not a ModuliBase" % (base,))
 
 
 def zero_class(base):
@@ -557,6 +567,7 @@ class TestCurve:
     numbers with the divisor generators (a sparse pairing vector)."""
 
     def __init__(self, base, name, pairing):
+        _check_base(base)
         self.base = base
         self.name = name
         vec = {}
@@ -604,6 +615,7 @@ def builtin_test_curve(name, base, i=None, n=None):
     pencil).  On (g, g): "Bin" (sliding node with n of the g points on one
     side, needs i and n).
     """
+    _check_base(base)
     given = {"i": i, "n": n}
     _check_ints(ParamOutOfRange, **{k: v for k, v in given.items() if v is not None})
     g = base.g

@@ -6,13 +6,14 @@ Each map is recorded by its combinatorial data; ``pullback`` applies the
 generator-by-generator substitution table to the canonical representative of
 every class in the input.  Each handler builds the image keys in canonical
 form directly, and drops the image pairs that name an unstable (hence empty)
-degeneration as zero; the comment in each handler proves which images are
-stable, canonical and distinct.
+degeneration as zero.  Forgetting a point, gluing a closed tail and
+identifying two points share one image rule, ``_pull_two_sided``; its comment
+and the one in the glue-tail handler prove which images are stable,
+canonical and distinct.
 """
 
 from .core import (
     BaseMismatch,
-    BoundaryIndex,
     DivisorClass,
     ModuliBase,
     PicError,
@@ -115,7 +116,9 @@ def pullback(m, a):
         raise BaseMismatch(
             "class lives on %s, map has codomain %s" % (a.base, m.codomain)
         )
-    handler = _HANDLERS[m.variant]
+    handler = _HANDLERS.get(m.variant)
+    if handler is None:
+        raise InvalidMap("unknown map variant %r" % (m.variant,))
     return handler(m, a)
 
 
@@ -165,53 +168,60 @@ def _pull_glue_tail(m, a):
     return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
 
 
+def _pull_two_sided(dom, a, lift, h, A, bnd):
+    """Store in bnd the image keys of the boundary of a along a map that
+    forgets the domain points A (h = 0) or glues them into a genus-h piece:
+    a key (i, S) pulls back to its far image (i, S') and its near image
+    (i - h, S' + A), with S' = lift(S), on the two sides of A.  (h, A) is
+    (0, {j}) for forgetting j, (h, {at}) for a closed tail glued at at and
+    (1, {1, 2}) for identifying 1 and 2."""
+    # The codomain is (g + h, n - |A|), and lift is the order-preserving
+    # bijection of its labels onto the domain labels outside A.  The key is
+    # stable, so i = 0 has |S| >= 2 and i = g + h has |S| <= n - |A| - 2.
+    # Hence the far image (i, S'), with |S'| = |S| <= n - |A|, is stable when
+    # i < g, or i = g and |S| <= n - 2; the near image is stable when i > h,
+    # or i = h and |S| + |A| >= 2, as i - h = g leaves it at most n - 2 points.
+    # The near image holds 1: A holds it, or the codomain is pointed, so S
+    # holds its point 1 and lift keeps it; so it is its own key.  The far
+    # image is keyed by _stable_key.  The node of an image's generic member
+    # becomes a node of the key's type under the map, so an image determines
+    # its key, and images of distinct keys are distinct.  The two images of
+    # one key are one class only when the near one is the far one's mirror:
+    # then S' is empty and A is every label, so the codomain is unpointed,
+    # and 2i = g + h.  That symmetric class meets the image of the map in one
+    # divisor, through the one separating node, transversally, so it is
+    # counted once: the second store writes the same coefficient again.
+    g, n = dom
+    far = _set_map(lift)
+    near = _PerSet(lambda S: far[S] | A)
+    for (i, S), c in a.boundary.items():
+        if i < g or i == g and len(S) <= n - 2:
+            bnd[_stable_key(dom, i, far[S])] = c
+        if i > h or i == h and len(S) + len(A) >= 2:
+            bnd[_key(i - h, near[S])] = c
+    return bnd
+
+
 def _pull_glue_closed_tail(m, a):
     dom, cod = m.domain, m.codomain
-    g, n = dom
     h, at = m.params["h"], m.params["attach"]
     lift = [0, *(x for x in dom.labels() if x != at)]  # cod label k -> dom label
-    lam = a.lam
     psi = [0] * dom.n
     for k in cod.labels():
         psi[lift[k] - 1] += a.psi[k - 1]
-    delta0 = a.delta0
-    bnd = {}
     # the class whose generic member is the tail itself also meets psi
-    tail_key = try_canonical_index(cod, h, ())
-    # A key (i, S) pulls back to the two classes whose node has the tail on
-    # the far side, (i, S'), or on the side of S, (i - h, S' + {at}), with
-    # S' = lift(S) and |S'| = |S| <= n - 1.  The key is stable, so i = 0 has
-    # |S| >= 2 and i = g + h has |S| <= n - 3.  Hence (i, S') is stable when
-    # i < g, or i = g and |S| < n - 1; (i - h, S' + {at}) is stable when
-    # i > h, or i = h and S is not empty.  The second holds 1: at is 1, or
-    # the codomain is pointed, so 1 is in S and lift keeps it.  The first
-    # is keyed by its mirror when at is 1.  Each class of the domain maps to
-    # one class of the codomain, so images of distinct keys are distinct.
-    # The two images of one key are the same class only on an unpointed
-    # codomain, for delta_i with 2i = g + h, and _acc adds the two there.
-    far = _set_map(lift)
-    near = _PerSet(lambda S: far[S] | {at})
-    for key, c in a.boundary.items():
-        i, S = key
-        if i < g or i == g and len(S) < n - 1:
-            bnd[_stable_key(dom, i, far[S])] = c
-        if i > h or i == h and S:
-            if cod.n:
-                bnd[_key(i - h, near[S])] = c
-            else:
-                _acc(bnd, _key(i - h, near[S]), c)
-        if key == tail_key:
-            psi[at - 1] -= c
-    return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
+    psi[at - 1] -= a.coeff(try_canonical_index(cod, h, ()))
+    bnd = _pull_two_sided(dom, a, lift, h, {at}, {})
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
 
 def _pull_identify_points(m, a):
     dom, cod = m.domain, m.codomain
-    lam = a.lam
-    psi = [0] * dom.n
+    g, n = dom
+    lift = [0, *range(3, n + 1)]  # cod label k -> dom label
+    psi = [0] * n
     for k in cod.labels():
-        psi[k + 1] += a.psi[k - 1]
-    delta0 = a.delta0
+        psi[lift[k] - 1] += a.psi[k - 1]
     bnd = {}
     # every class separating the two glued points maps into the irreducible
     # boundary; each such class has exactly one representative (i, S) with 1
@@ -219,66 +229,32 @@ def _pull_identify_points(m, a):
     # pair names a class when both sides are stable: i = 0 needs |S| >= 2, and
     # i = g needs |S^c| >= 2, that is |S| < n - 1.  Each key is met once and
     # bnd is still empty, so it is stored without canonicalizing or adding.
-    g, n = dom
-    if delta0 != 0:
+    # The images below hold 1 and 2, so none of them meets these keys.
+    if a.delta0:
         for mask in range(1 << (n - 2)):
             S = frozenset([1] + [x for x in range(3, n + 1) if mask >> (x - 3) & 1])
             lo = 0 if len(S) >= 2 else 1
             hi = g if len(S) < n - 1 else g - 1
             for i in range(lo, hi + 1):
-                bnd[BoundaryIndex(i, S)] = delta0
-    # A key (i, S) pulls back to the classes with both glued points on the
-    # far side, (i, S'), and on the side of S, (i - 1, S' + {1, 2}), with
-    # S' = S shifted by 2 and |S'| = |S| <= n - 2.  The key is stable, so
-    # i = 0 has |S| >= 2, and at i = g + 1 it has |S| <= n - 4.  Hence
-    # (i, S') is stable when i <= g, and (i - 1, S' + {1, 2}) when i >= 1.
-    # The second is its own key; the first is keyed by its mirror, which
-    # holds 1 and 2 as well, so no image meets a delta_0 key above.  Images
-    # of distinct keys are distinct, as each class of the domain maps to one
-    # class of the codomain; the two images of one key are the same class
-    # only on an unpointed codomain, for delta_i with 2i = g + 1, where _acc
-    # adds the two.
-    far = _set_map([0, *range(3, n + 1)])  # cod label k -> dom label
-    near = _PerSet(lambda S: far[S] | {1, 2})
-    for (i, S), c in a.boundary.items():
-        if i <= g:
-            bnd[_stable_key(dom, i, far[S])] = c
-        if i:
-            if cod.n:
-                bnd[_key(i - 1, near[S])] = c
-            else:
-                _acc(bnd, _key(i - 1, near[S]), c)
-    return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
+                bnd[_key(i, S)] = a.delta0
+    _pull_two_sided(dom, a, lift, 1, {1, 2}, bnd)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
 
 def _pull_forget(m, a):
     dom, cod = m.domain, m.codomain
     j = m.params["j"]
     lift = [0, *range(1, j), *range(j + 1, dom.n + 1)]  # cod label k -> dom label
-    lam = a.lam
     psi = [0] * dom.n
-    bnd = {}
-    # A key (i, S) pulls back to the two classes with j on either side,
-    # (i, S') and (i, S' + {j}), with S' = lift(S) on n + 1 points.  Both are
-    # stable: the key is, so i = 0 has |S| >= 2, and i = g has |S| <= n - 2,
-    # which leaves both images at most (n + 1) - 2 points.  Forgetting j maps
-    # each image back to the key's class, so images of distinct keys are
-    # distinct.  The two images of one key are the same class only on an
-    # unpointed codomain, for delta_i with 2i = g; the class appears once in
-    # the preimage, and the second store writes the same coefficient again.
-    far = _set_map(lift)
-    near = _PerSet(lambda S: far[S] | {j})
-    for (i, S), c in a.boundary.items():
-        bnd[_stable_key(dom, i, far[S])] = c
-        bnd[_stable_key(dom, i, near[S])] = c
+    bnd = _pull_two_sided(dom, a, lift, 0, {j}, {})
+    # psi_k pulls back to psi_k less the class where k and j bubble off
     for k in cod.labels():
         c = a.psi[k - 1]
         if c == 0:
             continue
         psi[lift[k] - 1] += c
         _acc(bnd, _stable_key(dom, 0, frozenset([lift[k], j])), -c)
-    delta0 = a.delta0
-    return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
 
 _HANDLERS = {

@@ -14,7 +14,9 @@ from fractions import Fraction
 from .core import (
     DivisorClass,
     ModuliBase,
+    ParamOutOfRange,
     PicError,
+    _check_ints,
     builtin_test_curve,
     diff_first,
     pair,
@@ -608,6 +610,7 @@ def run_relation(name, params):
 def run_suite(g_max, suite="all", n_max=6, h_max=4):
     """Run every registered identity (or one named family) over its parameter
     domain capped at the given genus, marked-point and tail-genus bounds."""
+    _check_ints(ParamOutOfRange, g_max=g_max, n_max=n_max, h_max=h_max)
     if suite != "all" and suite not in RELATIONS:
         raise UnknownRelation("no relation named %r" % suite)
     names = list(RELATIONS) if suite == "all" else [suite]

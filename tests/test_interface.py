@@ -38,8 +38,10 @@ from artifact import (
     to_latex,
     weierstrass,
 )
-from artifact.core import diff_first, relabel
-from artifact.maps import InvalidMap
+from artifact import core
+from artifact.core import DivisorClass, canonical_index, diff_first, relabel, zero_class
+from artifact.maps import GluingMap, InvalidMap
+from artifact.verify import run_suite
 
 B21 = ModuliBase(2, 1)
 B32 = ModuliBase(3, 2)
@@ -101,7 +103,19 @@ B51 = ModuliBase(5, 1)
     ('relabel("x", (1,))', BaseMismatch),
     ('pullback(forget_point(B32), 5)', BaseMismatch),
     ('pullback(5, weierstrass(2))', InvalidMap),
+    ('pullback(GluingMap("twist", B32, B32), zero_class(B32))', InvalidMap),
+    ('weierstrass(2) - None', BaseMismatch),
     ('bn_coefficient_check(5)', BaseMismatch),
+    # bases that are not a ModuliBase
+    ('DivisorClass((3, 1))', ParamOutOfRange),
+    ('zero_class(None)', ParamOutOfRange),
+    ('core.TestCurve((3, 1), "A", {})', ParamOutOfRange),
+    ('builtin_test_curve("A", (3, 1))', ParamOutOfRange),
+    ('canonical_index(None, 1, {1})', ParamOutOfRange),
+    # suite bounds
+    ('run_suite("5")', ParamOutOfRange),
+    ('run_suite(5, n_max=2.0)', ParamOutOfRange),
+    ('run_suite(5, h_max="4")', ParamOutOfRange),
 ])
 def test_a_malformed_argument_raises_pic_error(call, error):
     with pytest.raises(error):
