@@ -56,30 +56,32 @@ def _build_class(args):
 
 def _parse_map(spec, codomain):
     """Parse a map descriptor such as ``glue-tail:h=1,j=0,at=1`` and derive
-    the domain from the codomain of the class being pulled back."""
+    the domain from the codomain of the class being pulled back.  A parameter
+    the kind does not take, or one given twice, raises InvalidMap."""
     kind, _, rest = spec.partition(":")
     params = {}
     if rest:
         for part in rest.split(","):
             key, _, val = part.partition("=")
-            if not val:
-                raise InvalidMap("bad map parameter %r" % part)
+            if not val or key in params:
+                raise InvalidMap("bad or repeated map parameter %r" % part)
             params[key] = int(val)
-    g, n = codomain.g, codomain.n
+    g, n = codomain
     if kind == "glue-tail":
-        h, j = params.get("h", 0), params.get("j", 0)
-        dom = ModuliBase(g - h, n - j)
-        return glue_tail(dom, h, j, params.get("at", 1))
-    if kind == "glue-closed-tail":
-        h = params.get("h", 1)
-        dom = ModuliBase(g - h, n + 1)
-        return glue_closed_tail(dom, h, params.get("at", 1))
-    if kind == "identify-points":
-        return identify_points(ModuliBase(g - 1, n + 2))
-    if kind == "forget":
-        dom = ModuliBase(g, n + 1)
-        return forget_point(dom, params.get("j", dom.n))
-    raise InvalidMap("unknown map kind %r" % kind)
+        h, j = params.pop("h", 0), params.pop("j", 0)
+        m = glue_tail(ModuliBase(g - h, n - j), h, j, params.pop("at", 1))
+    elif kind == "glue-closed-tail":
+        h = params.pop("h", 1)
+        m = glue_closed_tail(ModuliBase(g - h, n + 1), h, params.pop("at", 1))
+    elif kind == "identify-points":
+        m = identify_points(ModuliBase(g - 1, n + 2))
+    elif kind == "forget":
+        m = forget_point(ModuliBase(g, n + 1), params.pop("j", n + 1))
+    else:
+        raise InvalidMap("unknown map kind %r" % kind)
+    if params:
+        raise InvalidMap("map %s takes no parameter %s" % (kind, ", ".join(params)))
+    return m
 
 
 def _emit(text, args):
@@ -210,12 +212,7 @@ def dispatch(argv):
             _emit_class(pullback(m, a), args)
         elif args.verb == "pair":
             a = _build_class(args)
-            kw = {}
-            if args.i is not None:
-                kw["i"] = args.i
-            if args.n is not None:
-                kw["n"] = args.n
-            curve = builtin_test_curve(args.curve, a.base, **kw)
+            curve = builtin_test_curve(args.curve, a.base, i=args.i, n=args.n)
             _emit_value(pair(curve, a), args)
         elif args.verb == "dj":
             _emit_value(de_jonquieres(args.g, args.kappa, ordered=args.ordered), args)

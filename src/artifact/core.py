@@ -509,14 +509,9 @@ def normalize_genus2(a):
     if a.lam == 0:
         return a
     # R = -lambda + delta_0/10 + (1/5) sum delta_{1:S} is zero on genus 2
-    base = a.base
-    rest = list(base.labels())[1:]
-    lead = frozenset({1}) if base.n else frozenset()
-    bnd = {}
-    for mask in range(1 << len(rest)):
-        S = lead | {rest[t] for t in range(len(rest)) if mask >> t & 1}
-        bnd[_key(1, S)] = Fraction(1, 5)
-    R = DivisorClass._from_canonical(base, -1, None, Fraction(1, 10), bnd)
+    fifth = Fraction(1, 5)
+    bnd = {key: fifth for key in _boundary_keys(a.base) if key.i == 1}
+    R = DivisorClass._from_canonical(a.base, -1, None, Fraction(1, 10), bnd)
     return a + a.lam * R
 
 

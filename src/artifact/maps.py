@@ -2,7 +2,9 @@
 Pullback of divisor classes along the standard gluing, identification and
 point-forgetting maps between moduli spaces of stable pointed curves.
 
-Each map is recorded by its combinatorial data; ``pullback`` applies the
+Each map is a ``GluingMap``: its variant, its domain and the variant's
+parameters, checked once when it is built, with the codomain derived from
+them.  The four named constructors are calls to it.  ``pullback`` applies the
 generator-by-generator substitution table to the canonical representative of
 every class in the input.  Each handler builds the image keys in canonical
 form directly, and drops the image pairs that name an unstable (hence empty)
@@ -34,21 +36,35 @@ class InvalidMap(PicError):
 
 
 class GluingMap:
-    """A map between moduli spaces, given by domain base and variant data.
+    """A map between moduli spaces, given by its variant, its domain base and
+    the variant's integer parameters; the codomain is derived from them.
 
     Variants:
-      glue-tail          attach a genus-h tail carrying j new points at marked
-                         point ``attach``; codomain (g+h, n+j)
-      glue-closed-tail   attach a genus-h tail at marked point ``attach`` and
-                         absorb that point; codomain (g+h, n-1)
+      glue-tail          h, j, attach: attach a genus-h tail carrying j new
+                         points at marked point ``attach``; codomain (g+h, n+j)
+      glue-closed-tail   h, attach: attach a genus-h tail at marked point
+                         ``attach`` and absorb that point; codomain (g+h, n-1)
       identify-points    glue marked points 1 and 2 to a node; codomain (g+1, n-2)
-      forget             forget marked point j; codomain (g, n-1)
-    """
+      forget             j: forget marked point j; codomain (g, n-1)
 
-    def __init__(self, variant, domain, codomain, **params):
+    A domain that is not a ModuliBase, an unknown variant, a missing or extra
+    parameter, a parameter that is not an int and a value the variant cannot
+    take all raise InvalidMap."""
+
+    def __init__(self, variant, domain, **params):
+        if not isinstance(domain, ModuliBase):
+            raise InvalidMap("domain %r is not a ModuliBase" % (domain,))
+        if type(variant) is not str or variant not in _VARIANTS:
+            raise InvalidMap("unknown map variant %r" % (variant,))
+        names, check = _VARIANTS[variant]
+        if set(params) != set(names):
+            raise InvalidMap("%s takes parameters (%s), got (%s)" % (
+                variant, ", ".join(names), ", ".join(sorted(params))))
+        _check_ints(InvalidMap, **params)
+        dg, dn = check(domain, **params)
         self.variant = variant
         self.domain = domain
-        self.codomain = codomain
+        self.codomain = ModuliBase(domain.g + dg, domain.n + dn)
         self.params = params
 
     def __repr__(self):
@@ -58,52 +74,63 @@ class GluingMap:
         )
 
 
-def _check_domain(domain):
-    if not isinstance(domain, ModuliBase):
-        raise InvalidMap("domain %r is not a ModuliBase" % (domain,))
+def _check_label(domain, what, k):
+    if not 1 <= k <= domain.n:
+        raise InvalidMap("%s index %r out of range on %s" % (what, k, domain))
+
+
+# Each variant's check refuses the parameter values the variant cannot take
+# and returns the codomain's shift (dg, dn) from the domain.
+
+def _tail_shift(domain, h, j, attach):
+    if h < 0 or j < 0 or (h == 0 and j == 0):
+        raise InvalidMap("tail needs genus h >= 0 and j >= 0, not both trivial")
+    _check_label(domain, "attach", attach)
+    return h, j
+
+
+def _closed_tail_shift(domain, h, attach):
+    if h < 1:
+        raise InvalidMap("closed tail needs genus h >= 1")
+    _check_label(domain, "attach", attach)
+    return h, -1
+
+
+def _identify_shift(domain):
+    if domain.n < 2:
+        raise InvalidMap("identification needs at least two marked points")
+    return 1, -2
+
+
+def _forget_shift(domain, j):
+    _check_label(domain, "forgotten", j)
+    return 0, -1
+
+
+_VARIANTS = {  # variant -> (parameter names, check)
+    "glue-tail": (("h", "j", "attach"), _tail_shift),
+    "glue-closed-tail": (("h", "attach"), _closed_tail_shift),
+    "identify-points": ((), _identify_shift),
+    "forget": (("j",), _forget_shift),
+}
 
 
 def glue_tail(domain, h, j, attach=1):
-    _check_domain(domain)
-    _check_ints(InvalidMap, h=h, j=j, attach=attach)
-    if h < 0 or j < 0 or (h == 0 and j == 0):
-        raise InvalidMap("tail needs genus h >= 0 and j >= 0, not both trivial")
-    if h == 0 and j < 1:
-        raise InvalidMap("a rational tail needs at least one extra point")
-    if domain.n < 1 or not 1 <= attach <= domain.n:
-        raise InvalidMap("attach index %r out of range on %s" % (attach, domain))
-    cod = ModuliBase(domain.g + h, domain.n + j)
-    return GluingMap("glue-tail", domain, cod, h=h, j=j, attach=attach)
+    return GluingMap("glue-tail", domain, h=h, j=j, attach=attach)
 
 
 def glue_closed_tail(domain, h, attach=1):
-    _check_domain(domain)
-    _check_ints(InvalidMap, h=h, attach=attach)
-    if h < 1:
-        raise InvalidMap("closed tail needs genus h >= 1")
-    if domain.n < 1 or not 1 <= attach <= domain.n:
-        raise InvalidMap("attach index %r out of range on %s" % (attach, domain))
-    cod = ModuliBase(domain.g + h, domain.n - 1)
-    return GluingMap("glue-closed-tail", domain, cod, h=h, attach=attach)
+    return GluingMap("glue-closed-tail", domain, h=h, attach=attach)
 
 
 def identify_points(domain):
-    _check_domain(domain)
-    if domain.n < 2:
-        raise InvalidMap("identification needs at least two marked points")
-    cod = ModuliBase(domain.g + 1, domain.n - 2)
-    return GluingMap("identify-points", domain, cod)
+    return GluingMap("identify-points", domain)
 
 
 def forget_point(domain, j=None):
-    _check_domain(domain)
-    if j is None:
-        j = domain.n
-    _check_ints(InvalidMap, j=j)
-    if domain.n < 1 or not 1 <= j <= domain.n:
-        raise InvalidMap("forgotten index %r out of range on %s" % (j, domain))
-    cod = ModuliBase(domain.g, domain.n - 1)
-    return GluingMap("forget", domain, cod, j=j)
+    """Forget marked point j, by default the last one."""
+    # a domain without n is refused by GluingMap before j is read
+    return GluingMap("forget", domain, j=getattr(domain, "n", None) if j is None else j)
 
 
 @_nogc
@@ -116,10 +143,7 @@ def pullback(m, a):
         raise BaseMismatch(
             "class lives on %s, map has codomain %s" % (a.base, m.codomain)
         )
-    handler = _HANDLERS.get(m.variant)
-    if handler is None:
-        raise InvalidMap("unknown map variant %r" % (m.variant,))
-    return handler(m, a)
+    return _HANDLERS[m.variant](m, a)
 
 
 def _pull_glue_tail(m, a):

@@ -453,13 +453,7 @@ def _r14_cases(G, N, H):
     for h in range(1, H + 1):
         for n in (2, 3):
             gmin = 3 if n == 2 else 4
-            if h == 1:
-                gmin = max(gmin, 3)
-            if h <= 2 and n == 3:
-                gmin = max(gmin, 3)
             for g in range(gmin, G - h + 1):
-                if n == 3 and h > 2 and g < 4:
-                    continue
                 out.append({"g": g, "h": h, "n": n})
     return out
 

@@ -108,6 +108,19 @@ class TestPullbackVerb:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("spec,named", [
+        ("glue-tail:h=1,attach=2", "no parameter attach"),
+        ("identify-points:h=3", "no parameter h"),
+        ("forget:j=2,j=1", "repeated map parameter 'j=1'"),
+    ])
+    def test_unknown_or_repeated_map_parameter(self, capsys, spec, named):
+        code, out, err = run(
+            capsys,
+            "pullback", "--name", "logan", "--g", "4", "--d", "3,1", "--map", spec,
+        )
+        assert (code, out) == (2, "")
+        assert named in err
+
 
 class TestValueVerbs:
     def test_dj_default_is_configuration_count(self, capsys):

@@ -75,6 +75,18 @@ B51 = ModuliBase(5, 1)
     ('glue_closed_tail((2, 1), 1)', InvalidMap),
     ('identify_points(None)', InvalidMap),
     ('forget_point((3, 2))', InvalidMap),
+    ('GluingMap("forget", (3, 2), j=1)', InvalidMap),
+    # maps built directly: a missing, extra, non-int or out-of-range parameter,
+    # and a codomain, which is derived and never given
+    ('pullback(GluingMap("forget", B32, j=5), DivisorClass(ModuliBase(3, 1), psi=[1]))',
+     InvalidMap),
+    ('GluingMap("forget", B32)', InvalidMap),
+    ('GluingMap("forget", B32, j=1.0)', InvalidMap),
+    ('GluingMap("identify-points", B32, j=1)', InvalidMap),
+    ('GluingMap("identify-points", B32, codomain=B32)', InvalidMap),
+    ('GluingMap("glue-tail", B32, codomain=ModuliBase(5, 2), h=1, j=0, attach=1)',
+     InvalidMap),
+    ('GluingMap(["forget"], B32, j=1)', InvalidMap),
     # test-curve parameters
     ('builtin_test_curve("B", B51, i="1")', ParamOutOfRange),
     ('builtin_test_curve("B", B51, i=1.5)', ParamOutOfRange),
@@ -103,7 +115,7 @@ B51 = ModuliBase(5, 1)
     ('relabel("x", (1,))', BaseMismatch),
     ('pullback(forget_point(B32), 5)', BaseMismatch),
     ('pullback(5, weierstrass(2))', InvalidMap),
-    ('pullback(GluingMap("twist", B32, B32), zero_class(B32))', InvalidMap),
+    ('pullback(GluingMap("twist", B32), zero_class(B32))', InvalidMap),
     ('weierstrass(2) - None', BaseMismatch),
     ('bn_coefficient_check(5)', BaseMismatch),
     # bases that are not a ModuliBase
