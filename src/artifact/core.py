@@ -18,6 +18,7 @@ from fractions import Fraction
 import functools
 import gc
 import json
+from operator import itemgetter
 
 
 class PicError(Exception):
@@ -106,9 +107,7 @@ class BoundaryIndex(namedtuple("BoundaryIndex", "i S")):
         return sorted(self.S)
 
     def __str__(self):
-        if not self.S:
-            return "delta_%d" % self.i
-        return "delta_{%d:{%s}}" % (self.i, ",".join(map(str, self.sorted_S())))
+        return _delta_name(self.i, ",".join(map(str, self.sorted_S())))
 
     # lexicographic on (i, sorted members); used for deterministic output
     def sort_key(self):
@@ -127,10 +126,25 @@ class BoundaryIndex(namedtuple("BoundaryIndex", "i S")):
         return self.sort_key() >= other.sort_key()
 
 
-def _sorted_keys(keys):
-    """Boundary keys in output order, the order of ``__lt__``; each sort key is
-    computed once per sort instead of once per comparison."""
-    return sorted(keys, key=BoundaryIndex.sort_key)
+def _delta_name(i, text):
+    """The name of the key (i, S) whose sorted labels, joined by commas, are
+    text: delta_{i:{1,3}}, or delta_i for an empty S."""
+    return "delta_{%d:{%s}}" % (i, text) if text else "delta_%d" % i
+
+
+def _ordered(keys):
+    """(i, label text, key) for each boundary key, in output order: the order
+    of ``__lt__``, (i, sorted(S)).  The label text is the sorted members of S
+    joined by commas, "" for an empty S.  Each distinct S is sorted, ranked
+    and joined once; the keys are then sorted on (i, rank of S), a pair that
+    differs between distinct keys, so the comparisons never reach the key."""
+    members = {S: sorted(S) for S in set(map(itemgetter(1), keys))}
+    sets = sorted(members, key=members.__getitem__)
+    rank = {S: r for r, S in enumerate(sets)}
+    text = {S: ",".join(map(str, members[S])) for S in sets}
+    order = sorted(zip(map(itemgetter(0), keys),
+                       map(rank.__getitem__, map(itemgetter(1), keys)), keys))
+    return [(i, text[k.S], k) for i, _, k in order]
 
 
 @functools.cache
@@ -197,6 +211,15 @@ def _set_map(new):
     if new == list(range(len(new))):
         return _PerSet(lambda S: S)
     return _PerSet(lambda S: frozenset(map(new.__getitem__, S)))
+
+
+def _stable_keys(base, image):
+    """The rule of ``_stable_key`` once per set, for a pointed base and a
+    label map image (S -> the set of its images): S -> (flip, T), with T
+    image[S] when it holds 1 and its mirror otherwise, so that a stable pair
+    (i, image[S]) has the key _key(g - i if flip else i, T)."""
+    labels = _label_set(base)
+    return _PerSet(lambda S: (False, image[S]) if 1 in image[S] else (True, labels - image[S]))
 
 
 def canonical_index(base, i, S):
@@ -350,8 +373,8 @@ class DivisorClass:
                         "boundary entry %r is not an ((i, S), c) pair" % (entry,)
                     ) from None
                 c = _frac(c)
-                if c:
-                    _acc(acc, canonical_index(base, i, S), c)
+                # an entry must name a class even when its coefficient is 0
+                _acc(acc, canonical_index(base, i, S), c)
         object.__setattr__(self, "boundary", acc)
 
     @classmethod
@@ -495,9 +518,16 @@ def relabel(a, perm):
         psi[perm[j] - 1] = a.psi[j - 1]
     # A permutation keeps i and |S|, so it maps a stable pair to a stable
     # pair, and it maps distinct classes to distinct classes: each image is
-    # stored under its key, without a stability test or a sum.
+    # stored under its key, without a stability test or a sum.  On an
+    # unpointed base the only permutation is the empty one, which fixes every
+    # key.
     image = _set_map([0, *map(perm.__getitem__, labels)])
-    bnd = {_stable_key(base, i, image[S]): c for (i, S), c in a.boundary.items()}
+    keyed = _stable_keys(base, image) if base.n else _PerSet(lambda S: (False, S))
+    g = base.g
+    bnd = {}
+    for (i, S), c in a.boundary.items():
+        flip, T = keyed[S]
+        bnd[_key(g - i if flip else i, T)] = c
     return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, bnd)
 
 
@@ -548,10 +578,11 @@ def diff_first(a, b):
             return ("psi_%d" % j, a.psi[j - 1], b.psi[j - 1])
     if a.delta0 != b.delta0:
         return ("delta_0", a.delta0, b.delta0)
-    for key in _sorted_keys(a.boundary.keys() | b.boundary.keys()):
-        if a.coeff(key) != b.coeff(key):
-            return (str(key), a.coeff(key), b.coeff(key))
-    return None
+    diff = [k for k in a.boundary.keys() | b.boundary.keys() if a.coeff(k) != b.coeff(k)]
+    if not diff:
+        return None
+    i, text, key = _ordered(diff)[0]
+    return (_delta_name(i, text), a.coeff(key), b.coeff(key))
 
 
 # ---------------------------------------------------------------------------
@@ -660,23 +691,18 @@ def builtin_test_curve(name, base, i=None, n=None):
 # serialization
 
 @_nogc
-def to_json_dict(a):
-    _check_class(a)
-    return {
-        "g": a.base.g,
-        "n": a.base.n,
-        "lambda": str(a.lam),
-        "psi": [str(c) for c in a.psi],
-        "delta0": str(a.delta0),
-        "boundary": [
-            {"i": k.i, "S": k.sorted_S(), "c": str(a.boundary[k])}
-            for k in _sorted_keys(a.boundary)
-        ],
-    }
-
-
 def to_json(a):
-    return json.dumps(to_json_dict(a), separators=(",", ":"), sort_keys=False)
+    """The class as compact JSON: g, n, the coefficients of lambda, psi and
+    delta_0, and one {"i", "S", "c"} object per boundary key in output order.
+    The text is written directly; every field is an int or the str of an int
+    or a Fraction, so nothing needs escaping, and the bytes are those of
+    ``json.dumps`` with separators (",", ":")."""
+    _check_class(a)
+    b = a.boundary
+    rows = ",".join(['{"i":%d,"S":[%s],"c":"%s"}' % (i, text, b[k])
+                     for i, text, k in _ordered(b)])
+    return '{"g":%d,"n":%d,"lambda":"%s","psi":[%s],"delta0":"%s","boundary":[%s]}' % (
+        a.base.g, a.base.n, a.lam, ",".join('"%s"' % c for c in a.psi), a.delta0, rows)
 
 
 def _json_coeff(x):
@@ -704,11 +730,26 @@ def _json_fields(d, names):
         raise MalformedJSON("missing field %s" % e) from None
 
 
+def _own_key_span(g, n, S):
+    """(S, lo, hi) for a frozenset S of ints: (i, S) is its own key and names
+    a class on (g, n) exactly when lo <= i <= hi.  The range is empty unless S
+    is the canonical side: labels in 1..n holding 1 when n >= 1, and empty
+    when n = 0.  Within it the bounds are those of stability (and 2i <= g when
+    n = 0), as in ``try_canonical_index``."""
+    if n >= 1 and S and min(S) == 1 and max(S) <= n:
+        return S, 0 if len(S) >= 2 else 1, g if len(S) <= n - 2 else g - 1
+    if n == 0 and not S:
+        return S, 1, g // 2
+    return S, 1, 0
+
+
 @_nogc
 def from_json_dict(d):
-    """Inverse of ``to_json_dict``.  g, n, i and the members of S must be
-    integers and every coefficient an integer or a rational string; anything
-    else raises MalformedJSON (or the PicError of the class it would name)."""
+    """Inverse of ``to_json``, on the parsed document.  g, n, i and the
+    members of S must be integers and every coefficient an integer or a
+    rational string; anything else raises MalformedJSON (or the PicError of
+    the class it would name).  Every boundary entry must name a class, one
+    with a zero coefficient too."""
     g, n, lam, psi, delta0, boundary = _json_fields(
         d, ("g", "n", "lambda", "psi", "delta0", "boundary")
     )
@@ -716,19 +757,45 @@ def from_json_dict(d):
         raise MalformedJSON("g and n must be integers, got %r and %r" % (g, n))
     if type(psi) is not list or type(boundary) is not list:
         raise MalformedJSON("psi and boundary must be lists")
-    bnd = []
+    # An entry that is its own stable key is stored at once.  Any other (a
+    # mirror form, an unknown label, an unstable pair) goes to DivisorClass
+    # below, which canonicalizes it, or raises, after checking the header.
+    # The spans are memoized per tuple(S) only once each member is known to be
+    # an int, as True == 1 and 1.0 == 1 hash alike; the coefficients per
+    # string, for the same reason.
+    spans, coeffs, acc, rest = {}, {}, {}, []
     for e in boundary:
-        i, S, c = _json_fields(e, ("i", "S", "c"))
-        if type(i) is not int or type(S) is not list or not all(type(s) is int for s in S):
+        try:
+            i, S, c = e["i"], e["S"], e["c"]
+        except (TypeError, KeyError):  # not an object, or a field missing
+            i, S, c = _json_fields(e, ("i", "S", "c"))
+        if type(i) is not int or type(S) is not list or not {int}.issuperset(map(type, S)):
             raise MalformedJSON("bad boundary entry %r" % (e,))
-        bnd.append(((i, frozenset(S)), _json_coeff(c)))
-    return DivisorClass(
+        if type(c) is str:
+            v = coeffs.get(c)
+            if v is None:
+                v = coeffs[c] = _json_coeff(c)
+        else:
+            v = _json_coeff(c)
+        t = tuple(S)
+        span = spans.get(t)
+        if span is None:
+            span = spans[t] = _own_key_span(g, n, frozenset(t))
+        fs, lo, hi = span
+        if lo <= i <= hi:
+            _acc(acc, _key(i, fs), v)
+        else:
+            rest.append(((i, fs), v))
+    head = DivisorClass(
         ModuliBase(g, n),
         _json_coeff(lam),
         [_json_coeff(c) for c in psi],
         _json_coeff(delta0),
-        bnd,
+        rest,
     )
+    for k, c in head.boundary.items():
+        _acc(acc, k, c)
+    return DivisorClass._from_canonical(head.base, head.lam, head.psi, head.delta0, acc)
 
 
 @_nogc
@@ -741,15 +808,17 @@ def from_json(s):
 
 
 def _rows(a):
-    """(name, key, coefficient) per generator in output order; key is the
-    BoundaryIndex of a boundary row and None otherwise."""
+    """(name, boundary, coefficient) per generator in output order; boundary
+    is (i, label text) for the row of a key (i, S), as given by ``_ordered``,
+    and None otherwise."""
     _check_class(a)
     yield ("lambda", None, a.lam)
     for j in a.base.labels():
         yield ("psi_%d" % j, None, a.psi[j - 1])
     yield ("delta_0", None, a.delta0)
-    for k in _sorted_keys(a.boundary):
-        yield (str(k), k, a.boundary[k])
+    b = a.boundary
+    for i, text, k in _ordered(b):
+        yield (_delta_name(i, text), (i, text), b[k])
 
 
 @_nogc
@@ -767,11 +836,10 @@ def _latex_frac(c):
     return r"%s\tfrac{%d}{%d}" % (s, abs(c.numerator), c.denominator)
 
 
-def _latex_gen(name, key):
-    if key is not None:
-        if not key.S:
-            return r"\delta_{%d}" % key.i
-        return r"\delta_{%d:\{%s\}}" % (key.i, ",".join(map(str, key.sorted_S())))
+def _latex_gen(name, boundary):
+    if boundary is not None:
+        i, text = boundary
+        return r"\delta_{%d:\{%s\}}" % (i, text) if text else r"\delta_{%d}" % i
     if name == "lambda":
         return r"\lambda"
     if name == "delta_0":
@@ -782,10 +850,10 @@ def _latex_gen(name, key):
 def to_latex_expr(a):
     """The class as a one-line LaTeX linear combination."""
     terms = []
-    for name, key, c in _rows(a):
+    for name, boundary, c in _rows(a):
         if c == 0:
             continue
-        sym = _latex_gen(name, key)
+        sym = _latex_gen(name, boundary)
         mag = abs(c)
         body = sym if mag == 1 else _latex_frac(mag) + sym
         if not terms:
@@ -801,7 +869,7 @@ def to_latex_expr(a):
 def to_latex(a):
     """The class as a LaTeX coefficient table, one row per generator."""
     lines = [r"\begin{tabular}{ll}", r"generator & coefficient \\"]
-    for name, key, c in _rows(a):
-        lines.append(r"$%s$ & $%s$ \\" % (_latex_gen(name, key), _latex_frac(c)))
+    for name, boundary, c in _rows(a):
+        lines.append(r"$%s$ & $%s$ \\" % (_latex_gen(name, boundary), _latex_frac(c)))
     lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,8 @@ and the one in the glue-tail handler prove which images are stable,
 canonical and distinct.
 """
 
+from types import MappingProxyType
+
 from .core import (
     BaseMismatch,
     DivisorClass,
@@ -27,6 +29,7 @@ from .core import (
     _nogc,
     _set_map,
     _stable_key,
+    _stable_keys,
     try_canonical_index,
 )
 
@@ -49,7 +52,10 @@ class GluingMap:
 
     A domain that is not a ModuliBase, an unknown variant, a missing or extra
     parameter, a parameter that is not an int and a value the variant cannot
-    take all raise InvalidMap."""
+    take all raise InvalidMap.  A map is immutable, as the checks hold only
+    for the values they ran on: ``params`` is a read-only mapping."""
+
+    __slots__ = ("variant", "domain", "codomain", "params")
 
     def __init__(self, variant, domain, **params):
         if not isinstance(domain, ModuliBase):
@@ -62,10 +68,13 @@ class GluingMap:
                 variant, ", ".join(names), ", ".join(sorted(params))))
         _check_ints(InvalidMap, **params)
         dg, dn = check(domain, **params)
-        self.variant = variant
-        self.domain = domain
-        self.codomain = ModuliBase(domain.g + dg, domain.n + dn)
-        self.params = params
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", ModuliBase(domain.g + dg, domain.n + dn))
+        object.__setattr__(self, "params", MappingProxyType(dict(params)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GluingMap is immutable")
 
     def __repr__(self):
         extra = ",".join("%s=%s" % kv for kv in sorted(self.params.items()))
@@ -207,10 +216,11 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
     # or i = h and |S| + |A| >= 2, as i - h = g leaves it at most n - 2 points.
     # The near image holds 1: A holds it, or the codomain is pointed, so S
     # holds its point 1 and lift keeps it; so it is its own key.  The far
-    # image is keyed by _stable_key.  The node of an image's generic member
-    # becomes a node of the key's type under the map, so an image determines
-    # its key, and images of distinct keys are distinct.  The two images of
-    # one key are one class only when the near one is the far one's mirror:
+    # image is keyed by _stable_key, through _stable_keys once per S on a
+    # pointed domain.  The node of an image's generic member becomes a node of
+    # the key's type under the map, so an image determines its key, and
+    # images of distinct keys are distinct.  The two images of one key are
+    # one class only when the near one is the far one's mirror:
     # then S' is empty and A is every label, so the codomain is unpointed,
     # and 2i = g + h.  That symmetric class meets the image of the map in one
     # divisor, through the one separating node, transversally, so it is
@@ -218,9 +228,15 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
     g, n = dom
     far = _set_map(lift)
     near = _PerSet(lambda S: far[S] | A)
+    if n:
+        far_key = _stable_keys(dom, far)
     for (i, S), c in a.boundary.items():
         if i < g or i == g and len(S) <= n - 2:
-            bnd[_stable_key(dom, i, far[S])] = c
+            if n:
+                flip, T = far_key[S]
+                bnd[_key(g - i if flip else i, T)] = c
+            else:
+                bnd[_stable_key(dom, i, far[S])] = c
         if i > h or i == h and len(S) + len(A) >= 2:
             bnd[_key(i - h, near[S])] = c
     return bnd

@@ -328,6 +328,154 @@ class TestSerialization:
         assert to_latex_expr(zero_class(base)) == "0"
 
 
+# The per-key serializers of the tree before the label work was done once per
+# distinct S: the reference for the bytes of the ones in core.
+
+def reference_to_json(a):
+    keys = sorted(a.boundary, key=BoundaryIndex.sort_key)
+    return json.dumps({
+        "g": a.base.g,
+        "n": a.base.n,
+        "lambda": str(a.lam),
+        "psi": [str(c) for c in a.psi],
+        "delta0": str(a.delta0),
+        "boundary": [{"i": k.i, "S": k.sorted_S(), "c": str(a.boundary[k])} for k in keys],
+    }, separators=(",", ":"), sort_keys=False)
+
+
+def reference_rows(a):
+    yield ("lambda", None, a.lam)
+    for j in a.base.labels():
+        yield ("psi_%d" % j, None, a.psi[j - 1])
+    yield ("delta_0", None, a.delta0)
+    for k in sorted(a.boundary, key=BoundaryIndex.sort_key):
+        yield (str(k), k, a.boundary[k])
+
+
+def reference_to_csv(a):
+    return "generator,coefficient\n" + "".join(
+        "%s,%s\n" % (name, c) for name, _, c in reference_rows(a))
+
+
+def reference_latex_gen(name, key):
+    if key is not None:
+        if not key.S:
+            return r"\delta_{%d}" % key.i
+        return r"\delta_{%d:\{%s\}}" % (key.i, ",".join(map(str, key.sorted_S())))
+    if name == "lambda":
+        return r"\lambda"
+    if name == "delta_0":
+        return r"\delta_{0}"
+    return r"\psi_{%s}" % name[4:]
+
+
+def reference_latex_frac(c):
+    c = Fraction(c)
+    if c.denominator == 1:
+        return str(c.numerator)
+    return r"%s\tfrac{%d}{%d}" % ("-" if c < 0 else "", abs(c.numerator), c.denominator)
+
+
+def reference_to_latex_expr(a):
+    terms = []
+    for name, key, c in reference_rows(a):
+        if c == 0:
+            continue
+        sym = reference_latex_gen(name, key)
+        body = sym if abs(c) == 1 else reference_latex_frac(abs(c)) + sym
+        terms.append(("-" if c < 0 else "") + body if not terms
+                     else ("- " if c < 0 else "+ ") + body)
+    return " ".join(terms) if terms else "0"
+
+
+def reference_to_latex(a):
+    lines = [r"\begin{tabular}{ll}", r"generator & coefficient \\"]
+    for name, key, c in reference_rows(a):
+        lines.append(r"$%s$ & $%s$ \\" % (reference_latex_gen(name, key), reference_latex_frac(c)))
+    return "\n".join(lines + [r"\end{tabular}"]) + "\n"
+
+
+def reference_diff_first(a, b):
+    """diff_first of two classes that agree on lambda, psi and delta_0."""
+    if a.base.g == 2:
+        a, b = normalize_genus2(a), normalize_genus2(b)
+    for key in sorted(a.boundary.keys() | b.boundary.keys(), key=BoundaryIndex.sort_key):
+        if a.coeff(key) != b.coeff(key):
+            return (str(key), a.coeff(key), b.coeff(key))
+    return None
+
+
+class TestSerializerBytes:
+    """Every serializer gives the bytes of the per-key reference above."""
+
+    BASES = [ModuliBase(4, 0), ModuliBase(7, 0), ModuliBase(3, 1), ModuliBase(5, 1),
+             ModuliBase(2, 0), ModuliBase(2, 3), ModuliBase(3, 4), ModuliBase(6, 5)]
+
+    def classes(self):
+        rng = seeded(1313)
+        for base in self.BASES:
+            yield zero_class(base)
+            for _ in range(4):
+                yield random_class(rng, base)
+        for _ in range(20):
+            yield random_class(rng)
+        yield logan_class(6, (1,) * 6)
+
+    def test_bytes_match_the_per_key_reference(self):
+        for a in self.classes():
+            assert to_json(a) == reference_to_json(a), a.base
+            assert to_csv(a) == reference_to_csv(a), a.base
+            assert to_latex(a) == reference_to_latex(a), a.base
+            assert to_latex_expr(a) == reference_to_latex_expr(a), a.base
+
+    def test_diff_first_matches_the_per_key_reference(self):
+        rng = seeded(1314)
+        for base in self.BASES:
+            for _ in range(6):
+                a, b = random_class(rng, base), random_class(rng, base)
+                # share most keys, so the first difference is not the first key
+                b = DivisorClass._from_canonical(
+                    base, a.lam, a.psi, a.delta0,
+                    {**a.boundary, **dict(list(b.boundary.items())[: len(b.boundary) // 3])})
+                assert diff_first(a, b) == reference_diff_first(a, b)
+
+
+class TestSerializerWork:
+    """The serializers sort, rank and join each distinct label set once: the
+    work is counted, not timed."""
+
+    def test_sorts_at_most_once_per_distinct_set(self, monkeypatch):
+        a = logan_class(8, (1,) * 8)
+        distinct = len({k.S for k in a.boundary})
+        assert len(a.boundary) > 4 * distinct
+        want = [reference_to_json(a), reference_to_csv(a), reference_to_latex(a)]
+        count = [0]
+
+        def counting(*args, **kw):
+            count[0] += 1
+            return sorted(*args, **kw)
+
+        monkeypatch.setattr(core, "sorted", counting, raising=False)
+        for f, text in zip((to_json, to_csv, to_latex), want):
+            count[0] = 0
+            assert f(a) == text
+            assert 0 < count[0] <= distinct + 2, f.__name__
+
+    def test_from_json_of_canonical_input_canonicalizes_nothing(self, monkeypatch):
+        a = logan_class(8, (1,) * 8)
+        text = to_json(a)
+        seen = []
+        real = core.canonical_index
+        monkeypatch.setattr(core, "canonical_index", lambda *args: seen.append(args) or real(*args))
+        assert equals(from_json(text), a)
+        assert seen == []
+        # a mirror form does go through it, so the count above is a real zero
+        mirror = text.replace('"boundary":[', '"boundary":[{"i":7,"S":[2,3,4,5,6,7,8],"c":"1"},')
+        key = BoundaryIndex(1, frozenset({1}))
+        assert from_json(mirror).coeff(key) == a.coeff(key) + 1
+        assert len(seen) == 1
+
+
 _CLASS_31 = '"lambda":"1","psi":["0"],"delta0":"0","boundary":'
 
 
@@ -489,6 +637,119 @@ class TestFromJsonRejects:
         a = from_json('{"g":3,"n":1,"lambda":-1,"psi":["6"],"delta0":0,"boundary":'
                       '[{"i":1,"S":[1],"c":"-3"},{"i":2,"S":[1],"c":-1}]}')
         assert equals(a, weierstrass(3))
+
+
+_DOC_32 = '{"g":3,"n":2,"lambda":"0","psi":["0","0"],"delta0":"0","boundary":[%s]}'
+
+
+def entry(i, S, c):
+    return json.dumps({"i": i, "S": S, "c": c}, separators=(",", ":"))
+
+
+class TestFromJsonEntries:
+    """Entries of one document that share a memoized label set or coefficient
+    string, and entries that are not their own key, give the parent's answers
+    and errors."""
+
+    @pytest.mark.parametrize("first,second", [([1, 2], [True, 2]), ([1], [1.0]),
+                                              ([1], [True]), ([1, 2], [1, 2.0])])
+    def test_a_label_that_only_equals_an_int_is_refused(self, first, second):
+        with pytest.raises(MalformedJSON, match="bad boundary entry"):
+            from_json(_DOC_32 % ",".join([entry(1, first, "1"), entry(1, second, "1")]))
+
+    def test_a_coefficient_that_only_equals_a_string_one_is_refused(self):
+        with pytest.raises(MalformedJSON):
+            from_json(_DOC_32 % ",".join([entry(1, [1], 1), entry(2, [1], True)]))
+        with pytest.raises(MalformedJSON):
+            from_json(_DOC_32 % ",".join([entry(1, [1], "1"), entry(2, [1], 1.0)]))
+
+    def test_string_and_integer_coefficients_agree(self):
+        a = from_json(_DOC_32 % ",".join([entry(1, [1], "1"), entry(2, [1], 1),
+                                          entry(2, [1, 2], "1"), entry(0, [1, 2], "1")]))
+        want = DivisorClass(ModuliBase(3, 2), boundary=[
+            ((1, {1}), 1), ((2, {1}), 1), ((2, {1, 2}), 1), ((0, {1, 2}), 1)])
+        assert to_json(a) == to_json(want)
+        assert all(type(c) is int for c in a.boundary.values())
+
+    def test_a_mirror_form_adds_to_its_canonical_form(self):
+        # (2, {2}) is the mirror of (1, {1}) on (3, 2)
+        a = from_json(_DOC_32 % ",".join([entry(1, [1], "2"), entry(2, [2], "1/3")]))
+        assert a.boundary == {(1, frozenset({1})): Fraction(7, 3)}
+        zero = from_json(_DOC_32 % ",".join([entry(2, [2], "-5"), entry(1, [1], 5),
+                                             entry(1, [1, 1], "0")]))
+        assert zero.boundary == {} and zero.is_zero()
+
+    def test_a_repeated_label_counts_once(self):
+        a = from_json(_DOC_32 % ",".join([entry(1, [1, 1], "1"), entry(1, [1], "-1/2")]))
+        assert a.boundary == {(1, frozenset({1})): Fraction(1, 2)}
+
+    @pytest.mark.parametrize("entries,message", [
+        ([entry(1, [1, 9], "2")], "delta_{1:[1, 9]} is not a boundary class on (3,2)"),
+        ([entry(0, [1], "2")], "delta_{0:[1]} is not a boundary class on (3,2)"),
+        ([entry(3, [1], "2")], "delta_{3:[1]} is not a boundary class on (3,2)"),
+        ([entry(1, [1], "2"), entry(0, [1], "2"), entry(1, [1, 9], "2")],
+         "delta_{0:[1]} is not a boundary class on (3,2)"),
+        ([entry(1, [9], "0")], "delta_{1:[9]} is not a boundary class on (3,2)"),
+        ([entry(1, [0, 1], 0)], "delta_{1:[0, 1]} is not a boundary class on (3,2)"),
+    ], ids=["unknown-label", "unstable-at-0", "unstable-at-g", "first-bad-entry",
+            "zero-coefficient", "label-0"])
+    def test_a_pair_that_names_no_class_is_refused_with_the_same_message(self, entries, message):
+        with pytest.raises(InvalidBoundary) as e:
+            from_json(_DOC_32 % ",".join(entries))
+        assert str(e.value) == message
+
+    def test_a_zero_coefficient_on_a_bad_pair_is_refused_by_the_constructor(self):
+        with pytest.raises(InvalidBoundary):
+            DivisorClass(ModuliBase(3, 2), boundary=[((1, {9}), 0)])
+        with pytest.raises(InvalidBoundary):
+            DivisorClass(ModuliBase(3, 2), boundary={(0, frozenset({1})): Fraction(0)})
+        assert DivisorClass(ModuliBase(3, 2), boundary=[((1, {1}), 0)]).is_zero()
+
+    def test_unpointed_entries(self):
+        doc = '{"g":5,"n":0,"lambda":"0","psi":[],"delta0":"0","boundary":[%s]}'
+        a = from_json(doc % ",".join([entry(1, [], "1"), entry(4, [], "2"), entry(2, [], 3)]))
+        assert a.boundary == {(1, frozenset()): 3, (2, frozenset()): 3}
+        for i in (0, 5, 6, -1):
+            with pytest.raises(InvalidBoundary):
+                from_json(doc % entry(i, [], "1"))
+        with pytest.raises(InvalidBoundary):
+            from_json(doc % entry(1, [1], "1"))
+
+    def test_header_errors_come_before_boundary_errors(self):
+        bad_pair = entry(1, [9], "1")
+        with pytest.raises(ParamOutOfRange):
+            from_json('{"g":1,"n":2,"lambda":"0","psi":["0","0"],"delta0":"0","boundary":[%s]}'
+                      % bad_pair)
+        with pytest.raises(BaseMismatch):
+            from_json('{"g":3,"n":2,"lambda":"0","psi":["0"],"delta0":"0","boundary":[%s]}'
+                      % bad_pair)
+        with pytest.raises(MalformedJSON):
+            from_json('{"g":1,"n":2,"lambda":"0","psi":["0","0"],"delta0":"0","boundary":[%s]}'
+                      % ",".join([bad_pair, entry(1, ["x"], "1")]))
+
+
+@given(st.integers(2, 5), st.integers(0, 4), st.data())
+def test_from_json_entries_agree_with_the_constructor(g, n, data):
+    # arbitrary pairs, valid or not, canonical or mirror, against DivisorClass,
+    # which canonicalizes every entry
+    base = ModuliBase(g, n)
+    pairs = data.draw(st.lists(st.tuples(
+        st.integers(-1, g + 1),
+        st.lists(st.integers(0, n + 1), max_size=n + 1),
+        st.sampled_from(["0", "1", "-2", "1/2", "-1/3"]) | st.integers(-2, 2),
+    ), max_size=8))
+    doc = '{"g":%d,"n":%d,"lambda":"0","psi":[%s],"delta0":"0","boundary":[%s]}' % (
+        g, n, ",".join(['"0"'] * n), ",".join(entry(*p) for p in pairs))
+    try:
+        want = DivisorClass(base, 0, None, 0, [((i, S), Fraction(c)) for i, S, c in pairs])
+    except InvalidBoundary as e:
+        with pytest.raises(InvalidBoundary) as got:
+            from_json(doc)
+        assert str(got.value) == str(e)
+        return
+    got = from_json(doc)
+    assert got.boundary == want.boundary
+    assert to_json(got) == to_json(want)
 
 
 class TestPairings:

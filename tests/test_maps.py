@@ -220,6 +220,32 @@ class TestConstructors:
             pullback(m, zero_class(ModuliBase(3, 1)))
 
 
+class TestImmutable:
+    """A map cannot be changed after its checks ran."""
+
+    def test_params_are_read_only(self):
+        m = forget_point(ModuliBase(3, 2), 2)
+        with pytest.raises(TypeError):
+            m.params["j"] = 5
+        with pytest.raises(AttributeError):
+            m.params = {"j": 5}
+        assert m.params["j"] == 2 and dict(m.params) == {"j": 2}
+        # psi_1 pulls back to psi_1 less the class where 1 and 2 bubble off
+        want = DivisorClass(ModuliBase(3, 2), psi=[1, 0], boundary=[((0, {1, 2}), -1)])
+        assert equals(pullback(m, DivisorClass(ModuliBase(3, 1), psi=[1])), want)
+
+    def test_codomain_and_other_attributes_are_fixed(self):
+        m = identify_points(ModuliBase(3, 2))
+        for name in ("codomain", "domain", "variant", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, ModuliBase(3, 2))
+        assert m.codomain == ModuliBase(4, 0)
+        with pytest.raises(BaseMismatch):
+            pullback(m, DivisorClass(ModuliBase(3, 2), psi=[1, 1]))
+        want = DivisorClass(ModuliBase(3, 2), lam=2)
+        assert equals(pullback(m, DivisorClass(ModuliBase(4, 0), lam=2)), want)
+
+
 MAPS = [
     glue_tail(ModuliBase(3, 2), 1, 1, attach=2),
     glue_tail(ModuliBase(3, 1), 2, 0),
