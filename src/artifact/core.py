@@ -388,6 +388,9 @@ class DivisorClass:
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("DivisorClass is immutable")
+
     def coeff(self, key):
         return self.boundary.get(key, 0)
 
@@ -516,13 +519,14 @@ def relabel(a, perm):
     psi = [0] * base.n
     for j in base.labels():
         psi[perm[j] - 1] = a.psi[j - 1]
+    # On an unpointed base the only permutation is the empty one, which fixes
+    # every key.
+    if not base.n:
+        return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, dict(a.boundary))
     # A permutation keeps i and |S|, so it maps a stable pair to a stable
     # pair, and it maps distinct classes to distinct classes: each image is
-    # stored under its key, without a stability test or a sum.  On an
-    # unpointed base the only permutation is the empty one, which fixes every
-    # key.
-    image = _set_map([0, *map(perm.__getitem__, labels)])
-    keyed = _stable_keys(base, image) if base.n else _PerSet(lambda S: (False, S))
+    # stored under its key, without a stability test or a sum.
+    keyed = _stable_keys(base, _set_map([0, *map(perm.__getitem__, labels)]))
     g = base.g
     bnd = {}
     for (i, S), c in a.boundary.items():
@@ -581,8 +585,8 @@ def diff_first(a, b):
     diff = [k for k in a.boundary.keys() | b.boundary.keys() if a.coeff(k) != b.coeff(k)]
     if not diff:
         return None
-    i, text, key = _ordered(diff)[0]
-    return (_delta_name(i, text), a.coeff(key), b.coeff(key))
+    key = min(diff, key=BoundaryIndex.sort_key)
+    return (str(key), a.coeff(key), b.coeff(key))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,9 @@ class GluingMap:
     def __setattr__(self, name, value):
         raise AttributeError("GluingMap is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GluingMap is immutable")
+
     def __repr__(self):
         extra = ",".join("%s=%s" % kv for kv in sorted(self.params.items()))
         return "GluingMap(%s%s, %s -> %s)" % (
@@ -216,8 +219,8 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
     # or i = h and |S| + |A| >= 2, as i - h = g leaves it at most n - 2 points.
     # The near image holds 1: A holds it, or the codomain is pointed, so S
     # holds its point 1 and lift keeps it; so it is its own key.  The far
-    # image is keyed by _stable_key, through _stable_keys once per S on a
-    # pointed domain.  The node of an image's generic member becomes a node of
+    # image is keyed by the rule of _stable_key, applied once per S through
+    # _stable_keys: the domain holds A, so it is pointed.  The node of an image's generic member becomes a node of
     # the key's type under the map, so an image determines its key, and
     # images of distinct keys are distinct.  The two images of one key are
     # one class only when the near one is the far one's mirror:
@@ -228,15 +231,11 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
     g, n = dom
     far = _set_map(lift)
     near = _PerSet(lambda S: far[S] | A)
-    if n:
-        far_key = _stable_keys(dom, far)
+    far_key = _stable_keys(dom, far)
     for (i, S), c in a.boundary.items():
         if i < g or i == g and len(S) <= n - 2:
-            if n:
-                flip, T = far_key[S]
-                bnd[_key(g - i if flip else i, T)] = c
-            else:
-                bnd[_stable_key(dom, i, far[S])] = c
+            flip, T = far_key[S]
+            bnd[_key(g - i if flip else i, T)] = c
         if i > h or i == h and len(S) + len(A) >= 2:
             bnd[_key(i - h, near[S])] = c
     return bnd

@@ -184,6 +184,9 @@ class TestVectorSpace:
         a = zero_class(ModuliBase(3, 1))
         with pytest.raises(AttributeError):
             a.lam = 1
+        with pytest.raises(AttributeError):
+            del a.boundary
+        assert a.boundary == {} and to_json(a) == to_json(zero_class(ModuliBase(3, 1)))
 
 
 @pytest.mark.parametrize("build,error", [
@@ -272,6 +275,10 @@ class TestRelabel:
     def test_identity_permutation_fixes_class(self):
         a = random_class(seeded(9), ModuliBase(4, 3))
         assert equals(relabel(a, (1, 2, 3)), a)
+
+    def test_unpointed_base_keeps_every_key(self):
+        a = random_class(seeded(10), ModuliBase(4, 0))
+        assert a.boundary and relabel(a, ()).boundary == a.boundary
 
     @pytest.mark.parametrize("perm", [
         (1, 2.0), {1: 2, 2: 1.0}, {1.0: 2, 2: 1}, (2, "1"), (2, None),

@@ -245,6 +245,14 @@ class TestImmutable:
         want = DivisorClass(ModuliBase(3, 2), lam=2)
         assert equals(pullback(m, DivisorClass(ModuliBase(4, 0), lam=2)), want)
 
+    def test_attributes_cannot_be_deleted(self):
+        m = identify_points(ModuliBase(3, 2))
+        for name in ("codomain", "domain", "variant", "params"):
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        want = DivisorClass(ModuliBase(3, 2), lam=2)
+        assert equals(pullback(m, DivisorClass(ModuliBase(4, 0), lam=2)), want)
+
 
 MAPS = [
     glue_tail(ModuliBase(3, 2), 1, 1, attach=2),
