@@ -6,12 +6,13 @@ regime audit: each canonical boundary generator must be matched by exactly one
 formula regime, so a gap or an overlap in the piecewise formulas raises
 immediately instead of silently producing a wrong class.
 
-A multi-point coefficient of delta_{i:S} depends on the key only through a
-short view of one side of the degeneration, such as its genus i and its
-weight sum d_S.  Each constructor computes that view once per key, and both
-the regime predicates and the formulas read it.  The other side has genus
-g - i and weight sum sum(d) - d_S, so a formula stated for the other side is
-evaluated there without building the complement of S.
+A coefficient of delta_{i:S} depends on the key only through a short view
+(i, w) of one side of the degeneration: its genus i and w = view(S), such as
+the weight sum d_S.  Both the regime predicates and the formulas read the
+view and nothing else, so w is computed once per distinct S, and the audit
+and the formula run once per distinct view, not once per key.  The other
+side has genus g - i and weight sum sum(d) - d_S, so a formula stated for
+the other side is evaluated there without building the complement of S.
 
 Genera, orders and weights must be ints (a bool is refused): anything else
 raises ParamOutOfRange.
@@ -104,20 +105,46 @@ def _pow2(e):
 
 
 @_nogc
-def _assemble(base, regimes, view=None):
+def _assemble(base, regimes, view=len):
     """Boundary dict from piecewise regimes [(predicate, formula)], enforcing
     that exactly one regime claims each canonical generator.  Predicates and
-    formulas read view(key), computed once per key; without a view they read
-    the key itself."""
+    formulas are called as f(i, w) on the view of a key (i, S), w = view(S),
+    and read nothing else of the key.  So view runs once per distinct S, and
+    the audit and the formula once per distinct view: a later key with the
+    same view takes the same coefficient.  The first key in output order
+    with a failing view is the first failing key, as in a per-key audit.
+
+    The default view len suffices where a regime reads only |S|: every key
+    of a pointed base holds label 1, and S is empty on an unpointed base."""
+    # per_set maps S to view(S), and coef maps view(S) to the coefficient for
+    # the current i: the keys come sorted by i.  A coefficient is never None;
+    # a view that is None is only computed again.  Equal views share one
+    # object (shared): a tuple view kept for every S would pass to the tuple
+    # free list on return without lowering the collector's allocation count,
+    # and so start a deferred collection in the caller.
+    per_set = {}
+    shared = {}
     bnd = {}
-    keys = enumerate_boundary(base)
-    for key, v in zip(keys, keys if view is None else map(view, keys)):
-        hits = [f for p, f in regimes if p(v)]
-        if len(hits) != 1:
-            raise AssertionError(
-                "%d regimes claim %s on %s" % (len(hits), key, base)
-            )
-        c = _frac(hits[0](v))
+    coef_i = None
+    for key in enumerate_boundary(base):
+        i, S = key
+        x = per_set.get(S)
+        if x is None:
+            x = view(S)
+            x = per_set[S] = shared.setdefault(x, x)
+        if i != coef_i:
+            coef, coef_i = {}, i
+        c = coef.get(x)
+        if c is None:
+            # a loop: before Python 3.12 a list comprehension is one more call
+            claims = 0
+            for p, f in regimes:
+                if p(i, x):
+                    claims += 1
+                    formula = f
+            if claims != 1:
+                raise AssertionError("%d regimes claim %s on %s" % (claims, key, base))
+            c = coef[x] = _frac(formula(i, x))
         if c:
             bnd[key] = c
     return bnd
@@ -131,7 +158,7 @@ def weierstrass(g):
     """Closure of the locus where the marked point is a Weierstrass point."""
     _check_genus(g, 2)
     base = ModuliBase(g, 1)
-    bnd = _assemble(base, [(lambda k: True, lambda k: -_tri(g - k.i))])
+    bnd = _assemble(base, [(lambda i, s: True, lambda i, s: -_tri(g - i))])
     return DivisorClass._from_canonical(base, -1, [_tri(g)], 0, bnd)
 
 
@@ -145,11 +172,10 @@ def diaz(g):
     lam = _div(G * (G + 1) * (3 * G * G - 3 * G + 2), 2)
     delta0 = -_div(G * G * (G - 1) * (G + 1), 6)
 
-    def c(k):
-        i = k.i
+    def c(i, s):
         return -_div(G * i * (G - i - 1) * (G + 1) ** 2, 2)
 
-    bnd = _assemble(base, [(lambda k: True, c)])
+    bnd = _assemble(base, [(lambda i, s: True, c)])
     return DivisorClass._from_canonical(base, lam, [], delta0, bnd)
 
 
@@ -162,11 +188,10 @@ def residual(g):
     lam = _div(g * (3 * g**3 - 3 * g + 2), 2)
     delta0 = _div(g**2 - g**4, 6)
 
-    def c(k):
-        i = k.i
+    def c(i, s):
         return _div(g * (i - g) * (g * g * i + g * i - g + i - 1), 2)
 
-    bnd = _assemble(base, [(lambda k: True, c)])
+    bnd = _assemble(base, [(lambda i, s: True, c)])
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
@@ -188,8 +213,7 @@ def d1_holo(g, k):
     )
     delta0 = _div((k + 1) ** 2 - (k + 1) ** 4, 6)
 
-    def low(key):
-        i = key.i
+    def low(i, s):
         return -_div(
             (k + 1)
             * (
@@ -200,8 +224,7 @@ def d1_holo(g, k):
             2,
         )
 
-    def high(key):
-        i = key.i
+    def high(i, s):
         return -_div(
             (g - i)
             * (k + 1)
@@ -216,8 +239,8 @@ def d1_holo(g, k):
     bnd = _assemble(
         base,
         [
-            (lambda key: key.i <= g - k, low),
-            (lambda key: key.i > g - k, high),
+            (lambda i, s: i <= g - k, low),
+            (lambda i, s: i > g - k, high),
         ],
     )
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
@@ -244,8 +267,7 @@ def d1_mero(g, h):
     )
     delta0 = _div((g + h) ** 2 - (g + h) ** 4, 6)
 
-    def c(key):
-        i = key.i
+    def c(i, s):
         return -_div(
             (g - i)
             * (g + h + 1)
@@ -256,7 +278,7 @@ def d1_mero(g, h):
             2,
         )
 
-    bnd = _assemble(base, [(lambda key: True, c)])
+    bnd = _assemble(base, [(lambda i, s: True, c)])
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
@@ -268,10 +290,11 @@ def logan_class(g, d):
         raise BadWeights("weights must be positive and sum to the genus")
     base = ModuliBase(g, len(d))
 
-    def c(key):
-        return -_tri(abs(_dsum(d, key.S) - key.i))
-
-    bnd = _assemble(base, [(lambda key: True, c)])
+    bnd = _assemble(
+        base,
+        [(lambda i, ds: True, lambda i, ds: -_tri(abs(ds - i)))],
+        lambda S: _dsum(d, S),
+    )
     return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
 
 
@@ -290,19 +313,20 @@ def theta_pullback_class(g, d):
     def pole_free(i, ds):
         return -_tri(abs(ds - i))
 
+    # the view of S is (d_S, the poles in S)
     bnd = _assemble(
         base,
         [
             # all poles on the other side: evaluate here
-            (lambda v: not v[2], lambda v: pole_free(v[0], v[1])),
+            (lambda i, w: not w[1], lambda i, w: pole_free(i, w[0])),
             # all poles on this side: evaluate at the pole-free other side,
             # of genus g - i and weight sum g - 1 - d_S
-            (lambda v: v[2] == P, lambda v: pole_free(g - v[0], g - 1 - v[1])),
+            (lambda i, w: w[1] == P, lambda i, w: pole_free(g - i, g - 1 - w[0])),
             # poles on both sides; u(u+1)/2 is invariant under u -> -(u+1),
             # which is exactly what passing to the other side does here
-            (lambda v: v[2] and v[2] != P, lambda v: -_tri(v[1] - v[0])),
+            (lambda i, w: w[1] and w[1] != P, lambda i, w: -_tri(w[0] - i)),
         ],
-        lambda key: (key.i, _dsum(d, key.S), key.S & P),
+        lambda S: (_dsum(d, S), S & P),
     )
     return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
 
@@ -318,11 +342,10 @@ def theta_characteristic_locus(g, parity="total"):
     psi = pref * _by_parity(parity, lambda e: (1 - e) * (2**g + e))
     delta0 = pref * _by_parity(parity, lambda e: -pref)
 
-    def c(key):
-        i = key.i
+    def c(i, s):
         return pref * _by_parity(parity, lambda e: -(2**i - e) * (2 ** (g - i) - 1))
 
-    bnd = _assemble(base, [(lambda key: True, c)])
+    bnd = _assemble(base, [(lambda i, s: True, c)])
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
@@ -339,18 +362,17 @@ def _coupled_11(g):
     base = ModuliBase(g, 2)
     pref = _pow2(g - 3)
 
-    def both(key):
-        i = key.i
+    def both(i, s):
         return -pref * 2 ** (i + 1) * (2 ** (g - i) - 1)
 
-    def first_only(key):
+    def first_only(i, s):
         return -pref * 2 ** (g - 1)
 
     bnd = _assemble(
         base,
         [
-            (lambda key: len(key.S) == 2, both),
-            (lambda key: len(key.S) == 1, first_only),
+            (lambda i, s: s == 2, both),
+            (lambda i, s: s == 1, first_only),
         ],
     )
     return DivisorClass._from_canonical(
@@ -368,27 +390,25 @@ def _coupled_m2_1_1(g):
     base = ModuliBase(g, 3)
     pref = _pow2(g - 3)
 
-    def all_three(key):
-        i = key.i
+    def all_three(i, s):
         return -pref * 2 ** (i + 1) * (2 ** (g - i) - 1)
 
-    def pole_and_zero(key):
+    def pole_and_zero(i, s):
         return -pref * 2 ** (g - 1)
 
-    def pole_only(key):
+    def pole_only(i, s):
         # mirror carries the two zeros; evaluate at the mirror index
-        i2 = g - key.i
+        i2 = g - i
         return -pref * 2 ** (i2 + 1) * (2 ** (g - i2) + 1)
 
+    # every key holds the pole, label 1: |S| = 3 is S = {1, 2, 3}, |S| = 2
+    # the pole and one zero, and |S| = 1 the pole alone
     bnd = _assemble(
         base,
         [
-            (lambda key: key.S == frozenset({1, 2, 3}), all_three),
-            (
-                lambda key: len(key.S) == 2 and 1 in key.S,
-                pole_and_zero,
-            ),
-            (lambda key: key.S == frozenset({1}), pole_only),
+            (lambda i, s: s == 3, all_three),
+            (lambda i, s: s == 2, pole_and_zero),
+            (lambda i, s: s == 1, pole_only),
         ],
     )
     return DivisorClass._from_canonical(
@@ -409,20 +429,19 @@ def _coupled_m2_2(g, parity):
     psi = [2 * lam, pref * _by_parity(parity, lambda e: (1 + e) * (2**g + 1))]
     delta0 = pref * _by_parity(parity, lambda e: -pref)
 
-    def both(key):
-        i = key.i
+    def both(i, s):
         return pref * _by_parity(parity, lambda e: -(2**i - e) * (2 ** (g - i) - 1))
 
-    def zero_only(key):
+    def zero_only(i, s):
         # evaluate at the mirror index
-        i = g - key.i
+        i = g - i
         return pref * _by_parity(parity, lambda e: -(2**i + e) * (2 ** (g - i) + 1))
 
     bnd = _assemble(
         base,
         [
-            (lambda key: len(key.S) == 2, both),
-            (lambda key: len(key.S) == 1, zero_only),
+            (lambda i, s: s == 2, both),
+            (lambda i, s: s == 1, zero_only),
         ],
     )
     return DivisorClass._from_canonical(base, lam, psi, delta0, bnd)
@@ -440,20 +459,20 @@ def _coupled_general(g, d, parity):
     def side(i, e):
         return (2**i - 1) * (2 ** (g - i) - e)
 
-    def balanced(v):
+    def balanced(i, w):
         # a sum over the sides that miss a marked point; the other side
         # never holds label 1, so it always misses one
-        i, size, _ = v
         return -pref * _by_parity(
-            parity, lambda e: (side(i, e) if size != n else 0) + side(g - i, e))
+            parity, lambda e: (side(i, e) if w[0] != n else 0) + side(g - i, e))
 
+    # the view of S is (|S|, d_S)
     bnd = _assemble(
         base,
         [
-            (lambda v: v[2] == 0, balanced),
-            (lambda v: v[2] != 0, lambda v: -qpsi * v[2] * v[2]),
+            (lambda i, w: w[1] == 0, balanced),
+            (lambda i, w: w[1] != 0, lambda i, w: -qpsi * w[1] * w[1]),
         ],
-        lambda key: (key.i, len(key.S), _dsum(d, key.S)),
+        lambda S: (len(S), _dsum(d, S)),
     )
     return DivisorClass._from_canonical(
         base, lam, [qpsi * x * x for x in d], delta0, bnd
@@ -517,10 +536,7 @@ def d_infinity(g, parity="total"):
     base = ModuliBase(g, 2)
     q = _by_parity(parity, lambda e: _pow2(g - 4) * (2**g + e))
 
-    def c(key):
-        return -q if len(key.S) == 1 else 0
-
-    bnd = _assemble(base, [(lambda key: True, c)])
+    bnd = _assemble(base, [(lambda i, s: True, lambda i, s: -q if s == 1 else 0)])
     return DivisorClass._from_canonical(base, 0, [q, q], 0, bnd)
 
 
@@ -540,11 +556,11 @@ def _pinch_holo(g, d):
     bnd = _assemble(
         base,
         [
-            (lambda v: v[1] <= v[0] - 1, lambda v: c(*v)),
+            (lambda i, ds: ds <= i - 1, c),
             # evaluate at the other side, of weight sum g - 1 - d_S
-            (lambda v: v[1] >= v[0], lambda v: c(g - v[0], g - 1 - v[1])),
+            (lambda i, ds: ds >= i, lambda i, ds: c(g - i, g - 1 - ds)),
         ],
-        lambda key: (key.i, _dsum(d, key.S)),
+        lambda S: _dsum(d, S),
     )
     return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
 
@@ -598,19 +614,19 @@ def _pinch_mero(g, d, j):
                 - 2 * (g * i * i - 3 * i * i - g * i + 4 * i)
             )
 
-    def pole_free_side(key):
-        # (genus, weight sum) of the side without the pole j; the other side
-        # of (i, S) has weight sum g - 2 - d_S
-        ds = _dsum(d, key.S)
-        return (g - key.i, g - 2 - ds) if j in key.S else (key.i, ds)
+    def pole_free(f):
+        # f at the (genus, weight sum) of the side without the pole j, on the
+        # view (d_S, j in S); the other side of (i, S) has weight sum
+        # g - 2 - d_S
+        return lambda i, w: f(g - i, g - 2 - w[0]) if w[1] else f(i, w[0])
 
     bnd = _assemble(
         base,
         [
-            (lambda v: v[1] <= v[0] - 1, lambda v: cA(*v)),
-            (lambda v: v[1] >= v[0], lambda v: cB(*v)),
+            (pole_free(lambda i, ds: ds <= i - 1), pole_free(cA)),
+            (pole_free(lambda i, ds: ds >= i), pole_free(cB)),
         ],
-        pole_free_side,
+        lambda S: (_dsum(d, S), j in S),
     )
     return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
 
@@ -641,7 +657,7 @@ def brill_noether(g):
     _check_genus(g, 3)
     base = ModuliBase(g, 1)
     bnd = _assemble(
-        base, [(lambda key: True, lambda key: -key.i * (g - key.i))]
+        base, [(lambda i, s: True, lambda i, s: -i * (g - i))]
     )
     return DivisorClass._from_canonical(base, g + 3, [0], -_div(g + 1, 6), bnd)
 

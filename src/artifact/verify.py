@@ -108,9 +108,16 @@ class Relation:
         self.uses = uses  # catalog constructor names this family exercises
         self.cases = cases  # (g_max, n_max, h_max) -> list of param dicts
         self.run = run  # (**params) -> [(lhs, rhs), ...], at least one pair
+        # the parameter names of run, which a param dict must match exactly
+        code = run.__code__
+        self.params = frozenset(code.co_varnames[:code.co_argcount])
 
 
 RELATIONS = {}
+
+# the parameters that are genera, orders, counts or labels; the others name a
+# case (parity, case, curve, cls) or an expected outcome (expect)
+_INT_PARAMS = frozenset("ghijkn")
 
 
 def _register(name, uses, cases, run):
@@ -329,6 +336,8 @@ _register("R11a", ["coupled"],
 
 def _r11b(g, parity):
     dom = ModuliBase(g, 2)
+    if parity not in ("odd", "even", "total"):
+        raise UnknownRelation("R11b parity %r" % (parity,))
     swap = {"odd": "even", "even": "odd", "total": "total"}[parity]
     lhs = pullback(glue_closed_tail(dom, 1, 1), theta_characteristic_locus(g + 1, parity))
     rhs = coupled_partition(g, (-2, 2), swap) \
@@ -502,14 +511,16 @@ def _r17(g, cls, expect):
         "theta-even": lambda: theta_characteristic_locus(g, "even"),
         "theta-total": lambda: theta_characteristic_locus(g, "total"),
     }
-    if cls.startswith("double-zero-k"):
-        k = int(cls.rsplit("k", 1)[1])
-        a = d1_holo(g, k)
-    elif cls.startswith("pole-order-h"):
-        h = int(cls.rsplit("h", 1)[1])
-        a = d1_mero(g, h)
-    else:
+    orders = {"double-zero-k": d1_holo, "pole-order-h": d1_mero}
+    if type(cls) is not str:
+        raise UnknownRelation("R17 class %r" % (cls,))
+    stem = cls.rstrip("0123456789")
+    if stem in orders and stem != cls:
+        a = orders[stem](g, int(cls[len(stem):]))
+    elif cls in builders:
         a = builders[cls]()
+    else:
+        raise UnknownRelation("R17 class %r" % (cls,))
     return [(bn_coefficient_check(a), expect)]
 
 def _r17_cases(G, N, H):
@@ -593,8 +604,13 @@ def run_relation(name, params):
     fails on the first of its (lhs, rhs) pairs whose sides differ."""
     if name not in RELATIONS:
         raise UnknownRelation("no relation named %r" % name)
+    rel = RELATIONS[name]
+    if not isinstance(params, dict) or params.keys() != rel.params:
+        raise ParamOutOfRange("%s takes the parameters %s, got %r"
+                              % (name, sorted(rel.params), params))
+    _check_ints(ParamOutOfRange, **{k: v for k, v in params.items() if k in _INT_PARAMS})
     key = tuple(sorted(params.items()))
-    for lhs, rhs in RELATIONS[name].run(**params):
+    for lhs, rhs in rel.run(**params):
         detail = _difference(lhs, rhs)
         if detail is not None:
             return ReportEntry(name, key, False, detail)

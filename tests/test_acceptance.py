@@ -195,14 +195,14 @@ class TestCriterion8TilingAudit:
     def test_gap_raises(self):
         base = ModuliBase(4, 2)
         with pytest.raises(AssertionError):
-            _assemble(base, [(lambda k: k.i == 0, lambda k: 1)])
+            _assemble(base, [(lambda i, s: i == 0, lambda i, s: 1)])
 
     def test_overlap_raises(self):
         base = ModuliBase(4, 2)
         with pytest.raises(AssertionError):
             _assemble(
                 base,
-                [(lambda k: True, lambda k: 1), (lambda k: k.i == 1, lambda k: 1)],
+                [(lambda i, s: True, lambda i, s: 1), (lambda i, s: i == 1, lambda i, s: 1)],
             )
 
     def test_randomized_weight_vectors_tile(self):

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from artifact import catalog
 from artifact.core import (
     BaseMismatch,
     DivisorClass,
     ModuliBase,
     ParamOutOfRange,
+    _frac,
     enumerate_boundary,
     equals,
     relabel,
@@ -257,15 +259,15 @@ class TestRegimeAudit:
 
     def test_gap_detected(self):
         with pytest.raises(AssertionError):
-            _assemble(self.base, [(lambda k: k.i >= 2, lambda k: 1)])
+            _assemble(self.base, [(lambda i, s: i >= 2, lambda i, s: 1)])
 
     def test_overlap_detected(self):
         with pytest.raises(AssertionError):
             _assemble(
                 self.base,
                 [
-                    (lambda k: k.i <= 2, lambda k: 1),
-                    (lambda k: k.i >= 2, lambda k: 1),
+                    (lambda i, s: i <= 2, lambda i, s: 1),
+                    (lambda i, s: i >= 2, lambda i, s: 1),
                 ],
             )
 
@@ -273,15 +275,109 @@ class TestRegimeAudit:
         bnd = _assemble(
             self.base,
             [
-                (lambda k: k.i <= 2, lambda k: 1),
-                (lambda k: k.i > 2, lambda k: 2),
+                (lambda i, s: i <= 2, lambda i, s: 1),
+                (lambda i, s: i > 2, lambda i, s: 2),
             ],
         )
         assert set(bnd) == set(enumerate_boundary(self.base))
 
     def test_zero_coefficients_omitted(self):
-        bnd = _assemble(self.base, [(lambda k: True, lambda k: 0)])
+        bnd = _assemble(self.base, [(lambda i, s: True, lambda i, s: 0)])
         assert bnd == {}
+
+
+def _assemble_per_key(base, regimes, view=len):
+    """The regime audit done key by key: the view, every predicate and the
+    formula's _frac are computed afresh for each key, in output order."""
+    bnd = {}
+    for key in enumerate_boundary(base):
+        v = (key.i, view(key.S))
+        hits = [f for p, f in regimes if p(*v)]
+        if len(hits) != 1:
+            raise AssertionError("%d regimes claim %s on %s" % (len(hits), key, base))
+        c = _frac(hits[0](*v))
+        if c:
+            bnd[key] = c
+    return bnd
+
+
+def _audit_message(assemble, base, regimes, view=len):
+    with pytest.raises(AssertionError) as err:
+        assemble(base, regimes, view)
+    return str(err.value)
+
+
+class TestAuditPerView:
+    """The audit runs once per distinct view (i, view(S)) and gives every key
+    of a view the same coefficient; it must accept, reject and fill in
+    exactly as the audit run on every key."""
+
+    base = ModuliBase(6, 4)
+
+    def test_one_unclaimed_view_shared_by_many_keys(self):
+        # i = 3 with |S| = 2 is the view of delta_{3:{1,2}}, {1,3} and {1,4}
+        regimes = [(lambda i, s: (i, s) != (3, 2), lambda i, s: 1)]
+        assert sum((k.i, len(k.S)) == (3, 2) for k in enumerate_boundary(self.base)) == 3
+        msg = "0 regimes claim delta_{3:{1,2}} on (6,4)"
+        assert _audit_message(_assemble, self.base, regimes) == msg
+        assert _audit_message(_assemble_per_key, self.base, regimes) == msg
+
+    def test_one_view_claimed_twice(self):
+        regimes = [
+            (lambda i, s: True, lambda i, s: 1),
+            (lambda i, s: (i, s) == (3, 2), lambda i, s: 2),
+        ]
+        msg = "2 regimes claim delta_{3:{1,2}} on (6,4)"
+        assert _audit_message(_assemble, self.base, regimes) == msg
+        assert _audit_message(_assemble_per_key, self.base, regimes) == msg
+
+    def test_first_failing_key_in_output_order(self):
+        # seeded sets of unclaimed and doubly claimed views, under the weight
+        # sum view: the message names the first failing key of the per-key audit
+        rng = random.Random(1411)
+        d = (2, -1, 3, 1)
+        view = lambda S: sum(d[s - 1] for s in S)
+        views = sorted({(k.i, view(k.S)) for k in enumerate_boundary(self.base)})
+        for _ in range(40):
+            gaps = set(rng.sample(views, rng.randint(0, 3)))
+            twice = set(rng.sample(views, rng.randint(0, 3))) - gaps
+            if not gaps | twice:
+                continue
+            regimes = [
+                (lambda i, ds, gaps=gaps: (i, ds) not in gaps, lambda i, ds: i - ds),
+                (lambda i, ds, twice=twice: (i, ds) in twice, lambda i, ds: 1),
+            ]
+            assert _audit_message(_assemble, self.base, regimes, view) == \
+                _audit_message(_assemble_per_key, self.base, regimes, view)
+
+
+class TestWorkCounts:
+    """The per-view cost as counts, not times."""
+
+    def test_weight_sum_once_per_distinct_set(self, monkeypatch):
+        calls = []
+        dsum = catalog._dsum
+        monkeypatch.setattr(catalog, "_dsum", lambda d, S: calls.append(S) or dsum(d, S))
+        logan_class(8, (1,) * 8)
+        keys = enumerate_boundary(ModuliBase(8, 8))
+        assert len(calls) == len(set(calls)) == len({k.S for k in keys}) == 128
+        assert len(keys) > 128
+
+    def test_predicate_once_per_distinct_view(self, monkeypatch):
+        g, d = 6, (2, 1, 1, 1, 0)
+        runs = []
+        assemble = catalog._assemble
+
+        def counted(base, regimes, view=len):
+            (p, f), *rest = regimes
+            return assemble(base, [(lambda *v: runs.append(v) or p(*v), f)] + rest, view)
+
+        monkeypatch.setattr(catalog, "_assemble", counted)
+        pinch_partition(g, d)
+        keys = enumerate_boundary(ModuliBase(g, len(d)))
+        views = [(k.i, sum(d[s - 1] for s in k.S)) for k in keys]
+        assert sorted(runs) == sorted(set(views))
+        assert len(runs) < len(keys)
 
 
 class TestRegistry:
@@ -357,3 +453,68 @@ def test_piecewise_classes_are_byte_pinned():
     assert digest.hexdigest() == (
         "95d7f0ebcfd30649390f4ddd4bec0e751f945b5113b5c4dee9c2a92759f7dc11"
     )
+
+
+def _equivalence_cases():
+    """(name, constructor, args) for every constructor shape on g <= 8,
+    n <= 6, with seeded weights: poles at varied labels for theta and
+    pinch-mero."""
+    rng = random.Random(14)
+    cases = []
+    for g in range(3, 9):
+        n = rng.randint(2, min(6, g))
+        cuts = sorted(rng.sample(range(1, g), n - 1))
+        d = tuple(b - a for a, b in zip([0] + cuts, cuts + [g]))
+        cases.append(("logan", logan_class, (g, d)))
+        d = _golden_weights(rng, n, g - 1, -4, g + 3,
+                            lambda d: 0 not in d and min(d) < 0)
+        cases.append(("theta-pullback", theta_pullback_class, (g, d)))
+        d = _golden_weights(rng, n, g - 1, 0, g - 1, lambda d: True)
+        cases.append(("pinch-holo", pinch_partition, (g, d)))
+        for h in (2, rng.randint(3, 5)):
+            j = rng.randint(1, n)
+            d = _golden_weights(rng, n - 1, g - 2 + h, 0, g + h, lambda d: True)
+            cases.append(("pinch-mero", pinch_partition, (g, d[:j - 1] + (-h,) + d[j - 1:])))
+        d = _golden_weights(rng, n, 0, -4, 4, lambda d: 0 not in d
+                            and sorted(-x for x in d if x < 0) != [2])
+        cases.append(("coupled-general", coupled_partition, (g, d, "total")))
+        d = tuple(2 * x for x in _golden_weights(
+            rng, n, 0, -3, 3, lambda d: 0 not in d and sorted(-x for x in d if x < 0) != [1]))
+        cases.append(("coupled-general", coupled_partition, (g, d, rng.choice(PARITIES))))
+        cases.append(("coupled-11", coupled_partition, (g, (1, 1))))
+        cases.append(("coupled-m2-2", coupled_partition, (g, (2, -2), rng.choice(PARITIES))))
+        cases.append(("coupled-m2-1-1", coupled_partition, (g, (1, -2, 1))))
+        cases.append(("dinf", d_infinity, (g, rng.choice(PARITIES))))
+        cases += [
+            ("weierstrass", weierstrass, (g,)),
+            ("residual", residual, (g,)),
+            ("diaz", diaz, (g,)),
+            ("d1-holo", d1_holo, (g, rng.randrange(g))),
+            ("d1-mero", d1_mero, (g, rng.randint(2, 5))),
+            ("theta-char", theta_characteristic_locus, (g, rng.choice(PARITIES))),
+            ("bn", brill_noether, (g,)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(fn, args, id="%s-%s" % (name, repr(args).replace(" ", "").replace("'", "")))
+    for name, fn, args in _equivalence_cases()
+])
+def test_assemble_matches_per_key_audit(monkeypatch, fn, args):
+    """Each constructor's boundary dict equals the per-key audit's: the same
+    keys in the same order, the same values and the same value types."""
+    compared = []
+
+    def both(base, regimes, view=len):
+        fast = _assemble(base, regimes, view)
+        slow = _assemble_per_key(base, regimes, view)
+        assert list(fast) == list(slow)
+        assert [(c, type(c)) for c in fast.values()] == \
+            [(c, type(c)) for c in slow.values()]
+        compared.append(base)
+        return fast
+
+    monkeypatch.setattr(catalog, "_assemble", both)
+    fn(*args)
+    assert len(compared) == 1

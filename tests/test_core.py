@@ -567,13 +567,13 @@ class TestModuliBaseContract:
 class TestCollectorPause:
     def test_collector_is_paused_while_assembling(self):
         seen = []
-        _assemble(ModuliBase(3, 1), [(lambda k: True, lambda k: seen.append(gc.isenabled()) or 1)])
+        _assemble(ModuliBase(3, 1), [(lambda i, s: True, lambda i, s: seen.append(gc.isenabled()) or 1)])
         assert seen and not any(seen)
         assert gc.isenabled()
 
     def test_restored_after_a_regime_gap(self):
         with pytest.raises(AssertionError):
-            _assemble(ModuliBase(3, 1), [(lambda k: False, lambda k: 1)])
+            _assemble(ModuliBase(3, 1), [(lambda i, s: False, lambda i, s: 1)])
         assert gc.isenabled()
 
     def test_restored_after_a_base_mismatch(self):

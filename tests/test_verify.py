@@ -6,7 +6,14 @@ import pytest
 
 from artifact import verify
 from artifact.catalog import CONSTRUCTORS, weierstrass
-from artifact.core import DivisorClass, ModuliBase, builtin_test_curve, enumerate_boundary, pair
+from artifact.core import (
+    DivisorClass,
+    ModuliBase,
+    ParamOutOfRange,
+    builtin_test_curve,
+    enumerate_boundary,
+    pair,
+)
 from artifact.verify import (
     RELATIONS,
     Relation,
@@ -57,6 +64,38 @@ class TestSuite:
         for rel in RELATIONS.values():
             used.update(rel.uses)
         assert used == set(CONSTRUCTORS)
+
+    @pytest.mark.parametrize("name,params", [
+        ("R1", {"g": 4, "h": 1}),  # a name the relation does not take
+        ("R1", {}),  # a missing name
+        ("R1", None),  # not a dict
+        ("R1", [("g", 4)]),
+        ("R1", {"g": "4"}),  # a genus that is not an int
+        ("R1", {"g": True}),
+        ("R4b", {"g": 4, "i": None, "n": 2}),
+    ], ids=["extra", "missing", "none", "pairs", "str-genus", "bool-genus", "none-label"])
+    def test_bad_params_raise_param_out_of_range(self, name, params):
+        with pytest.raises(ParamOutOfRange):
+            run_relation(name, params)
+
+    @pytest.mark.parametrize("name,params", [
+        ("R11b", {"g": 4, "parity": "x"}),
+        ("R11b", {"g": 4, "parity": ["odd"]}),
+        ("R17", {"g": 5, "cls": "nope", "expect": True}),
+        ("R17", {"g": 5, "cls": "double-zero-kx", "expect": True}),
+        ("R17", {"g": 5, "cls": "pole-order-h", "expect": False}),
+        ("R17", {"g": 5, "cls": 5, "expect": True}),
+    ], ids=["parity", "parity-list", "cls", "cls-order", "cls-no-order", "cls-int"])
+    def test_unknown_names_raise_unknown_relation(self, name, params):
+        with pytest.raises(UnknownRelation):
+            run_relation(name, params)
+
+    def test_param_names_come_from_the_run_function(self):
+        assert RELATIONS["R1"].params == {"g"}
+        assert RELATIONS["R17"].params == {"g", "cls", "expect"}
+        for rel in RELATIONS.values():
+            for params in rel.cases(5, 5, 3):
+                assert params.keys() == rel.params
 
     def test_case_domains_respect_caps(self):
         for rel in RELATIONS.values():
