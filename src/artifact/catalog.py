@@ -16,6 +16,10 @@ the other side is evaluated there without building the complement of S.
 
 Genera, orders and weights must be ints (a bool is refused): anything else
 raises ParamOutOfRange.
+
+Each public constructor runs as a whole with the cyclic collector paused
+(core._nogc), not only its audit: the class it returns, its psi list and
+its boundary dict are built without a collection walking them part-way.
 """
 
 from fractions import Fraction
@@ -154,6 +158,7 @@ def _dsum(d, S):
     return sum(d[s - 1] for s in S)
 
 
+@_nogc
 def weierstrass(g):
     """Closure of the locus where the marked point is a Weierstrass point."""
     _check_genus(g, 2)
@@ -162,6 +167,7 @@ def weierstrass(g):
     return DivisorClass._from_canonical(base, -1, [_tri(g)], 0, bnd)
 
 
+@_nogc
 def diaz(g):
     """Closure of the locus of curves with an exceptional Weierstrass point,
     the pushforward to the unpointed space of the residual construction one
@@ -179,6 +185,7 @@ def diaz(g):
     return DivisorClass._from_canonical(base, lam, [], delta0, bnd)
 
 
+@_nogc
 def residual(g):
     """Closure of the locus of 1-pointed curves carrying a differential with
     a zero of maximal order away from the marked point."""
@@ -195,6 +202,7 @@ def residual(g):
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
+@_nogc
 def d1_holo(g, k):
     """Closure of the stratum of 1-pointed curves with a differential
     vanishing to order k at the marked point and to maximal order elsewhere."""
@@ -246,6 +254,7 @@ def d1_holo(g, k):
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
+@_nogc
 def d1_mero(g, h):
     """Closure of the stratum of 1-pointed curves with a differential having
     a pole of order h at the marked point and a zero of maximal order."""
@@ -282,6 +291,7 @@ def d1_mero(g, h):
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
+@_nogc
 def logan_class(g, d):
     """Closure of the locus of pointed curves whose weighted marked points
     move in the canonical series: weights positive, summing to g."""
@@ -298,6 +308,7 @@ def logan_class(g, d):
     return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
 
 
+@_nogc
 def theta_pullback_class(g, d):
     """Pullback of the theta divisor along the weighted section of the
     universal Jacobian: weights nonzero, at least one negative, summing
@@ -331,6 +342,7 @@ def theta_pullback_class(g, d):
     return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
 
 
+@_nogc
 def theta_characteristic_locus(g, parity="total"):
     """Divisor of 1-pointed curves with a theta characteristic vanishing at
     the marked point, split by the parity of the characteristic;
@@ -349,6 +361,7 @@ def theta_characteristic_locus(g, parity="total"):
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
+@_nogc
 def anti_ramification(g):
     """Closure of the locus of (g-1)-pointed curves whose marked points
     support a differential with a double zero elsewhere; the weight-one
@@ -493,6 +506,7 @@ def _perm_from_standard(d, standard):
     return perm
 
 
+@_nogc
 def coupled_partition(g, d, parity="total"):
     """Divisor class of curves carrying a differential whose zeros and poles
     at the marked points are coupled through a spin structure; ``d`` is the
@@ -528,6 +542,7 @@ def coupled_partition(g, d, parity="total"):
     return _coupled_general(g, d, parity)
 
 
+@_nogc
 def d_infinity(g, parity="total"):
     """The boundary-at-infinity class of the coupled family: the limit
     divisor supported where the two marked points collide;
@@ -631,6 +646,7 @@ def _pinch_mero(g, d, j):
     return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
 
 
+@_nogc
 def pinch_partition(g, d):
     """Divisor class of pointed curves carrying a differential with the given
     weights at the marked points and one extra double zero; holomorphic
@@ -652,6 +668,7 @@ def pinch_partition(g, d):
     )
 
 
+@_nogc
 def brill_noether(g):
     """The pulled-back Brill-Noether divisor class on the 1-pointed space."""
     _check_genus(g, 3)

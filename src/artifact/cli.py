@@ -1,11 +1,14 @@
 """Command-line front end: build catalog classes, pull them back along the
 standard maps, pair them with test curves, evaluate the enumerative formulas
-and run the verification suite.  All output is byte-deterministic."""
+and run the verification suite.  All output is byte-deterministic.
+
+A verb loads only what it runs: the identity registry (``verify``) is
+imported by the ``verify`` verb alone, so the other verbs do not compile it
+at start-up."""
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .core import (
     ModuliBase,
@@ -32,7 +35,6 @@ from .enumerative import (
     residue_polynomial,
 )
 from .catalog import CONSTRUCTORS
-from .verify import run_suite
 
 
 def _int_list(s):
@@ -230,6 +232,8 @@ def dispatch(argv):
             else:
                 _emit(str(p), args)
         elif args.verb == "verify":
+            from .verify import run_suite
+
             report = run_suite(args.gmax, suite=args.suite,
                                n_max=args.nmax, h_max=args.hmax)
             if args.as_json:

@@ -7,7 +7,6 @@ degenerations.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PicError, _check_ints, _int_tuple
@@ -83,17 +82,38 @@ def picard_degree(ks, g):
     return math.factorial(g) * math.prod(k * k for k in ks)
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """A univariate integer polynomial, coefficients in increasing degree."""
+    """A univariate integer polynomial, coefficients in increasing degree,
+    trailing zeros trimmed.  Immutable; equal and hashed by its coefficients."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = list(_int_tuple(OutOfRange, "coefficients", coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntPolynomial is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("IntPolynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return (type(self), (self.coeffs,))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return "IntPolynomial(coeffs=%r)" % (self.coeffs,)
 
     def is_zero(self):
         return not self.coeffs

@@ -8,7 +8,7 @@ coefficients disagree.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
@@ -43,12 +43,13 @@ class UnknownRelation(PicError):
     pass
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    relation: str
-    params: tuple  # sorted (name, value) pairs
-    passed: bool
-    detail: tuple = None  # (generator label, lhs coeff, rhs coeff) on failure
+class ReportEntry(namedtuple("ReportEntry", "relation params passed detail",
+                             defaults=(None,))):
+    """The outcome of one identity at one parameter point: ``params`` holds
+    the sorted (name, value) pairs, and ``detail`` the first difference of a
+    failing entry (None when it passed)."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         d = {
@@ -66,9 +67,34 @@ class ReportEntry:
         return d
 
 
-@dataclass
 class Report:
-    entries: list = field(default_factory=list)
+    """The entries of a suite run, in the order they ran.  The list grows in
+    place; the attribute cannot be set or deleted."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries=None):
+        object.__setattr__(self, "entries", [] if entries is None else entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Report is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Report is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return (type(self), (self.entries,))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.entries == other.entries
+
+    __hash__ = None  # equal reports can differ later: the list is mutable
+
+    def __repr__(self):
+        return "Report(entries=%r)" % (self.entries,)
 
     @property
     def ok(self):
@@ -124,6 +150,15 @@ def _register(name, uses, cases, run):
     RELATIONS[name] = Relation(name, tuple(uses), cases, run)
 
 
+# A run function that branches on a parameter tests every value each branch
+# stands for and refuses any other value: under an unguarded branch, an
+# entry would name a parameter point whose identity was never checked.
+
+def _refuse(name, **params):
+    raise ParamOutOfRange("%s has no case %s" % (
+        name, ", ".join("%s=%r" % kv for kv in sorted(params.items()))))
+
+
 # -- residual / Weierstrass / marked-point classes ---------------------------
 
 def _r1(g):
@@ -150,9 +185,11 @@ _register("R2", ["residual", "weierstrass", "d1-mero"],
 
 
 def _r3(g, k, i):
+    if i == g - k:
+        _refuse("R3", g=g, i=i, k=k)
     dom = ModuliBase(g - i, 1)
     lhs = pullback(glue_tail(dom, i, 0, 1), d1_holo(g, k))
-    if i <= g - k - 1:
+    if i < g - k:
         rhs = (k + 1) ** 2 * i * weierstrass(g - i) + d1_holo(g - i, k)
     else:
         rhs = ((k + 1) ** 2 * i - (k - g + i)) * weierstrass(g - i) \
@@ -212,11 +249,13 @@ def _r6a(g, h, n):
         lhs = pullback(glue_tail(dom, h, 0, attach=2),
                        logan_class(g + h, (g - 1 + h, 1)))
         rhs = theta_pullback_class(g, (g - 1 + h, -h))
-    else:
+    elif n == 3:
         dom = ModuliBase(g, 3)
         lhs = pullback(glue_tail(dom, h, 0, attach=3),
                        logan_class(g + h, (2, g - 3 + h, 1)))
         rhs = theta_pullback_class(g, (2, g - 3 + h, -h))
+    else:
+        _refuse("R6a", n=n)
     return [(lhs, rhs)]
 
 _register("R6a", ["logan", "theta-pullback"],
@@ -233,10 +272,12 @@ def _r6b(g, j):
         lhs = pullback(glue_tail(dom, 0, 1, attach=2),
                        theta_pullback_class(g, (g + 4, -2, -3)))
         rhs = theta_pullback_class(g, (g + 4, -5))
-    else:
+    elif j == 2:
         lhs = pullback(glue_tail(dom, 0, 2, attach=2),
                        theta_pullback_class(g, (g + 7, -2, -3, -3)))
         rhs = theta_pullback_class(g, (g + 7, -8))
+    else:
+        _refuse("R6b", j=j)
     return [(lhs, rhs)]
 
 _register("R6b", ["theta-pullback"],
@@ -254,9 +295,11 @@ def _spin_mix(t, parity, odd, even):
 
 
 def _r7(g, h):
-    if h == 0:  # genus-3 decomposition of the double-zero class
+    if h == 0 and g == 3:  # genus-3 decomposition of the double-zero class
         rhs = theta_characteristic_locus(3, "odd") + theta_characteristic_locus(3, "even")
         return [(d1_holo(3, 1), rhs)]
+    if h < 1:
+        _refuse("R7", g=g, h=h)
     m = glue_tail(ModuliBase(g, 1), h, 0, 1)
     odd_g, even_g = (theta_characteristic_locus(g, p) for p in ("odd", "even"))
     return [(pullback(m, theta_characteristic_locus(g + h, p)),
@@ -369,6 +412,8 @@ def _r12b(g, h, j, parity):
     if parity == "total":
         lhs = pullback(m, coupled_partition(g + j, (-h, h)))
         return [(lhs, 4 ** j * coupled_partition(g, (-h, h)))]
+    if parity not in ("odd", "even"):
+        _refuse("R12b", parity=parity)
     odd_g, even_g = (coupled_partition(g, (-h, h), p) for p in ("odd", "even"))
     lhs = pullback(m, coupled_partition(g + j, (-h, h), parity))
     return [(lhs, _spin_mix(j, parity, odd_g, even_g))]
@@ -430,12 +475,14 @@ _register("R13", ["coupled", "theta-char"],
 # -- pinch-partition classes -------------------------------------------------
 
 def _r14(g, h, n):
+    if h < 1:
+        _refuse("R14", h=h)
     dom = ModuliBase(g, n)
     if n == 2:
         cod_d = (1, g + h - 2)
         dom_d = (-h, g + h - 2)
         rest = (g + h - 2,) if h <= 2 else None
-    else:
+    elif n == 3:
         if h <= 2:
             cod_d = (1, 1, g + h - 3)
             dom_d = (-h, 1, g + h - 3)
@@ -444,6 +491,8 @@ def _r14(g, h, n):
             cod_d = (1, 2, g + h - 4)
             dom_d = (-h, 2, g + h - 4)
             rest = None
+    else:
+        _refuse("R14", n=n)
     lhs = pullback(glue_tail(dom, h, 0, 1), pinch_partition(g + h, cod_d))
     if h == 1:
         # the elliptic-tail case replaces the pole by a simple zero
@@ -470,9 +519,11 @@ _register("R14", ["pinch", "logan", "theta-pullback"], _r14_cases, _r14)
 
 
 def _r15(g, h):
+    if h < 2:
+        _refuse("R15", h=h)
     dom = ModuliBase(g, 1)
     lhs = pullback(glue_tail(dom, 0, 1, 1), pinch_partition(g, (-h, g + h - 2)))
-    mult = 2 if h >= 3 else 1
+    mult = 1 if h == 2 else 2
     return [(lhs, d1_holo(g, 1) + mult * weierstrass(g))]
 
 _register("R15", ["pinch", "d1-holo", "weierstrass"],
@@ -540,6 +591,9 @@ _register("R17", ["bn", "weierstrass", "residual", "d1-holo", "d1-mero", "theta-
 
 
 def _r18(g, curve, i):
+    # A, D and E take no index: their cases carry i = 0
+    if curve in ("A", "D", "E") and i != 0:
+        _refuse("R18", curve=curve, i=i)
     base = ModuliBase(g, 1)
     R, W = residual(g), weierstrass(g)
     if curve == "A":

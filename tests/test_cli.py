@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import artifact
 import artifact.verify
 from artifact.cli import dispatch
 from artifact.core import equals, from_json
@@ -214,3 +220,61 @@ class TestOutput:
     def test_missing_verb_is_usage_error(self, capsys):
         assert dispatch([]) == 2
         capsys.readouterr()
+
+
+# A fresh interpreter that imports the CLI, dispatches argv, and writes to
+# stderr the modules that the import and the verb added to sys.modules.
+_PROBE = """
+import sys
+before = set(sys.modules)
+from artifact.cli import dispatch
+code = dispatch(sys.argv[1:])
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def _fresh(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(artifact.__file__).parent.parent))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+class TestColdStartImports:
+    """A verb loads only what it runs: the identity registry is compiled by
+    the verify verb alone, and no verb imports dataclasses or inspect.
+    Module counts, not clocks, so the test is exact on a noisy machine."""
+
+    UNWANTED = {"artifact.verify", "dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("argv", [
+        ["class", "--name", "weierstrass", "--g", "5"],
+        ["pullback", "--name", "residual", "--g", "4", "--map", "glue-tail:h=1,j=0,at=1"],
+        ["pair", "--name", "residual", "--g", "4", "--curve", "E"],
+        ["class", "--name", "logan", "--g", "7", "--d", "1,1,1,1,1,1,1", "--format", "latex"],
+        ["residue", "--j", "4", "--k", "5", "--m", "5"],
+        ["dj", "--g", "20", "--kappa", ",".join(["2", "2"] + ["1"] * 16)],
+    ], ids=["class", "pullback", "pair", "latex", "residue", "dj"])
+    def test_verb_does_not_load_the_registry(self, argv):
+        p = _fresh("-c", _PROBE, *argv)
+        assert p.returncode == 0, p.stderr
+        added = set(p.stderr.split())
+        assert "artifact.cli" in added
+        assert not added & self.UNWANTED
+
+    def test_verify_loads_the_registry_and_prints_the_same_bytes(self):
+        p = _fresh("-c", _PROBE, "verify", "--gmax", "5")
+        assert p.returncode == 0
+        added = set(p.stderr.split())
+        assert "artifact.verify" in added
+        assert not added & {"dataclasses", "inspect"}
+        assert hashlib.sha256(p.stdout.encode()).hexdigest().startswith("983beba0667056ea")
+
+    def test_bare_package_import_loads_the_class_layers(self):
+        # the wide benchmark pass relies on this to keep these imports out of
+        # its timed steps
+        p = _fresh("-c", "import sys, artifact; print(' '.join(sorted(sys.modules)))")
+        assert p.returncode == 0, p.stderr
+        loaded = {m for m in p.stdout.split() if m.split(".")[0] == "artifact"}
+        assert loaded == {"artifact", "artifact.core", "artifact.maps",
+                          "artifact.enumerative", "artifact.catalog"}

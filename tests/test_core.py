@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artifact import core
-from artifact.catalog import _assemble, logan_class, weierstrass
+from artifact.catalog import (
+    CONSTRUCTORS,
+    BadWeights,
+    GenusTooSmall,
+    _assemble,
+    logan_class,
+    weierstrass,
+)
 from artifact.core import (
     BaseMismatch,
     BoundaryIndex,
@@ -598,6 +605,58 @@ class TestCollectorPause:
         gc.disable()
         try:
             logan_class(4, (2, 1, 1))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    # per constructor: arguments it builds a class from, and arguments it
+    # refuses with the given error
+    CALLS = {
+        "weierstrass": ((3,), (1,), GenusTooSmall),
+        "residual": ((4,), (2,), GenusTooSmall),
+        "diaz": ((3,), (2,), GenusTooSmall),
+        "d1-holo": ((4, 1), (2, 1), GenusTooSmall),
+        "d1-mero": ((3, 2), (1, 2), GenusTooSmall),
+        "logan": ((3, (1, 2)), (3, (1, 1)), BadWeights),
+        "theta-pullback": ((3, (3, -1)), (3, (2,)), BadWeights),
+        "theta-char": ((3, "odd"), (1, "odd"), GenusTooSmall),
+        "antiram": ((4,), (2,), GenusTooSmall),
+        "coupled": ((3, (2, -2), "odd"), (1, (1, 1), "total"), GenusTooSmall),
+        "pinch": ((4, (1, 2)), (2, (1, 0)), GenusTooSmall),
+        "bn": ((4,), (2,), GenusTooSmall),
+        "dinf": ((3, "even"), (1, "even"), GenusTooSmall),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_constructor_runs_as_a_whole_with_the_collector_paused(self, name, monkeypatch):
+        # _from_canonical runs outside _assemble, after the audit
+        seen = []
+        trusted = DivisorClass._from_canonical.__func__
+
+        def spy(cls, *args):
+            seen.append(gc.isenabled())
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(DivisorClass, "_from_canonical", classmethod(spy))
+        fn, _ = CONSTRUCTORS[name]
+        fn(*self.CALLS[name][0])
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_constructor_restores_the_collector_when_it_raises(self, name):
+        fn, _ = CONSTRUCTORS[name]
+        _, bad, error = self.CALLS[name]
+        with pytest.raises(error):
+            fn(*bad)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_a_callers_pause_survives_every_constructor(self, name):
+        fn, _ = CONSTRUCTORS[name]
+        gc.disable()
+        try:
+            fn(*self.CALLS[name][0])
             assert not gc.isenabled()
         finally:
             gc.enable()

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -139,6 +141,30 @@ class TestIntPolynomial:
     def test_str(self):
         assert str(IntPolynomial([10, 20, 5])) == "10 + 20*t + 5*t^2"
         assert str(IntPolynomial([])) == "0"
+
+    def test_equal_trimmed_coefficients_are_equal_and_hash_alike(self):
+        p, q = IntPolynomial([1, 2, 0]), IntPolynomial((1, 2))
+        assert p == q and hash(p) == hash(q)
+        assert p != IntPolynomial([1, 3]) and p != (1, 2)
+        assert len({p, q, IntPolynomial([2, 1])}) == 2
+
+    def test_repr(self):
+        assert repr(IntPolynomial([1, 2, 0])) == "IntPolynomial(coeffs=(1, 2))"
+        assert repr(IntPolynomial([])) == "IntPolynomial(coeffs=())"
+
+    @pytest.mark.parametrize("attr", ["coeffs", "other"])
+    def test_attributes_cannot_be_set_or_deleted(self, attr):
+        p = IntPolynomial([1, 2])
+        with pytest.raises(AttributeError):
+            setattr(p, attr, (3,))
+        with pytest.raises(AttributeError):
+            delattr(p, attr)
+        assert p.coeffs == (1, 2)
+
+    def test_copies_and_pickles(self):
+        p = IntPolynomial([1, 2])
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and type(q) is IntPolynomial
 
 
 class TestResiduePolynomial:

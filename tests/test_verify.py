@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -90,6 +92,30 @@ class TestSuite:
         with pytest.raises(UnknownRelation):
             run_relation(name, params)
 
+    # each branch of a run function stands for the values it tests; any
+    # other value is refused, not run as the identity of another case
+    @pytest.mark.parametrize("name,params", [
+        ("R3", {"g": 6, "k": 2, "i": 4}),  # i = g - k lies between the branches
+        ("R6a", {"g": 4, "h": 1, "n": 5}),
+        ("R6a", {"g": 4, "h": 1, "n": 1}),
+        ("R6b", {"g": 4, "j": 3}),
+        ("R6b", {"g": 4, "j": 0}),
+        ("R7", {"g": 5, "h": 0}),  # the genus-3 decomposition is g = 3 alone
+        ("R7", {"g": 3, "h": -1}),
+        ("R12b", {"g": 3, "h": 4, "j": 1, "parity": "x"}),
+        ("R14", {"g": 4, "h": 1, "n": 4}),
+        ("R14", {"g": 4, "h": 0, "n": 2}),
+        ("R15", {"g": 4, "h": 1}),
+        ("R18", {"g": 5, "curve": "A", "i": 3}),  # A, D and E take no index
+        ("R18", {"g": 5, "curve": "D", "i": 1}),
+        ("R18", {"g": 5, "curve": "E", "i": -1}),
+    ], ids=["R3-i-at-g-minus-k", "R6a-n5", "R6a-n1", "R6b-j3", "R6b-j0", "R7-h0-g5",
+            "R7-h-negative", "R12b-parity", "R14-n4", "R14-h0", "R15-h1", "R18-A-index",
+            "R18-D-index", "R18-E-index"])
+    def test_values_outside_the_case_domain_are_refused(self, name, params):
+        with pytest.raises(ParamOutOfRange, match="has no case"):
+            run_relation(name, params)
+
     def test_param_names_come_from_the_run_function(self):
         assert RELATIONS["R1"].params == {"g"}
         assert RELATIONS["R17"].params == {"g", "cls", "expect"}
@@ -164,6 +190,31 @@ class TestReporting:
             "rhs": "2",
         }
         assert "FAIL X" in rep.summary()
+
+    def test_mixed_report_bytes_are_unchanged(self):
+        rep = Report([
+            ReportEntry("R1", (("g", 4),), True),
+            ReportEntry("R18", (("curve", "A"), ("g", 3), ("i", 0)), False,
+                        ("value", Fraction(24), 7)),
+            ReportEntry("R7", (("g", 3), ("h", 0)), True, None),
+            ReportEntry("R3", (("g", 6), ("i", 2), ("k", 1)), False,
+                        ("delta_{1:{1}}", Fraction(-1, 2), Fraction(3))),
+        ])
+        assert rep.to_json() == (
+            '{"entries":[{"params":{"g":4},"passed":true,"relation":"R1"},'
+            '{"first_difference":{"generator":"value","lhs":"24","rhs":"7"},'
+            '"params":{"curve":"A","g":3,"i":0},"passed":false,"relation":"R18"},'
+            '{"params":{"g":3,"h":0},"passed":true,"relation":"R7"},'
+            '{"first_difference":{"generator":"delta_{1:{1}}","lhs":"-1/2","rhs":"3"},'
+            '"params":{"g":6,"i":2,"k":1},"passed":false,"relation":"R3"}],'
+            '"failed":2,"passed":false,"total":4}'
+        )
+        assert rep.summary() == (
+            "FAIL R18[curve=A,g=3,i=0] first difference ('value', Fraction(24, 1), 7)\n"
+            "FAIL R3[g=6,i=2,k=1] first difference "
+            "('delta_{1:{1}}', Fraction(-1, 2), Fraction(3, 1))\n"
+            "2/4 identities hold"
+        )
 
     def test_registry_shape(self):
         for name, rel in RELATIONS.items():
@@ -296,3 +347,49 @@ class TestOracleCoverage:
         assert _uncaught(monkeypatch, "bn", (5,)) == [
             "delta_{%d:{1}}" % i for i in range(1, 5)
         ]
+
+
+class TestReportTypes:
+    """ReportEntry and Report keep the constructor, equality, hash, repr and
+    immutability of the frozen records they replace."""
+
+    def test_entry_defaults_equality_hash_and_repr(self):
+        e = ReportEntry("R1", (("g", 4),), True)
+        assert e.detail is None
+        assert e == ReportEntry(relation="R1", params=(("g", 4),), passed=True, detail=None)
+        assert hash(e) == hash(ReportEntry("R1", (("g", 4),), True, None))
+        assert e != ReportEntry("R1", (("g", 5),), True)
+        assert repr(e) == "ReportEntry(relation='R1', params=(('g', 4),), passed=True, detail=None)"
+
+    def test_report_equality_and_repr(self):
+        e = ReportEntry("R1", (("g", 4),), True)
+        assert Report([e]) == Report(entries=[e])
+        assert Report([e]) != Report()
+        assert repr(Report()) == "Report(entries=[])"
+        with pytest.raises(TypeError):
+            hash(Report())
+
+    def test_reports_do_not_share_an_entry_list(self):
+        a, b = Report(), Report()
+        a.entries.append(ReportEntry("R1", (("g", 4),), True))
+        assert b.entries == [] and a.entries is not b.entries
+        assert not Report().entries
+
+    def test_copies_and_pickles(self):
+        e = ReportEntry("R3", (("g", 6),), False, ("lambda", Fraction(1, 2), 3))
+        rep = Report([e])
+        for obj in (e, rep):
+            for c in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert c == obj and type(c) is type(obj)
+
+    @pytest.mark.parametrize("obj,attr", [
+        (ReportEntry("R1", (("g", 4),), True), "passed"),
+        (ReportEntry("R1", (("g", 4),), True), "other"),
+        (Report(), "entries"),
+        (Report(), "other"),
+    ], ids=["entry-field", "entry-new", "report-field", "report-new"])
+    def test_attributes_cannot_be_set_or_deleted(self, obj, attr):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
