@@ -19,6 +19,7 @@ import functools
 import gc
 import json
 from operator import itemgetter
+from types import MappingProxyType
 
 
 class PicError(Exception):
@@ -68,6 +69,37 @@ def _nogc(fn):
             gc.enable()
 
     return wrapper
+
+
+def _rebuild(cls, args, kwargs):
+    """The constructor call that copy and pickle make for a ``_Frozen``."""
+    return cls(*args, **kwargs)
+
+
+class _Frozen:
+    """Base of the package's value types: an instance cannot change after its
+    constructor has checked it, since the checks hold only for the values they
+    ran on.  Setting or deleting an attribute raises AttributeError, and copy,
+    deepcopy and pickle rebuild the value through the class's constructor,
+    from ``_init_args() -> (args, kwargs)``, so a copy passes the same checks
+    as a new value.  A subclass stores its attributes with
+    ``object.__setattr__`` in its constructor, and exposes a mapping as a
+    read-only view."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return _rebuild, (type(self), *self._init_args())
+
+
+# what a constructor reads as a mapping: a dict, or a value's read-only view
+_MAPPINGS = (dict, MappingProxyType)
 
 
 class ModuliBase(namedtuple("ModuliBase", "g n")):
@@ -332,14 +364,15 @@ def _acc(acc, key, c):
         acc[key] = _frac(c2)
 
 
-class DivisorClass:
+class DivisorClass(_Frozen):
     """An exact rational divisor class on a fixed base (g, n).
 
     Instances are immutable; all arithmetic returns new objects.  Boundary
-    coefficients are stored sparsely on canonical keys with zeros pruned.
+    coefficients are stored sparsely on canonical keys with zeros pruned;
+    ``boundary`` is a read-only view of them.
     """
 
-    __slots__ = ("base", "lam", "psi", "delta0", "boundary")
+    __slots__ = ("base", "lam", "psi", "delta0", "_boundary")
 
     def __init__(self, base, lam=0, psi=None, delta0=0, boundary=None):
         _check_base(base)
@@ -360,7 +393,7 @@ class DivisorClass:
         acc = {}
         if boundary:
             try:
-                items = iter(boundary.items() if isinstance(boundary, dict) else boundary)
+                items = iter(boundary.items() if isinstance(boundary, _MAPPINGS) else boundary)
             except TypeError:
                 raise InvalidBoundary(
                     "boundary %r is not a collection of ((i, S), c) pairs" % (boundary,)
@@ -375,24 +408,25 @@ class DivisorClass:
                 c = _frac(c)
                 # an entry must name a class even when its coefficient is 0
                 _acc(acc, canonical_index(base, i, S), c)
-        object.__setattr__(self, "boundary", acc)
+        object.__setattr__(self, "_boundary", acc)
 
     @classmethod
     def _from_canonical(cls, base, lam, psi, delta0, boundary):
         """Trusted constructor: ``boundary`` must already be a dict on canonical
         keys with nonzero coefficients, and is stored as given."""
         out = cls(base, lam, psi, delta0)
-        object.__setattr__(out, "boundary", boundary)
+        object.__setattr__(out, "_boundary", boundary)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisorClass is immutable")
+    def _init_args(self):
+        return (self.base, self.lam, self.psi, self.delta0, self._boundary), {}
 
-    def __delattr__(self, name):
-        raise AttributeError("DivisorClass is immutable")
+    @property
+    def boundary(self):
+        return MappingProxyType(self._boundary)
 
     def coeff(self, key):
-        return self.boundary.get(key, 0)
+        return self._boundary.get(key, 0)
 
     def delta(self, i, S):
         """Coefficient of delta_{i:S} (any representative)."""
@@ -403,7 +437,7 @@ class DivisorClass:
             self.lam == 0
             and all(c == 0 for c in self.psi)
             and self.delta0 == 0
-            and not self.boundary
+            and not self._boundary
         )
 
     def _check(self, other):
@@ -416,8 +450,8 @@ class DivisorClass:
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.boundary)
-        for k, c in other.boundary.items():
+        acc = dict(self._boundary)
+        for k, c in other._boundary.items():
             _acc(acc, k, c)
         return DivisorClass._from_canonical(
             self.base,
@@ -443,7 +477,7 @@ class DivisorClass:
             self.lam * c,
             [a * c for a in self.psi],
             self.delta0 * c,
-            {k: _frac(v * c) for k, v in self.boundary.items()},
+            {k: _frac(v * c) for k, v in self._boundary.items()},
         )
 
     __rmul__ = __mul__
@@ -456,7 +490,7 @@ class DivisorClass:
     def __hash__(self):
         # hash the form that ``equals`` compares, so equal classes hash alike
         a = normalize_genus2(self) if self.base.g == 2 else self
-        return hash((a.base, a.lam, a.psi, a.delta0, frozenset(a.boundary.items())))
+        return hash((a.base, a.lam, a.psi, a.delta0, frozenset(a._boundary.items())))
 
     def __repr__(self):
         return "DivisorClass(%s, %s)" % (self.base, to_latex_expr(self))
@@ -522,14 +556,14 @@ def relabel(a, perm):
     # On an unpointed base the only permutation is the empty one, which fixes
     # every key.
     if not base.n:
-        return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, dict(a.boundary))
+        return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, dict(a._boundary))
     # A permutation keeps i and |S|, so it maps a stable pair to a stable
     # pair, and it maps distinct classes to distinct classes: each image is
     # stored under its key, without a stability test or a sum.
     keyed = _stable_keys(base, _set_map([0, *map(perm.__getitem__, labels)]))
     g = base.g
     bnd = {}
-    for (i, S), c in a.boundary.items():
+    for (i, S), c in a._boundary.items():
         flip, T = keyed[S]
         bnd[_key(g - i if flip else i, T)] = c
     return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, bnd)
@@ -563,7 +597,7 @@ def equals(a, b):
         a.lam == b.lam
         and a.psi == b.psi
         and a.delta0 == b.delta0
-        and a.boundary == b.boundary
+        and a._boundary == b._boundary
     )
 
 
@@ -582,7 +616,7 @@ def diff_first(a, b):
             return ("psi_%d" % j, a.psi[j - 1], b.psi[j - 1])
     if a.delta0 != b.delta0:
         return ("delta_0", a.delta0, b.delta0)
-    diff = [k for k in a.boundary.keys() | b.boundary.keys() if a.coeff(k) != b.coeff(k)]
+    diff = [k for k in a._boundary.keys() | b._boundary.keys() if a.coeff(k) != b.coeff(k)]
     if not diff:
         return None
     key = min(diff, key=BoundaryIndex.sort_key)
@@ -592,16 +626,17 @@ def diff_first(a, b):
 # ---------------------------------------------------------------------------
 # one-dimensional test families and intersection pairing
 
-class TestCurve:
+class TestCurve(_Frozen):
     """A curve class in the moduli space, recorded through its intersection
-    numbers with the divisor generators (a sparse pairing vector)."""
+    numbers with the divisor generators (a sparse pairing vector).  Immutable;
+    ``pairing`` is a read-only view of the vector."""
+
+    __slots__ = ("base", "name", "_pairing")
 
     def __init__(self, base, name, pairing):
         _check_base(base)
-        self.base = base
-        self.name = name
         vec = {}
-        for k, c in (pairing.items() if isinstance(pairing, dict) else pairing):
+        for k, c in (pairing.items() if isinstance(pairing, _MAPPINGS) else pairing):
             if isinstance(k, BoundaryIndex):
                 k = canonical_index(base, k.i, k.S)
             elif isinstance(k, tuple) and k and k[0] == "psi":
@@ -610,7 +645,16 @@ class TestCurve:
             elif k not in ("lambda", "delta0"):
                 raise UnknownCurve("bad pairing key %r" % (k,))
             _acc(vec, k, _frac(c))
-        self.pairing = vec
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_pairing", vec)
+
+    def _init_args(self):
+        return (self.base, self.name, self._pairing), {}
+
+    @property
+    def pairing(self):
+        return MappingProxyType(self._pairing)
 
     def __repr__(self):
         return "TestCurve(%s, %s)" % (self.name, self.base)
@@ -624,7 +668,7 @@ def pair(curve, a):
     if curve.base != a.base:
         raise BaseMismatch("base mismatch: %s vs %s" % (curve.base, a.base))
     total = 0
-    for k, c in curve.pairing.items():
+    for k, c in curve._pairing.items():
         if k == "lambda":
             total += c * a.lam
         elif k == "delta0":
@@ -702,7 +746,7 @@ def to_json(a):
     or a Fraction, so nothing needs escaping, and the bytes are those of
     ``json.dumps`` with separators (",", ":")."""
     _check_class(a)
-    b = a.boundary
+    b = a._boundary
     rows = ",".join(['{"i":%d,"S":[%s],"c":"%s"}' % (i, text, b[k])
                      for i, text, k in _ordered(b)])
     return '{"g":%d,"n":%d,"lambda":"%s","psi":[%s],"delta0":"%s","boundary":[%s]}' % (
@@ -748,12 +792,16 @@ def _own_key_span(g, n, S):
 
 
 @_nogc
-def from_json_dict(d):
-    """Inverse of ``to_json``, on the parsed document.  g, n, i and the
-    members of S must be integers and every coefficient an integer or a
-    rational string; anything else raises MalformedJSON (or the PicError of
-    the class it would name).  Every boundary entry must name a class, one
-    with a zero coefficient too."""
+def from_json(s):
+    """Inverse of ``to_json``.  The text must be JSON, g, n, i and the
+    members of S integers and every coefficient an integer or a rational
+    string; anything else raises MalformedJSON (or the PicError of the class
+    it would name).  Every boundary entry must name a class, one with a zero
+    coefficient too."""
+    try:
+        d = json.loads(s)
+    except (ValueError, RecursionError) as e:
+        raise MalformedJSON("not JSON: %s" % e) from None
     g, n, lam, psi, delta0, boundary = _json_fields(
         d, ("g", "n", "lambda", "psi", "delta0", "boundary")
     )
@@ -797,18 +845,9 @@ def from_json_dict(d):
         _json_coeff(delta0),
         rest,
     )
-    for k, c in head.boundary.items():
+    for k, c in head._boundary.items():
         _acc(acc, k, c)
     return DivisorClass._from_canonical(head.base, head.lam, head.psi, head.delta0, acc)
-
-
-@_nogc
-def from_json(s):
-    try:
-        d = json.loads(s)
-    except (ValueError, RecursionError) as e:
-        raise MalformedJSON("not JSON: %s" % e) from None
-    return from_json_dict(d)
 
 
 def _rows(a):
@@ -820,7 +859,7 @@ def _rows(a):
     for j in a.base.labels():
         yield ("psi_%d" % j, None, a.psi[j - 1])
     yield ("delta_0", None, a.delta0)
-    b = a.boundary
+    b = a._boundary
     for i, text, k in _ordered(b):
         yield (_delta_name(i, text), (i, text), b[k])
 

@@ -9,7 +9,7 @@ degenerations.
 import math
 from fractions import Fraction
 
-from .core import PicError, _check_ints, _int_tuple
+from .core import PicError, _Frozen, _check_ints, _int_tuple
 
 
 class ProfileTooLong(PicError):
@@ -82,7 +82,7 @@ def picard_degree(ks, g):
     return math.factorial(g) * math.prod(k * k for k in ks)
 
 
-class IntPolynomial:
+class IntPolynomial(_Frozen):
     """A univariate integer polynomial, coefficients in increasing degree,
     trailing zeros trimmed.  Immutable; equal and hashed by its coefficients."""
 
@@ -94,15 +94,8 @@ class IntPolynomial:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("IntPolynomial is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return (type(self), (self.coeffs,))
+    def _init_args(self):
+        return (self.coeffs,), {}
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -21,6 +21,7 @@ from .core import (
     DivisorClass,
     ModuliBase,
     PicError,
+    _Frozen,
     _acc,
     _check_class,
     _check_ints,
@@ -38,7 +39,7 @@ class InvalidMap(PicError):
     pass
 
 
-class GluingMap:
+class GluingMap(_Frozen):
     """A map between moduli spaces, given by its variant, its domain base and
     the variant's integer parameters; the codomain is derived from them.
 
@@ -53,7 +54,8 @@ class GluingMap:
     A domain that is not a ModuliBase, an unknown variant, a missing or extra
     parameter, a parameter that is not an int and a value the variant cannot
     take all raise InvalidMap.  A map is immutable, as the checks hold only
-    for the values they ran on: ``params`` is a read-only mapping."""
+    for the values they ran on (``core._Frozen``): ``params`` is a read-only
+    mapping."""
 
     __slots__ = ("variant", "domain", "codomain", "params")
 
@@ -73,11 +75,8 @@ class GluingMap:
         object.__setattr__(self, "codomain", ModuliBase(domain.g + dg, domain.n + dn))
         object.__setattr__(self, "params", MappingProxyType(dict(params)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GluingMap is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GluingMap is immutable")
+    def _init_args(self):
+        return (self.variant, self.domain), dict(self.params)
 
     def __repr__(self):
         extra = ",".join("%s=%s" % kv for kv in sorted(self.params.items()))
@@ -189,7 +188,7 @@ def _pull_glue_tail(m, a):
     #   i - h = g.  At i = h with one point, S = T: the tail class.
     # Images of the first kind miss at and those of the second hold it, and
     # each kind determines its key, so all images are distinct.
-    for key, c in a.boundary.items():
+    for key, c in a._boundary.items():
         i, S = key
         if key == tail_key:
             psi_at -= c
@@ -232,7 +231,7 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
     far = _set_map(lift)
     near = _PerSet(lambda S: far[S] | A)
     far_key = _stable_keys(dom, far)
-    for (i, S), c in a.boundary.items():
+    for (i, S), c in a._boundary.items():
         if i < g or i == g and len(S) <= n - 2:
             flip, T = far_key[S]
             bnd[_key(g - i if flip else i, T)] = c

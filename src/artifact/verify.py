@@ -16,6 +16,7 @@ from .core import (
     ModuliBase,
     ParamOutOfRange,
     PicError,
+    _Frozen,
     _check_ints,
     builtin_test_curve,
     diff_first,
@@ -67,7 +68,7 @@ class ReportEntry(namedtuple("ReportEntry", "relation params passed detail",
         return d
 
 
-class Report:
+class Report(_Frozen):
     """The entries of a suite run, in the order they ran.  The list grows in
     place; the attribute cannot be set or deleted."""
 
@@ -76,15 +77,8 @@ class Report:
     def __init__(self, entries=None):
         object.__setattr__(self, "entries", [] if entries is None else entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Report is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Report is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return (type(self), (self.entries,))
+    def _init_args(self):
+        return (self.entries,), {}
 
     def __eq__(self, other):
         if type(other) is not type(self):

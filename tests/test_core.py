@@ -195,6 +195,16 @@ class TestVectorSpace:
             del a.boundary
         assert a.boundary == {} and to_json(a) == to_json(zero_class(ModuliBase(3, 1)))
 
+    def test_boundary_is_a_read_only_view(self):
+        a = weierstrass(3)
+        text, h = to_json(a), hash(a)
+        with pytest.raises(TypeError):
+            a.boundary[BoundaryIndex(9, frozenset({7}))] = 1
+        with pytest.raises(TypeError):
+            del a.boundary[BoundaryIndex(1, frozenset({1}))]
+        assert to_json(a) == text and hash(a) == h
+        assert DivisorClass(a.base, a.lam, a.psi, a.delta0, a.boundary) == a
+
 
 @pytest.mark.parametrize("build,error", [
     (lambda b: DivisorClass(b, lam="x"), ParamOutOfRange),
@@ -888,6 +898,31 @@ class TestCurveKeys:
     def test_psi_label_past_n_rejected(self):
         with pytest.raises(UnknownCurve):
             core.TestCurve(ModuliBase(3, 1), "x", {("psi", 2): 1})
+
+
+class TestCurveImmutable:
+    @pytest.mark.parametrize("attr", ["base", "name", "pairing", "other"])
+    def test_attributes_cannot_be_set_or_deleted(self, attr):
+        c = builtin_test_curve("A", ModuliBase(3, 1))
+        with pytest.raises(AttributeError, match="^TestCurve is immutable$"):
+            setattr(c, attr, ModuliBase(4, 1))
+        with pytest.raises(AttributeError, match="^TestCurve is immutable$"):
+            delattr(c, attr)
+        assert c.base == ModuliBase(3, 1) and pair(c, weierstrass(3)) == 24
+
+    def test_pairing_is_a_read_only_view(self):
+        c = builtin_test_curve("A", ModuliBase(3, 1))
+        with pytest.raises(TypeError):
+            c.pairing[("psi", 9)] = 1
+        with pytest.raises(TypeError):
+            del c.pairing[("psi", 1)]
+        assert pair(c, weierstrass(3)) == 24
+
+    def test_rebuilt_from_its_view(self):
+        c = builtin_test_curve("C", ModuliBase(4, 1), i=1)
+        d = core.TestCurve(c.base, c.name, c.pairing)
+        for a in (weierstrass(4), DivisorClass(c.base, 1, [2], 3, [((1, {1}), 5)])):
+            assert pair(d, a) == pair(c, a)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 3), st.fractions(max_denominator=12))

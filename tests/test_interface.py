@@ -1,7 +1,10 @@
 """The public surface: every entry point refuses a malformed argument with a
-PicError subclass, and every module documents itself."""
+PicError subclass, every module documents itself, and one base class holds
+the immutability rule of the value types."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +144,32 @@ def test_every_module_has_a_docstring(name):
     module = importlib.import_module(
         "artifact" if name == "__init__" else "artifact." + name)
     assert module.__doc__ and module.__doc__.strip()
+
+
+_FROZEN_RULE = ("__setattr__", "__delattr__", "__reduce__")
+
+
+def _package_trees():
+    src = Path(importlib.import_module("artifact").__file__).parent
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+
+
+def test_the_immutability_rule_is_defined_once():
+    # a method, or a name bound in a class body, anywhere in the package
+    found = []
+    for module, tree in _package_trees():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    names = [stmt.name] if isinstance(stmt, ast.FunctionDef) else [
+                        t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)]
+                    found += [(module, cls.name, n) for n in names if n in _FROZEN_RULE]
+    assert sorted(found) == sorted(("core", "_Frozen", n) for n in _FROZEN_RULE)
+
+
+def test_the_package_reads_no_read_only_view():
+    # the package reads the private dicts; the views are for its users
+    reads = [(module, node.lineno) for module, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("boundary", "pairing")]
+    assert reads == []

@@ -6,15 +6,26 @@ from fractions import Fraction
 
 import pytest
 
-from artifact import verify
+from artifact import core, maps, verify
 from artifact.catalog import CONSTRUCTORS, weierstrass
 from artifact.core import (
     DivisorClass,
+    InvalidBoundary,
     ModuliBase,
     ParamOutOfRange,
     builtin_test_curve,
     enumerate_boundary,
+    equals,
     pair,
+    to_json,
+)
+from artifact.enumerative import IntPolynomial
+from artifact.maps import (
+    GluingMap,
+    forget_point,
+    glue_closed_tail,
+    glue_tail,
+    identify_points,
 )
 from artifact.verify import (
     RELATIONS,
@@ -375,13 +386,6 @@ class TestReportTypes:
         assert b.entries == [] and a.entries is not b.entries
         assert not Report().entries
 
-    def test_copies_and_pickles(self):
-        e = ReportEntry("R3", (("g", 6),), False, ("lambda", Fraction(1, 2), 3))
-        rep = Report([e])
-        for obj in (e, rep):
-            for c in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-                assert c == obj and type(c) is type(obj)
-
     @pytest.mark.parametrize("obj,attr", [
         (ReportEntry("R1", (("g", 4),), True), "passed"),
         (ReportEntry("R1", (("g", 4),), True), "other"),
@@ -393,3 +397,87 @@ class TestReportTypes:
             setattr(obj, attr, None)
         with pytest.raises(AttributeError):
             delattr(obj, attr)
+
+
+# one small instance of every catalog constructor and of every map variant;
+# the cases are made from CONSTRUCTORS and maps._HANDLERS, so a constructor
+# or a variant missing here fails its case
+_SMALL = {
+    "weierstrass": (3,),
+    "residual": (4,),
+    "diaz": (4,),
+    "d1-holo": (4, 2),
+    "d1-mero": (4, 3),
+    "logan": (4, (1, 3)),
+    "theta-pullback": (4, (5, -2)),
+    "theta-char": (4, "odd"),
+    "antiram": (4,),
+    "coupled": (4, (-2, 2), "even"),
+    "pinch": (4, (1, 2)),
+    "bn": (4,),
+    "dinf": (4, "total"),
+}
+_MAPS = {
+    "glue-tail": lambda: glue_tail(ModuliBase(3, 1), 1, 2),
+    "glue-closed-tail": lambda: glue_closed_tail(ModuliBase(3, 2), 1, 2),
+    "identify-points": lambda: identify_points(ModuliBase(3, 3)),
+    "forget": lambda: forget_point(ModuliBase(3, 2), 1),
+}
+_ENTRY = ReportEntry("R3", (("g", 6),), False, ("lambda", Fraction(1, 2), 3))
+_VALUES = [(name, lambda name=name: CONSTRUCTORS[name][0](*_SMALL[name]))
+           for name in sorted(CONSTRUCTORS)]
+_VALUES += [(v, lambda v=v: _MAPS[v]()) for v in sorted(maps._HANDLERS)]
+_VALUES += [
+    ("genus-2", lambda: DivisorClass(ModuliBase(2, 1), 1, [2], 0, [((1, {1}), 3)])),
+    ("test-curve", lambda: builtin_test_curve("C", ModuliBase(4, 1), i=1)),
+    ("polynomial", lambda: IntPolynomial([1, -2, 1])),
+    ("entry", lambda: _ENTRY),
+    ("report", lambda: Report([_ENTRY])),
+]
+
+
+def _state(x):
+    """What makes two values of x's type equal."""
+    if isinstance(x, DivisorClass):
+        return to_json(x), hash(x)
+    if isinstance(x, GluingMap):
+        return x.variant, x.domain, x.codomain, dict(x.params)
+    if isinstance(x, core.TestCurve):
+        return x.base, x.name, dict(x.pairing)
+    return x
+
+
+class _Reduced:
+    """Pickles as the given reduce value, as tampered bytes would."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        return self.value
+
+
+class TestCopyAndPickle:
+    """Every value type copies and pickles through its constructor."""
+
+    @pytest.mark.parametrize("make", [m for _, m in _VALUES], ids=[n for n, _ in _VALUES])
+    def test_copies_and_pickles(self, make):
+        obj = make()
+        for c in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(c) is type(obj) and _state(c) == _state(obj)
+            if isinstance(obj, DivisorClass):
+                assert equals(c, obj)
+
+    def test_unpickling_runs_the_constructor(self):
+        a = weierstrass(3)
+        rebuild, (cls, (base, lam, psi, delta0, _), kwargs) = a.__reduce__()
+
+        def unpickle(boundary):
+            args = (cls, (base, lam, psi, delta0, boundary), kwargs)
+            return pickle.loads(pickle.dumps(_Reduced((rebuild, args))))
+
+        # (2, {}) is the mirror form of (1, {1}) on (3, 1)
+        b = unpickle([((2, frozenset()), 5)])
+        assert b.boundary == {(1, frozenset({1})): 5}
+        with pytest.raises(InvalidBoundary):
+            unpickle([((1, frozenset({7})), 1)])
