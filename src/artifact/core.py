@@ -7,7 +7,10 @@ lambda, the cotangent classes psi_1..psi_n, the irreducible boundary class
 delta_0, and the reducible boundary classes delta_{i:S} indexed by a genus
 0 <= i <= g and a subset S of the marked points.  The pair (i, S) and its
 mirror (g - i, S^c) name the same class; every class is stored under a single
-canonical representative.  Every coefficient is exact and stored in one
+canonical representative.  One rule, ``_span``, decides which: it gives the
+genera i for which (i, S) is its own canonical key.  Canonicalizing,
+enumerating, reading JSON, relabeling and the pullbacks all derive their keys
+and stability tests from it.  Every coefficient is exact and stored in one
 canonical form: an int when it is integral and a Fraction otherwise, so that
 integral arithmetic never builds a Fraction.  There is no floating point
 anywhere in this package.
@@ -17,6 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 import functools
 import gc
+from itertools import compress, product
 import json
 from operator import itemgetter
 from types import MappingProxyType
@@ -190,68 +194,45 @@ def _key(i, S):
     return tuple.__new__(BoundaryIndex, (i, S))
 
 
+def _span(base, S):
+    """(lo, hi): the pair (i, S) is its own canonical key, and names a class
+    on base = (g, n), exactly when lo <= i <= hi.  Every other key rule is
+    derived from this one.
+
+    A pair names a class when both sides of the node are stable: the genus-i
+    side carries S and the node, so i = 0 needs |S| >= 2; the genus-(g - i)
+    side carries S^c and the node, so i = g needs |S| <= n - 2.  The mirror
+    (g - i, S^c) names the same class, and it is stable exactly when (i, S)
+    is: i = 0 with |S| < 2 is the same condition as g - i = g with
+    |S^c| > n - 2.  Of the two, the key is the one holding label 1 when
+    n >= 1, and the one with 2i <= g when n = 0, where S is empty and both
+    sides are stable for 0 < i < g.  So for n >= 1 the span of a set of labels
+    holding 1 is the stable range, and for n = 0 the span of the empty set is
+    1..g // 2.  Any other S (one without 1, or with a label the base lacks)
+    is never its own key, and its span is empty."""
+    g, n = base
+    if n:
+        if 1 in S and S <= _label_set(base):
+            return 0 if len(S) >= 2 else 1, g if len(S) <= n - 2 else g - 1
+    elif not S:
+        return 1, g // 2
+    return 1, 0
+
+
 def try_canonical_index(base, i, S):
     """Canonical representative of (i, S), or None when the pair does not name
     a boundary class (genus out of range or an unstable side).  Used by formula
     code that treats such pairs as zero."""
     S = frozenset(S)
-    g, n = base
-    if i < 0 or i > g or not S <= _label_set(base):
-        return None
-    # a pair names a class when each side of the degeneration is stable
-    if i == 0 and len(S) < 2 or i == g and len(S) > n - 2:
-        return None
-    return _stable_key(base, i, S)
-
-
-def _stable_key(base, i, S):
-    """Canonical key of a pair (i, S) that names a boundary class: S is a
-    frozenset of labels of the base, 0 <= i <= g and both sides are stable.
-    The caller has checked this; the pullbacks and ``relabel`` prove it for
-    each image instead of testing it.  The key is the pair itself when it
-    holds the first marked point (n >= 1) or has 2i <= g (n = 0), and its
-    mirror (g - i, S^c) otherwise."""
-    g, n = base
-    if n:
-        if 1 in S:
-            return _key(i, S)
-        return _key(g - i, _label_set(base) - S)
-    if 2 * i <= g:
+    lo, hi = _span(base, S)
+    if lo <= i <= hi:
         return _key(i, S)
-    return _key(g - i, S)
-
-
-class _PerSet(dict):
-    """f(S) for each label set S, computed on the first lookup and kept.  The
-    keys of a class repeat each set S for many genera i, so a pullback or a
-    relabeling maps each distinct S once rather than once per key."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def __missing__(self, S):
-        v = self[S] = self.f(S)
-        return v
-
-
-def _set_map(new):
-    """S -> frozenset(new[s] for s in S) for a label map given as a list
-    (new[0] unused), once per distinct S; S itself when new keeps every
-    label."""
-    if new == list(range(len(new))):
-        return _PerSet(lambda S: S)
-    return _PerSet(lambda S: frozenset(map(new.__getitem__, S)))
-
-
-def _stable_keys(base, image):
-    """The rule of ``_stable_key`` once per set, for a pointed base and a
-    label map image (S -> the set of its images): S -> (flip, T), with T
-    image[S] when it holds 1 and its mirror otherwise, so that a stable pair
-    (i, image[S]) has the key _key(g - i if flip else i, T)."""
-    labels = _label_set(base)
-    return _PerSet(lambda S: (False, image[S]) if 1 in image[S] else (True, labels - image[S]))
+    # the mirror side; a label foreign to the base stays in it, so that its
+    # span is empty too
+    T = _label_set(base) ^ S
+    lo, hi = _span(base, T)
+    j = base.g - i
+    return _key(j, T) if lo <= j <= hi else None
 
 
 def canonical_index(base, i, S):
@@ -280,45 +261,23 @@ def canonical_index(base, i, S):
     return key
 
 
-def mirror_index(base, key):
-    """The non-canonical mirror representative of a canonical key."""
-    return (base.g - key.i, _label_set(base) - key.S)
-
-
 @functools.cache
 def _boundary_keys(base):
     # The keys of a base depend only on (g, n), and a process meets few bases.
-    # They are built in output order, without canonicalizing a raw pair.
-    #
-    # For n >= 1 the canonical keys are exactly the stable pairs (i, S) with
-    # 1 in S, 0 <= i <= g; a pair is stable unless i = 0 and |S| < 2, or i = g
-    # and |S| > n - 2.  try_canonical_index returns a stable pair with 1 in S
-    # as it is, and maps a stable pair without 1 to its mirror (g - i, S^c),
-    # which holds 1.  The mirror is stable too: i = 0 with |S| < 2 is the same
-    # condition as g - i = g with |S^c| > n - 2, and i = g with |S| > n - 2 the
-    # same as g - i = 0 with |S^c| < 2.  So every key has 1 in S, and every
-    # stable pair with 1 in S is its own key.  Output order is (i, sorted(S)):
-    # the subsets holding 1 are sorted once by their sorted members, and the
-    # loop over i goes outside.
-    #
-    # For n = 0 the only subset is the empty one, (i, {}) is stable exactly
-    # for 0 < i < g, and the key of i and g - i is the one with 2i <= g.
-    g, n = base
-    if not n:
-        return tuple(_key(i, frozenset()) for i in range(1, g // 2 + 1))
-    subsets = sorted(
-        (
-            frozenset([1] + [s for s in range(2, n + 1) if mask >> (s - 2) & 1])
-            for mask in range(1 << (n - 1))
-        ),
-        key=sorted,
-    )
-    keys = []
-    for i in range(g + 1):
-        lo = 2 if i == 0 else 1
-        hi = n - 2 if i == g else n
-        keys += [_key(i, S) for S in subsets if lo <= len(S) <= hi]
-    return tuple(keys)
+    # They are the pairs (i, S) with i in the span of S, over every set S of
+    # labels, built in output order (i, sorted(S)) without canonicalizing a
+    # raw pair: the sets with a nonempty span are sorted once by their
+    # members, and the loop over i goes outside.
+    labels = base.labels()
+    sides = []
+    for bits in product((0, 1), repeat=base.n):
+        S = frozenset(compress(labels, bits))
+        lo, hi = _span(base, S)
+        if lo <= hi:
+            sides.append((sorted(S), S, lo, hi))
+    sides.sort()
+    return tuple(_key(i, S) for i in range(base.g + 1)
+                 for _, S, lo, hi in sides if lo <= i <= hi)
 
 
 def enumerate_boundary(base):
@@ -557,14 +516,20 @@ def relabel(a, perm):
     # every key.
     if not base.n:
         return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, dict(a._boundary))
-    # A permutation keeps i and |S|, so it maps a stable pair to a stable
-    # pair, and it maps distinct classes to distinct classes: each image is
-    # stored under its key, without a stability test or a sum.
-    keyed = _stable_keys(base, _set_map([0, *map(perm.__getitem__, labels)]))
-    g = base.g
-    bnd = {}
+    # A permutation keeps i and |S|, so it maps a key to a stable pair (i, T),
+    # and distinct classes to distinct classes.  When T's span is not empty,
+    # T holds 1, the span is every genus of a stable pair, and (i, T) is its
+    # own key; otherwise its mirror is.  So each image is stored under its
+    # key, without a stability test or a sum, and T, its span and its mirror
+    # are made once per distinct S.
+    sides = {}
+    for S in set(map(itemgetter(1), a._boundary)):
+        T = frozenset(map(perm.__getitem__, S))
+        lo, hi = _span(base, T)
+        sides[S] = (False, T) if lo <= hi else (True, _label_set(base) - T)
+    g, bnd = base.g, {}
     for (i, S), c in a._boundary.items():
-        flip, T = keyed[S]
+        flip, T = sides[S]
         bnd[_key(g - i if flip else i, T)] = c
     return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, bnd)
 
@@ -636,11 +601,22 @@ class TestCurve(_Frozen):
     def __init__(self, base, name, pairing):
         _check_base(base)
         vec = {}
-        for k, c in (pairing.items() if isinstance(pairing, _MAPPINGS) else pairing):
+        try:
+            items = iter(pairing.items() if isinstance(pairing, _MAPPINGS) else pairing)
+        except TypeError:
+            raise UnknownCurve(
+                "pairing %r is not a collection of (key, c) pairs" % (pairing,)
+            ) from None
+        for entry in items:
+            try:
+                k, c = entry
+            except (TypeError, ValueError):
+                raise UnknownCurve("pairing entry %r is not a (key, c) pair" % (entry,)) from None
             if isinstance(k, BoundaryIndex):
                 k = canonical_index(base, k.i, k.S)
             elif isinstance(k, tuple) and k and k[0] == "psi":
-                if not (len(k) == 2 and isinstance(k[1], int) and 1 <= k[1] <= base.n):
+                # a label is an int, never a bool, as in _check_ints
+                if not (len(k) == 2 and type(k[1]) is int and 1 <= k[1] <= base.n):
                     raise UnknownCurve("bad psi label %r on %s" % (k, base))
             elif k not in ("lambda", "delta0"):
                 raise UnknownCurve("bad pairing key %r" % (k,))
@@ -708,9 +684,8 @@ def builtin_test_curve(name, base, i=None, n=None):
     if name == "C":
         if i is None or not 1 <= i <= g - 1:
             raise ParamOutOfRange("curve C needs 1 <= i <= g-1")
-        vec = {("psi", 1): 2 * i - 1}
-        for kk, c in ((key(i, {1}), -1), (key(g - i, {1}), 1)):
-            vec[kk] = vec.get(kk, 0) + c
+        # a pairing list may repeat a key: TestCurve adds the coefficients
+        vec = [(("psi", 1), 2 * i - 1), (key(i, {1}), -1), (key(g - i, {1}), 1)]
         return TestCurve(base, "C_%d" % i, vec)
     if name == "D":
         return TestCurve(
@@ -726,11 +701,10 @@ def builtin_test_curve(name, base, i=None, n=None):
         # the attachment point moves on the side carrying the last g-n marked
         # points; colliding with each of them contributes one psi degree and
         # one extra boundary degree
-        vec = {key(i, set(range(1, n + 1))): 2 - 2 * (g - i) - (g - n)}
+        S = set(range(1, n + 1))
+        vec = [(key(i, S), 2 - 2 * (g - i) - (g - n))]
         for extra in range(n + 1, g + 1):
-            vec[("psi", extra)] = vec.get(("psi", extra), 0) + 1
-            k2 = key(i, set(range(1, n + 1)) | {extra})
-            vec[k2] = vec.get(k2, 0) + 1
+            vec += [(("psi", extra), 1), (key(i, S | {extra}), 1)]
         return TestCurve(base, "B_{%d,%d}" % (i, n), vec)
     raise UnknownCurve("unknown test curve %r" % (name,))
 
@@ -778,19 +752,6 @@ def _json_fields(d, names):
         raise MalformedJSON("missing field %s" % e) from None
 
 
-def _own_key_span(g, n, S):
-    """(S, lo, hi) for a frozenset S of ints: (i, S) is its own key and names
-    a class on (g, n) exactly when lo <= i <= hi.  The range is empty unless S
-    is the canonical side: labels in 1..n holding 1 when n >= 1, and empty
-    when n = 0.  Within it the bounds are those of stability (and 2i <= g when
-    n = 0), as in ``try_canonical_index``."""
-    if n >= 1 and S and min(S) == 1 and max(S) <= n:
-        return S, 0 if len(S) >= 2 else 1, g if len(S) <= n - 2 else g - 1
-    if n == 0 and not S:
-        return S, 1, g // 2
-    return S, 1, 0
-
-
 @_nogc
 def from_json(s):
     """Inverse of ``to_json``.  The text must be JSON, g, n, i and the
@@ -809,13 +770,7 @@ def from_json(s):
         raise MalformedJSON("g and n must be integers, got %r and %r" % (g, n))
     if type(psi) is not list or type(boundary) is not list:
         raise MalformedJSON("psi and boundary must be lists")
-    # An entry that is its own stable key is stored at once.  Any other (a
-    # mirror form, an unknown label, an unstable pair) goes to DivisorClass
-    # below, which canonicalizes it, or raises, after checking the header.
-    # The spans are memoized per tuple(S) only once each member is known to be
-    # an int, as True == 1 and 1.0 == 1 hash alike; the coefficients per
-    # string, for the same reason.
-    spans, coeffs, acc, rest = {}, {}, {}, []
+    values, coeffs = [], {}
     for e in boundary:
         try:
             i, S, c = e["i"], e["S"], e["c"]
@@ -823,31 +778,35 @@ def from_json(s):
             i, S, c = _json_fields(e, ("i", "S", "c"))
         if type(i) is not int or type(S) is not list or not {int}.issuperset(map(type, S)):
             raise MalformedJSON("bad boundary entry %r" % (e,))
+        # only a string coefficient is memoized, as True, 1.0 and 1 hash alike
         if type(c) is str:
             v = coeffs.get(c)
             if v is None:
                 v = coeffs[c] = _json_coeff(c)
         else:
             v = _json_coeff(c)
-        t = tuple(S)
-        span = spans.get(t)
-        if span is None:
-            span = spans[t] = _own_key_span(g, n, frozenset(t))
-        fs, lo, hi = span
-        if lo <= i <= hi:
-            _acc(acc, _key(i, fs), v)
-        else:
-            rest.append(((i, fs), v))
+        values.append(v)
     head = DivisorClass(
         ModuliBase(g, n),
         _json_coeff(lam),
         [_json_coeff(c) for c in psi],
         _json_coeff(delta0),
-        rest,
     )
-    for k, c in head._boundary.items():
-        _acc(acc, k, c)
-    return DivisorClass._from_canonical(head.base, head.lam, head.psi, head.delta0, acc)
+    # The entries and the header are checked.  An entry whose genus is in the
+    # span of its set is its own key; any other (a mirror form, an unknown
+    # label, an unstable pair) is canonicalized, or raises, as in the
+    # constructor.  The spans are memoized per tuple(S), whose members are
+    # known to be ints.
+    base, spans, acc = head.base, {}, {}
+    for e, v in zip(boundary, values):
+        i, t = e["i"], tuple(e["S"])
+        span = spans.get(t)
+        if span is None:
+            fs = frozenset(t)
+            span = spans[t] = (fs, *_span(base, fs))
+        fs, lo, hi = span
+        _acc(acc, _key(i, fs) if lo <= i <= hi else canonical_index(base, i, fs), v)
+    return DivisorClass._from_canonical(base, head.lam, head.psi, head.delta0, acc)
 
 
 def _rows(a):

@@ -7,13 +7,14 @@ parameters, checked once when it is built, with the codomain derived from
 them.  The four named constructors are calls to it.  ``pullback`` applies the
 generator-by-generator substitution table to the canonical representative of
 every class in the input.  Each handler builds the image keys in canonical
-form directly, and drops the image pairs that name an unstable (hence empty)
-degeneration as zero.  Forgetting a point, gluing a closed tail and
-identifying two points share one image rule, ``_pull_two_sided``; its comment
-and the one in the glue-tail handler prove which images are stable,
-canonical and distinct.
+form directly, by the one key rule of ``core._span``, and drops the image
+pairs that name an unstable (hence empty) degeneration as zero.  Forgetting a
+point, gluing a closed tail and identifying two points share one image rule,
+``_pull_two_sided``; its comment and the one in the glue-tail handler prove
+which images are stable, canonical and distinct.
 """
 
+from operator import itemgetter
 from types import MappingProxyType
 
 from .core import (
@@ -25,12 +26,10 @@ from .core import (
     _acc,
     _check_class,
     _check_ints,
-    _PerSet,
     _key,
+    _label_set,
     _nogc,
-    _set_map,
-    _stable_key,
-    _stable_keys,
+    _span,
     try_canonical_index,
 )
 
@@ -211,32 +210,43 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
     (0, {j}) for forgetting j, (h, {at}) for a closed tail glued at at and
     (1, {1, 2}) for identifying 1 and 2."""
     # The codomain is (g + h, n - |A|), and lift is the order-preserving
-    # bijection of its labels onto the domain labels outside A.  The key is
-    # stable, so i = 0 has |S| >= 2 and i = g + h has |S| <= n - |A| - 2.
-    # Hence the far image (i, S'), with |S'| = |S| <= n - |A|, is stable when
-    # i < g, or i = g and |S| <= n - 2; the near image is stable when i > h,
-    # or i = h and |S| + |A| >= 2, as i - h = g leaves it at most n - 2 points.
-    # The near image holds 1: A holds it, or the codomain is pointed, so S
-    # holds its point 1 and lift keeps it; so it is its own key.  The far
-    # image is keyed by the rule of _stable_key, applied once per S through
-    # _stable_keys: the domain holds A, so it is pointed.  The node of an image's generic member becomes a node of
-    # the key's type under the map, so an image determines its key, and
+    # bijection of its labels onto the domain labels outside A; the domain
+    # holds A, so it is pointed.  An image names a class when it is stable,
+    # and its key follows the span rule of try_canonical_index:
+    # - the far image (i, S') is its own key when i is in the span of S'.
+    #   When that span is empty, S' lacks 1, its mirror S'^c holds it, and the
+    #   key is (g - i, S'^c) when g - i is in the span of S'^c.
+    # - the near image holds 1 (A holds it, or the codomain is pointed, so S
+    #   holds its point 1 and lift keeps it), so it is its own key when i - h
+    #   is in its span.
+    # Both are worked out once per distinct S, with the far span turned into
+    # the range of i.  The node of an image's generic member becomes a node
+    # of the key's type under the map, so an image determines its key, and
     # images of distinct keys are distinct.  The two images of one key are
-    # one class only when the near one is the far one's mirror:
-    # then S' is empty and A is every label, so the codomain is unpointed,
-    # and 2i = g + h.  That symmetric class meets the image of the map in one
+    # one class only when the near one is the far one's mirror: then S' is
+    # empty and A is every label, so the codomain is unpointed, and
+    # 2i = g + h.  That symmetric class meets the image of the map in one
     # divisor, through the one separating node, transversally, so it is
     # counted once: the second store writes the same coefficient again.
-    g, n = dom
-    far = _set_map(lift)
-    near = _PerSet(lambda S: far[S] | A)
-    far_key = _stable_keys(dom, far)
+    g, same = dom.g, lift == list(range(len(lift)))
+    sides = {}
+    for S in set(map(itemgetter(1), a._boundary)):
+        # a lift that keeps every label keeps S, and the image shares it
+        F = S if same else frozenset(map(lift.__getitem__, S))
+        N = F | A
+        lo, hi = _span(dom, F)
+        flip = lo > hi
+        if flip:
+            F = _label_set(dom) - F
+            lo, hi = _span(dom, F)
+            lo, hi = g - hi, g - lo
+        sides[S] = (flip, F, lo, hi, N, *_span(dom, N))
     for (i, S), c in a._boundary.items():
-        if i < g or i == g and len(S) <= n - 2:
-            flip, T = far_key[S]
-            bnd[_key(g - i if flip else i, T)] = c
-        if i > h or i == h and len(S) + len(A) >= 2:
-            bnd[_key(i - h, near[S])] = c
+        flip, F, lo, hi, N, nlo, nhi = sides[S]
+        if lo <= i <= hi:
+            bnd[_key(g - i if flip else i, F)] = c
+        if nlo <= i - h <= nhi:
+            bnd[_key(i - h, N)] = c
     return bnd
 
 
@@ -255,7 +265,7 @@ def _pull_glue_closed_tail(m, a):
 
 def _pull_identify_points(m, a):
     dom, cod = m.domain, m.codomain
-    g, n = dom
+    n = dom.n
     lift = [0, *range(3, n + 1)]  # cod label k -> dom label
     psi = [0] * n
     for k in cod.labels():
@@ -263,16 +273,14 @@ def _pull_identify_points(m, a):
     bnd = {}
     # every class separating the two glued points maps into the irreducible
     # boundary; each such class has exactly one representative (i, S) with 1
-    # in S and 2 outside, and that is its canonical key, since 1 is in S.  The
-    # pair names a class when both sides are stable: i = 0 needs |S| >= 2, and
-    # i = g needs |S^c| >= 2, that is |S| < n - 1.  Each key is met once and
-    # bnd is still empty, so it is stored without canonicalizing or adding.
-    # The images below hold 1 and 2, so none of them meets these keys.
+    # in S and 2 outside, and that is its key when it names a class, that is
+    # when i is in the span of S.  Each key is met once and bnd is still
+    # empty, so it is stored without canonicalizing or adding.  The images
+    # below hold 1 and 2, so none of them meets these keys.
     if a.delta0:
         for mask in range(1 << (n - 2)):
             S = frozenset([1] + [x for x in range(3, n + 1) if mask >> (x - 3) & 1])
-            lo = 0 if len(S) >= 2 else 1
-            hi = g if len(S) < n - 1 else g - 1
+            lo, hi = _span(dom, S)
             for i in range(lo, hi + 1):
                 bnd[_key(i, S)] = a.delta0
     _pull_two_sided(dom, a, lift, 1, {1, 2}, bnd)
@@ -291,7 +299,7 @@ def _pull_forget(m, a):
         if c == 0:
             continue
         psi[lift[k] - 1] += c
-        _acc(bnd, _stable_key(dom, 0, frozenset([lift[k], j])), -c)
+        _acc(bnd, try_canonical_index(dom, 0, (lift[k], j)), -c)
     return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
 

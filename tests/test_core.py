@@ -31,7 +31,6 @@ from artifact.core import (
     enumerate_boundary,
     equals,
     from_json,
-    mirror_index,
     normalize_genus2,
     pair,
     relabel,
@@ -58,6 +57,31 @@ class TestBase:
 
     def test_labels(self):
         assert list(ModuliBase(3, 2).labels()) == [1, 2]
+
+
+def mirror(base, key):
+    """The other representative (g - i, S^c) of a key."""
+    return (base.g - key.i, frozenset(base.labels()) - key.S)
+
+
+def reference_canonical_index(base, i, S):
+    """try_canonical_index from the definitions alone: (i, S) names a class
+    when 0 <= i <= g, S is a set of labels and each side of the node is
+    stable: the genus-i side carries S and the node, the other side S^c and
+    the node, and a side of genus h with p special points is stable when
+    2h - 2 + p > 0.  Its key is the representative holding point 1 when
+    n >= 1, the one with 2i <= g when n = 0."""
+    g, n = base
+    labels = set(base.labels())
+    S = frozenset(S)
+    if not 0 <= i <= g or not S <= labels:
+        return None
+    for h, p in ((i, len(S) + 1), (g - i, n - len(S) + 1)):
+        if 2 * h - 2 + p <= 0:
+            return None
+    if 1 in S if n else 2 * i <= g:
+        return BoundaryIndex(i, S)
+    return BoundaryIndex(g - i, frozenset(labels - S))
 
 
 def enumerate_by_canonicalizing(base):
@@ -110,8 +134,23 @@ class TestCanonicalIndex:
     def test_mirror_roundtrip(self):
         base = ModuliBase(4, 3)
         for key in enumerate_boundary(base):
-            i2, S2 = mirror_index(base, key)
+            i2, S2 = mirror(base, key)
             assert canonical_index(base, i2, S2) == key
+
+    @pytest.mark.parametrize("g,n", [(g, n) for g in range(2, 8) for n in range(7)])
+    def test_matches_the_definitions(self, g, n):
+        # every genus from -1 to g + 1 and every set of labels 1..n + 1, so
+        # one label foreign to the base is met too
+        base = ModuliBase(g, n)
+        keys = set()
+        for mask in range(1 << (n + 1)):
+            S = frozenset(s for s in range(1, n + 2) if mask >> (s - 1) & 1)
+            for i in range(-1, g + 2):
+                want = reference_canonical_index(base, i, S)
+                assert try_canonical_index(base, i, S) == want, (i, S)
+                if want is not None:
+                    keys.add(want)
+        assert keys == set(enumerate_boundary(base))
 
     def test_enumeration_counts(self):
         keys31 = enumerate_boundary(ModuliBase(3, 1))
@@ -488,11 +527,14 @@ class TestSerializerWork:
     def test_from_json_of_canonical_input_canonicalizes_nothing(self, monkeypatch):
         a = logan_class(8, (1,) * 8)
         text = to_json(a)
-        seen = []
-        real = core.canonical_index
+        seen, spans = [], []
+        real, real_span = core.canonical_index, core._span
         monkeypatch.setattr(core, "canonical_index", lambda *args: seen.append(args) or real(*args))
+        monkeypatch.setattr(core, "_span", lambda *args: spans.append(args) or real_span(*args))
         assert equals(from_json(text), a)
         assert seen == []
+        # one span per distinct label set, never one per entry
+        assert 0 < len(spans) <= len({k.S for k in a.boundary}) < len(a.boundary)
         # a mirror form does go through it, so the count above is a real zero
         mirror = text.replace('"boundary":[', '"boundary":[{"i":7,"S":[2,3,4,5,6,7,8],"c":"1"},')
         key = BoundaryIndex(1, frozenset({1}))
@@ -899,6 +941,12 @@ class TestCurveKeys:
         with pytest.raises(UnknownCurve):
             core.TestCurve(ModuliBase(3, 1), "x", {("psi", 2): 1})
 
+    @pytest.mark.parametrize("pairing", [5, [("lambda",)], {("psi", True): 1}])
+    def test_malformed_pairing_rejected(self, pairing):
+        # not a collection, an entry that is not a pair, a bool label
+        with pytest.raises(UnknownCurve):
+            core.TestCurve(ModuliBase(3, 1), "x", pairing)
+
 
 class TestCurveImmutable:
     @pytest.mark.parametrize("attr", ["base", "name", "pairing", "other"])
@@ -987,13 +1035,13 @@ def test_mirror_rekeying_gives_the_same_answers(seed):
     a = random_class(rng)
     base = a.base
     b = DivisorClass(base, a.lam, a.psi, a.delta0,
-                     [(mirror_index(base, k), c) for k, c in a.boundary.items()])
+                     [(mirror(base, k), c) for k, c in a.boundary.items()])
     assert equals(a, b)
     assert to_json(a) == to_json(b)
     vec = {k: Fraction(rng.randint(-9, 9)) for k in enumerate_boundary(base)
            if rng.random() < 0.5}
     vec["lambda"], vec["delta0"] = 1, -2
-    mirrored = {BoundaryIndex(*mirror_index(base, k)) if isinstance(k, BoundaryIndex)
+    mirrored = {BoundaryIndex(*mirror(base, k)) if isinstance(k, BoundaryIndex)
                 else k: c for k, c in vec.items()}
     curve = core.TestCurve(base, "x", vec)
     assert pair(curve, a) == pair(core.TestCurve(base, "x", mirrored), b)

@@ -601,27 +601,33 @@ def test_pullback_and_relabel_keys_are_canonical_and_nonzero(m, seed):
 
 class TestNoPerKeyCanonicalizing:
     """A pullback or a relabeling canonicalizes O(n) pairs, never one per key:
-    the image keys are built in canonical form."""
+    the image keys are built in canonical form, from the span of each
+    distinct label set."""
 
     g = 8
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
-        real = core.try_canonical_index
+        count = {"canonical": 0, "span": 0}
 
-        def counted(*args):
-            count[0] += 1
-            return real(*args)
+        def counting(name, real):
+            def counted(*args):
+                count[name] += 1
+                return real(*args)
+            return counted
 
-        monkeypatch.setattr(core, "try_canonical_index", counted)
-        monkeypatch.setattr(maps, "try_canonical_index", counted)
+        canonical = counting("canonical", core.try_canonical_index)
+        span = counting("span", core._span)
+        for module in (core, maps):
+            monkeypatch.setattr(module, "try_canonical_index", canonical)
+            monkeypatch.setattr(module, "_span", span)
         return count
 
     def test_calls_per_pullback_and_relabel(self, calls):
         g, M = self.g, ModuliBase
         a = logan_class(g, (1,) * g)
-        assert len(a.boundary) > 1000
+        sets_in = len({k.S for k in a.boundary})
+        assert len(a.boundary) > 1000 > 3 * sets_in + 2 * (g + 2) and not a.delta0
         for m in [
             glue_tail(M(g, 1), 0, g - 1, 1),
             glue_tail(M(g - 1, g - 1), 1, 1, attach=g - 1),
@@ -631,9 +637,16 @@ class TestNoPerKeyCanonicalizing:
             forget_point(M(g, g + 1)),
             forget_point(M(g, g + 1), 1),
         ]:
-            calls[0] = 0
+            calls.update(canonical=0, span=0)
             pullback(m, a)
-            assert calls[0] <= m.domain.n, m
-        calls[0] = 0
+            n = m.domain.n
+            assert calls["canonical"] <= n, m
+            # at most three spans per distinct set (its far image, that
+            # image's mirror and its near image) and two per canonicalized
+            # pair (it and its mirror); the class has no delta_0, so
+            # identify-points makes no delta_0 images
+            assert calls["span"] <= 3 * sets_in + 2 * n, m
+        calls.update(canonical=0, span=0)
         relabel(a, [g, *range(1, g)])
-        assert calls[0] <= g
+        assert calls["canonical"] == 0
+        assert calls["span"] <= sets_in
