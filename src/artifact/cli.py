@@ -122,8 +122,13 @@ def _add_class_flags(p):
                    choices=["odd", "even", "total"])
 
 
-def _add_common(p):
-    p.add_argument("--format", default="json", choices=["json", "csv", "latex"])
+# a class is written as JSON, CSV or a LaTeX table; a value as JSON or bare text
+_CLASS_FORMATS = ["json", "csv", "latex"]
+_VALUE_FORMATS = ["json", "text"]
+
+
+def _add_common(p, formats):
+    p.add_argument("--format", default="json", choices=formats)
     p.add_argument("--out")
 
 
@@ -136,44 +141,44 @@ def build_parser():
 
     p = sub.add_parser("class", help="print a catalog divisor class")
     _add_class_flags(p)
-    _add_common(p)
+    _add_common(p, _CLASS_FORMATS)
 
     p = sub.add_parser("pullback", help="pull a catalog class back along a map")
     _add_class_flags(p)
     p.add_argument("--map", required=True,
                    help="descriptor, e.g. glue-tail:h=1,j=0,at=1 or forget:j=1")
-    _add_common(p)
+    _add_common(p, _CLASS_FORMATS)
 
     p = sub.add_parser("pair", help="pair a catalog class with a test curve")
     _add_class_flags(p)
     p.add_argument("--curve", required=True)
     p.add_argument("--i", type=int)
     p.add_argument("--n", type=int)
-    _add_common(p)
+    _add_common(p, _VALUE_FORMATS)
 
     p = sub.add_parser("dj", help="count of canonical divisors with a zero profile")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--kappa", type=_int_list, required=True)
     p.add_argument("--ordered", action="store_true",
                    help="count ordered zeros instead of configurations")
-    _add_common(p)
+    _add_common(p, _VALUE_FORMATS)
 
     p = sub.add_parser("plucker", help="ramification count of a linear series")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
-    _add_common(p)
+    _add_common(p, _VALUE_FORMATS)
 
     p = sub.add_parser("picdeg", help="degree of the multiplication map on the Picard variety")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--kappa", type=_int_list, required=True)
-    _add_common(p)
+    _add_common(p, _VALUE_FORMATS)
 
     p = sub.add_parser("residue", help="residue polynomial of a two-pole rational differential")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
+    _add_common(p, _VALUE_FORMATS)
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("--suite", default="all")

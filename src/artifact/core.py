@@ -14,6 +14,14 @@ and stability tests from it.  Every coefficient is exact and stored in one
 canonical form: an int when it is integral and a Fraction otherwise, so that
 integral arithmetic never builds a Fraction.  There is no floating point
 anywhere in this package.
+
+Classes are compared in one place: ``diff_first`` finds the first generator
+where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
+Both, and ``hash``, compare the one normal form ``_normal``, which on a
+genus-2 base eliminates lambda (``normalize_genus2``).  ``_check_pair`` is the
+one test of when two classes may be combined, ``_read`` the one reader of a
+raw collection of (key, c) entries, and ``_lift_psi`` the one rule for where
+psi_k goes when the labels are moved.
 """
 
 from collections import namedtuple
@@ -323,6 +331,26 @@ def _acc(acc, key, c):
         acc[key] = _frac(c2)
 
 
+def _read(entries, error, what, key):
+    """The sparse coefficient dict of entries, a mapping or a collection of
+    (k, c) pairs, stored on key(k); repeated keys add up.  entries that are
+    not a collection, an entry that is not a pair and a k that key cannot
+    unpack raise error, naming the entries as what."""
+    try:
+        items = iter(entries.items() if isinstance(entries, _MAPPINGS) else entries)
+    except TypeError:
+        raise error("%s %r is not a collection of (key, c) pairs" % (what, entries)) from None
+    acc = {}
+    for entry in items:
+        try:
+            k, c = entry
+            k = key(k)
+        except (TypeError, ValueError):
+            raise error("%s entry %r is not a (key, c) pair" % (what, entry)) from None
+        _acc(acc, k, _frac(c))
+    return acc
+
+
 class DivisorClass(_Frozen):
     """An exact rational divisor class on a fixed base (g, n).
 
@@ -349,24 +377,9 @@ class DivisorClass(_Frozen):
             )
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "delta0", _frac(delta0))
-        acc = {}
-        if boundary:
-            try:
-                items = iter(boundary.items() if isinstance(boundary, _MAPPINGS) else boundary)
-            except TypeError:
-                raise InvalidBoundary(
-                    "boundary %r is not a collection of ((i, S), c) pairs" % (boundary,)
-                ) from None
-            for entry in items:
-                try:
-                    (i, S), c = entry
-                except (TypeError, ValueError):
-                    raise InvalidBoundary(
-                        "boundary entry %r is not an ((i, S), c) pair" % (entry,)
-                    ) from None
-                c = _frac(c)
-                # an entry must name a class even when its coefficient is 0
-                _acc(acc, canonical_index(base, i, S), c)
+        # an entry must name a class even when its coefficient is 0
+        acc = _read(boundary or (), InvalidBoundary, "boundary",
+                    lambda k: canonical_index(base, *k))
         object.__setattr__(self, "_boundary", acc)
 
     @classmethod
@@ -399,16 +412,8 @@ class DivisorClass(_Frozen):
             and not self._boundary
         )
 
-    def _check(self, other):
-        if not isinstance(other, DivisorClass):
-            raise BaseMismatch("cannot combine DivisorClass with %r" % (other,))
-        if self.base != other.base:
-            raise BaseMismatch(
-                "base mismatch: %s vs %s" % (self.base, other.base)
-            )
-
     def __add__(self, other):
-        self._check(other)
+        _check_pair(self, other)
         acc = dict(self._boundary)
         for k, c in other._boundary.items():
             _acc(acc, k, c)
@@ -424,7 +429,7 @@ class DivisorClass(_Frozen):
         return self * -1
 
     def __sub__(self, other):
-        self._check(other)
+        _check_pair(self, other)
         return self + (-other)
 
     def __mul__(self, c):
@@ -448,7 +453,7 @@ class DivisorClass(_Frozen):
 
     def __hash__(self):
         # hash the form that ``equals`` compares, so equal classes hash alike
-        a = normalize_genus2(self) if self.base.g == 2 else self
+        a = _normal(self)
         return hash((a.base, a.lam, a.psi, a.delta0, frozenset(a._boundary.items())))
 
     def __repr__(self):
@@ -480,6 +485,15 @@ def _check_class(a):
         raise BaseMismatch("expected a DivisorClass, got %r" % (a,))
 
 
+def _check_pair(a, b):
+    """Raise BaseMismatch unless a and b are classes on one base, the
+    condition for combining or comparing them."""
+    _check_class(a)
+    _check_class(b)
+    if a.base != b.base:
+        raise BaseMismatch("base mismatch: %s vs %s" % (a.base, b.base))
+
+
 def _check_base(base):
     """Raise ParamOutOfRange unless base is a ModuliBase."""
     if not isinstance(base, ModuliBase):
@@ -509,34 +523,39 @@ def relabel(a, perm):
     if not {int}.issuperset(map(type, [*perm, *perm.values()])) \
             or sorted(perm) != labels or sorted(perm.values()) != labels:
         raise ParamOutOfRange("relabeling must permute {1..%d}" % base.n)
-    psi = [0] * base.n
-    for j in base.labels():
-        psi[perm[j] - 1] = a.psi[j - 1]
-    # On an unpointed base the only permutation is the empty one, which fixes
-    # every key.
-    if not base.n:
-        return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, dict(a._boundary))
     # A permutation keeps i and |S|, so it maps a key to a stable pair (i, T),
     # and distinct classes to distinct classes.  When T's span is not empty,
-    # T holds 1, the span is every genus of a stable pair, and (i, T) is its
-    # own key; otherwise its mirror is.  So each image is stored under its
-    # key, without a stability test or a sum, and T, its span and its mirror
-    # are made once per distinct S.
-    sides = {}
-    for S in set(map(itemgetter(1), a._boundary)):
-        T = frozenset(map(perm.__getitem__, S))
-        lo, hi = _span(base, T)
-        sides[S] = (False, T) if lo <= hi else (True, _label_set(base) - T)
-    g, bnd = base.g, {}
+    # T holds 1 (or T is empty on an unpointed base), the span is every genus
+    # of a stable pair, and (i, T) is its own key; otherwise its mirror is.
+    # So each image is stored under its key, without a stability test or a
+    # sum, and T, its span and its mirror are made once per distinct S, the
+    # first time S is met.
+    g, bnd, sides = base.g, {}, {}
     for (i, S), c in a._boundary.items():
-        flip, T = sides[S]
+        side = sides.get(S)
+        if side is None:
+            T = frozenset(map(perm.__getitem__, S))
+            lo, hi = _span(base, T)
+            side = sides[S] = (False, T) if lo <= hi else (True, _label_set(base) - T)
+        flip, T = side
         bnd[_key(g - i if flip else i, T)] = c
-    return DivisorClass._from_canonical(base, a.lam, psi, a.delta0, bnd)
+    return DivisorClass._from_canonical(base, a.lam, _lift_psi(base, a, perm), a.delta0, bnd)
+
+
+def _lift_psi(base, a, lift):
+    """The psi coefficients on base of a class whose psi_k goes to
+    psi_{lift[k]}, for each label k of a's base; lift is one-to-one, and a
+    label of base that no k reaches gets 0."""
+    psi = [0] * base.n
+    for k, c in enumerate(a.psi, 1):
+        psi[lift[k] - 1] = c
+    return psi
 
 
 def normalize_genus2(a):
     """Eliminate lambda on a genus-2 base using the relation
     lambda = (1/10) delta_0 + (1/5) sum_{1 in S or S empty} delta_{1:S}."""
+    _check_class(a)
     if a.base.g != 2:
         raise NotGenus2("normalization applies only to genus 2, base is %s" % (a.base,))
     if a.lam == 0:
@@ -548,42 +567,33 @@ def normalize_genus2(a):
     return a + a.lam * R
 
 
+def _normal(a):
+    """The form of a that equality and hash compare: on a genus-2 base, where
+    lambda is not independent, a with lambda eliminated; a itself otherwise."""
+    return normalize_genus2(a) if a.base.g == 2 else a
+
+
 def equals(a, b):
-    """Exact equality of divisor classes.  On a genus-2 base both sides are
-    normalized first, since lambda is not independent there."""
-    if not isinstance(a, DivisorClass) or not isinstance(b, DivisorClass):
-        raise BaseMismatch("equals expects two DivisorClass values")
-    if a.base != b.base:
-        raise BaseMismatch("base mismatch: %s vs %s" % (a.base, b.base))
-    if a.base.g == 2:
-        a = normalize_genus2(a)
-        b = normalize_genus2(b)
-    return (
-        a.lam == b.lam
-        and a.psi == b.psi
-        and a.delta0 == b.delta0
-        and a._boundary == b._boundary
-    )
+    """Exact equality of divisor classes: ``diff_first`` finds no generator
+    where they differ."""
+    return diff_first(a, b) is None
 
 
 def diff_first(a, b):
     """First generator (in output order) where two classes differ, with both
-    coefficients; None when the classes are equal.  Genus 2 normalizes first."""
-    _check_class(a)
-    a._check(b)
-    if a.base.g == 2:
-        a = normalize_genus2(a)
-        b = normalize_genus2(b)
-    if a.lam != b.lam:
-        return ("lambda", a.lam, b.lam)
-    for j in a.base.labels():
-        if a.psi[j - 1] != b.psi[j - 1]:
-            return ("psi_%d" % j, a.psi[j - 1], b.psi[j - 1])
-    if a.delta0 != b.delta0:
-        return ("delta_0", a.delta0, b.delta0)
-    diff = [k for k in a._boundary.keys() | b._boundary.keys() if a.coeff(k) != b.coeff(k)]
-    if not diff:
+    coefficients, in their normal forms (``_normal``); None when the classes
+    are equal."""
+    _check_pair(a, b)
+    a, b = _normal(a), _normal(b)
+    x, y = (a.lam, *a.psi, a.delta0), (b.lam, *b.psi, b.delta0)
+    if x != y:
+        names = ["lambda", *("psi_%d" % j for j in a.base.labels()), "delta_0"]
+        return next((name, u, v) for name, u, v in zip(names, x, y) if u != v)
+    # zeros are pruned, so equal dicts are exactly equal coefficients, and
+    # unequal ones differ on some key
+    if a._boundary == b._boundary:
         return None
+    diff = [k for k in a._boundary.keys() | b._boundary.keys() if a.coeff(k) != b.coeff(k)]
     key = min(diff, key=BoundaryIndex.sort_key)
     return (str(key), a.coeff(key), b.coeff(key))
 
@@ -600,27 +610,7 @@ class TestCurve(_Frozen):
 
     def __init__(self, base, name, pairing):
         _check_base(base)
-        vec = {}
-        try:
-            items = iter(pairing.items() if isinstance(pairing, _MAPPINGS) else pairing)
-        except TypeError:
-            raise UnknownCurve(
-                "pairing %r is not a collection of (key, c) pairs" % (pairing,)
-            ) from None
-        for entry in items:
-            try:
-                k, c = entry
-            except (TypeError, ValueError):
-                raise UnknownCurve("pairing entry %r is not a (key, c) pair" % (entry,)) from None
-            if isinstance(k, BoundaryIndex):
-                k = canonical_index(base, k.i, k.S)
-            elif isinstance(k, tuple) and k and k[0] == "psi":
-                # a label is an int, never a bool, as in _check_ints
-                if not (len(k) == 2 and type(k[1]) is int and 1 <= k[1] <= base.n):
-                    raise UnknownCurve("bad psi label %r on %s" % (k, base))
-            elif k not in ("lambda", "delta0"):
-                raise UnknownCurve("bad pairing key %r" % (k,))
-            _acc(vec, k, _frac(c))
+        vec = _read(pairing, UnknownCurve, "pairing", lambda k: _pairing_key(base, k))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_pairing", vec)
@@ -634,6 +624,20 @@ class TestCurve(_Frozen):
 
     def __repr__(self):
         return "TestCurve(%s, %s)" % (self.name, self.base)
+
+
+def _pairing_key(base, k):
+    """The stored form of a pairing key on base: a boundary index in
+    canonical form, ("psi", label), "lambda" or "delta0"."""
+    if isinstance(k, BoundaryIndex):
+        return canonical_index(base, k.i, k.S)
+    if isinstance(k, tuple) and k and k[0] == "psi":
+        # a label is an int, never a bool, as in _check_ints
+        if not (len(k) == 2 and type(k[1]) is int and 1 <= k[1] <= base.n):
+            raise UnknownCurve("bad psi label %r on %s" % (k, base))
+    elif k not in ("lambda", "delta0"):
+        raise UnknownCurve("bad pairing key %r" % (k,))
+    return k
 
 
 def pair(curve, a):

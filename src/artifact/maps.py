@@ -14,7 +14,6 @@ point, gluing a closed tail and identifying two points share one image rule,
 which images are stable, canonical and distinct.
 """
 
-from operator import itemgetter
 from types import MappingProxyType
 
 from .core import (
@@ -28,6 +27,7 @@ from .core import (
     _check_ints,
     _key,
     _label_set,
+    _lift_psi,
     _nogc,
     _span,
     try_canonical_index,
@@ -161,20 +161,13 @@ def _pull_glue_tail(m, a):
     h, j, at = m.params["h"], m.params["j"], m.params["attach"]
     new = frozenset(range(dom.n + 1, dom.n + j + 1))  # the tail's own points
     T = new | {at}
-    lam = a.lam
-    psi = [0] * dom.n
-    psi_at = 0  # coefficient picked up on psi at the attach point
-    for k in cod.labels():
-        c = a.psi[k - 1]
-        if k in T:
-            continue
-        psi[k - 1] += c
-    delta0 = a.delta0
-    bnd = {}
     # the class whose generic member is the glued tail itself pulls back to
     # minus psi at the attach point; detect it canonically since either
-    # mirror representative may be stored
+    # mirror representative may be stored.  Every other psi_k restricts to
+    # the domain's psi_k, and the tail's own points are not in the domain.
     tail_key = try_canonical_index(cod, h, T)
+    psi = [-a.coeff(tail_key) if k == at else a.psi[k - 1] for k in dom.labels()]
+    bnd = {}
     # Every other key (i, S) holds 1, as n + j >= 1.  Its class restricts to
     # the domain when the tail lies on one side of the node: the far side
     # when S misses T, giving (i, S), or the side of S when S holds T and
@@ -190,7 +183,7 @@ def _pull_glue_tail(m, a):
     for key, c in a._boundary.items():
         i, S = key
         if key == tail_key:
-            psi_at -= c
+            pass  # in psi, above
         elif S.isdisjoint(T):
             if i <= dom.g:
                 bnd[key] = c
@@ -198,8 +191,7 @@ def _pull_glue_tail(m, a):
             bnd[_key(i - h, S - new)] = c
         # remaining cases (S meets T without containing it, or the tail side
         # would get negative genus) restrict to nothing
-    psi[at - 1] += psi_at
-    return DivisorClass._from_canonical(dom, lam, psi, delta0, bnd)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
 
 def _pull_two_sided(dom, a, lift, h, A, bnd):
@@ -219,30 +211,31 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
     # - the near image holds 1 (A holds it, or the codomain is pointed, so S
     #   holds its point 1 and lift keeps it), so it is its own key when i - h
     #   is in its span.
-    # Both are worked out once per distinct S, with the far span turned into
-    # the range of i.  The node of an image's generic member becomes a node
-    # of the key's type under the map, so an image determines its key, and
-    # images of distinct keys are distinct.  The two images of one key are
-    # one class only when the near one is the far one's mirror: then S' is
-    # empty and A is every label, so the codomain is unpointed, and
-    # 2i = g + h.  That symmetric class meets the image of the map in one
-    # divisor, through the one separating node, transversally, so it is
-    # counted once: the second store writes the same coefficient again.
-    g, same = dom.g, lift == list(range(len(lift)))
-    sides = {}
-    for S in set(map(itemgetter(1), a._boundary)):
-        # a lift that keeps every label keeps S, and the image shares it
-        F = S if same else frozenset(map(lift.__getitem__, S))
-        N = F | A
-        lo, hi = _span(dom, F)
-        flip = lo > hi
-        if flip:
-            F = _label_set(dom) - F
-            lo, hi = _span(dom, F)
-            lo, hi = g - hi, g - lo
-        sides[S] = (flip, F, lo, hi, N, *_span(dom, N))
+    # Both are worked out once per distinct S, the first time S is met, with
+    # the far span turned into the range of i.  The node of an image's
+    # generic member becomes a node of the key's type under the map, so an
+    # image determines its key, and images of distinct keys are distinct.
+    # The two images of one key are one class only when the near one is the
+    # far one's mirror: then S' is empty and A is every label, so the
+    # codomain is unpointed, and 2i = g + h.  That symmetric class meets the
+    # image of the map in one divisor, through the one separating node,
+    # transversally, so it is counted once: the second store writes the same
+    # coefficient again.
+    g, same, sides = dom.g, lift == list(range(len(lift))), {}
     for (i, S), c in a._boundary.items():
-        flip, F, lo, hi, N, nlo, nhi = sides[S]
+        side = sides.get(S)
+        if side is None:
+            # a lift that keeps every label keeps S, and the image shares it
+            F = S if same else frozenset(map(lift.__getitem__, S))
+            N = F | A
+            lo, hi = _span(dom, F)
+            flip = lo > hi
+            if flip:
+                F = _label_set(dom) - F
+                lo, hi = _span(dom, F)
+                lo, hi = g - hi, g - lo
+            side = sides[S] = (flip, F, lo, hi, N, *_span(dom, N))
+        flip, F, lo, hi, N, nlo, nhi = side
         if lo <= i <= hi:
             bnd[_key(g - i if flip else i, F)] = c
         if nlo <= i - h <= nhi:
@@ -254,22 +247,18 @@ def _pull_glue_closed_tail(m, a):
     dom, cod = m.domain, m.codomain
     h, at = m.params["h"], m.params["attach"]
     lift = [0, *(x for x in dom.labels() if x != at)]  # cod label k -> dom label
-    psi = [0] * dom.n
-    for k in cod.labels():
-        psi[lift[k] - 1] += a.psi[k - 1]
+    psi = _lift_psi(dom, a, lift)
     # the class whose generic member is the tail itself also meets psi
-    psi[at - 1] -= a.coeff(try_canonical_index(cod, h, ()))
+    psi[at - 1] = -a.coeff(try_canonical_index(cod, h, ()))
     bnd = _pull_two_sided(dom, a, lift, h, {at}, {})
     return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
 
 def _pull_identify_points(m, a):
-    dom, cod = m.domain, m.codomain
+    dom = m.domain
     n = dom.n
     lift = [0, *range(3, n + 1)]  # cod label k -> dom label
-    psi = [0] * n
-    for k in cod.labels():
-        psi[lift[k] - 1] += a.psi[k - 1]
+    psi = _lift_psi(dom, a, lift)
     bnd = {}
     # every class separating the two glued points maps into the irreducible
     # boundary; each such class has exactly one representative (i, S) with 1
@@ -288,19 +277,15 @@ def _pull_identify_points(m, a):
 
 
 def _pull_forget(m, a):
-    dom, cod = m.domain, m.codomain
+    dom = m.domain
     j = m.params["j"]
     lift = [0, *range(1, j), *range(j + 1, dom.n + 1)]  # cod label k -> dom label
-    psi = [0] * dom.n
     bnd = _pull_two_sided(dom, a, lift, 0, {j}, {})
     # psi_k pulls back to psi_k less the class where k and j bubble off
-    for k in cod.labels():
-        c = a.psi[k - 1]
-        if c == 0:
-            continue
-        psi[lift[k] - 1] += c
-        _acc(bnd, try_canonical_index(dom, 0, (lift[k], j)), -c)
-    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
+    for k, c in enumerate(a.psi, 1):
+        if c:
+            _acc(bnd, try_canonical_index(dom, 0, (lift[k], j)), -c)
+    return DivisorClass._from_canonical(dom, a.lam, _lift_psi(dom, a, lift), a.delta0, bnd)
 
 
 _HANDLERS = {

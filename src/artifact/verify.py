@@ -561,7 +561,11 @@ def _r17(g, cls, expect):
         raise UnknownRelation("R17 class %r" % (cls,))
     stem = cls.rstrip("0123456789")
     if stem in orders and stem != cls:
-        a = orders[stem](g, int(cls[len(stem):]))
+        try:
+            k = int(cls[len(stem):])
+        except ValueError:  # more digits than int() will read
+            raise UnknownRelation("R17 class %r" % (cls,)) from None
+        a = orders[stem](g, k)
     elif cls in builders:
         a = builders[cls]()
     else:
@@ -647,12 +651,17 @@ def _difference(lhs, rhs):
     return ("value", Fraction(lhs), rhs)
 
 
+def _relation(name):
+    """The identity registered as name; UnknownRelation for anything else."""
+    if type(name) is not str or name not in RELATIONS:
+        raise UnknownRelation("no relation named %r" % (name,))
+    return RELATIONS[name]
+
+
 def run_relation(name, params):
     """Evaluate one registered identity at one parameter point; the entry
     fails on the first of its (lhs, rhs) pairs whose sides differ."""
-    if name not in RELATIONS:
-        raise UnknownRelation("no relation named %r" % name)
-    rel = RELATIONS[name]
+    rel = _relation(name)
     if not isinstance(params, dict) or params.keys() != rel.params:
         raise ParamOutOfRange("%s takes the parameters %s, got %r"
                               % (name, sorted(rel.params), params))
@@ -669,11 +678,9 @@ def run_suite(g_max, suite="all", n_max=6, h_max=4):
     """Run every registered identity (or one named family) over its parameter
     domain capped at the given genus, marked-point and tail-genus bounds."""
     _check_ints(ParamOutOfRange, g_max=g_max, n_max=n_max, h_max=h_max)
-    if suite != "all" and suite not in RELATIONS:
-        raise UnknownRelation("no relation named %r" % suite)
     names = list(RELATIONS) if suite == "all" else [suite]
     report = Report()
     for name in names:
-        for params in RELATIONS[name].cases(g_max, n_max, h_max):
+        for params in _relation(name).cases(g_max, n_max, h_max):
             report.entries.append(run_relation(name, params))
     return report

@@ -139,6 +139,25 @@ class TestValueVerbs:
         assert code == 0
         assert json.loads(out) == {"value": "136"}
 
+    def test_dj_text_format_and_no_class_formats(self, capsys):
+        code, out, _ = run(capsys, "dj", "--g", "4", "--kappa", "1,2,2", "--format", "text")
+        assert (code, out) == (0, "68\n")
+        # a value has no CSV or LaTeX form
+        for fmt in ("csv", "latex"):
+            code, out, _ = run(capsys, "dj", "--g", "4", "--kappa", "1,2,2", "--format", fmt)
+            assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["pair", "--name", "residual", "--g", "4", "--curve", "E"],
+        ["plucker", "--r", "2", "--d", "4", "--g", "3"],
+        ["picdeg", "--g", "2", "--kappa", "5,1"],
+        ["residue", "--j", "4", "--k", "5", "--m", "5"],
+    ], ids=["pair", "plucker", "picdeg", "residue"])
+    def test_value_verbs_take_json_or_text(self, capsys, argv):
+        assert run(capsys, *argv, "--format", "csv")[0] == 2
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0 and not out.startswith("{")
+
     def test_plucker(self, capsys):
         code, out, _ = run(capsys, "plucker", "--r", "2", "--d", "4", "--g", "3")
         assert code == 0

@@ -501,6 +501,19 @@ class TestSerializerBytes:
                     base, a.lam, a.psi, a.delta0,
                     {**a.boundary, **dict(list(b.boundary.items())[: len(b.boundary) // 3])})
                 assert diff_first(a, b) == reference_diff_first(a, b)
+                # equals is the one comparator's None
+                for x in (a, b):
+                    assert equals(a, x) == (diff_first(a, x) is None)
+            if base.g == 2:
+                # b carries another lambda and equals a only after normalization;
+                # c differs from b on one boundary key, also after normalization
+                lam = DivisorClass(base, lam=1)
+                b = a + 3 * (lam - normalize_genus2(lam))
+                key = enumerate_boundary(base)[-1]
+                c = b + DivisorClass(base, boundary=[(key, 1)])
+                assert b.lam != a.lam and diff_first(a, b) is None and equals(a, b)
+                assert diff_first(a, c) == reference_diff_first(a, c) is not None
+                assert not equals(a, c)
 
 
 class TestSerializerWork:
@@ -982,6 +995,9 @@ def test_genus2_hash_agrees_with_equals(seed, n, t):
     b = a + t * (lam - normalize_genus2(lam))
     assert equals(a, b)
     assert hash(a) == hash(b)
+    # equals is the one comparator's None, on an equal and an unequal pair
+    for x in (b, b + DivisorClass(base, delta0=1)):
+        assert equals(a, x) == (diff_first(a, x) is None)
 
 
 @given(st.integers(0, 10 ** 6))

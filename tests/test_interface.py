@@ -42,9 +42,17 @@ from artifact import (
     weierstrass,
 )
 from artifact import core
-from artifact.core import DivisorClass, canonical_index, diff_first, relabel, zero_class
+from artifact.core import (
+    DivisorClass,
+    canonical_index,
+    diff_first,
+    equals,
+    normalize_genus2,
+    relabel,
+    zero_class,
+)
 from artifact.maps import GluingMap, InvalidMap
-from artifact.verify import run_suite
+from artifact.verify import UnknownRelation, run_relation, run_suite
 
 B21 = ModuliBase(2, 1)
 B32 = ModuliBase(3, 2)
@@ -120,6 +128,10 @@ B51 = ModuliBase(5, 1)
     ('pullback(5, weierstrass(2))', InvalidMap),
     ('pullback(GluingMap("twist", B32), zero_class(B32))', InvalidMap),
     ('weierstrass(2) - None', BaseMismatch),
+    ('weierstrass(2) + None', BaseMismatch),
+    ('equals(5, weierstrass(2))', BaseMismatch),
+    ('equals(weierstrass(2), 5)', BaseMismatch),
+    ('normalize_genus2(5)', BaseMismatch),
     ('bn_coefficient_check(5)', BaseMismatch),
     # bases that are not a ModuliBase
     ('DivisorClass((3, 1))', ParamOutOfRange),
@@ -131,6 +143,13 @@ B51 = ModuliBase(5, 1)
     ('run_suite("5")', ParamOutOfRange),
     ('run_suite(5, n_max=2.0)', ParamOutOfRange),
     ('run_suite(5, h_max="4")', ParamOutOfRange),
+    # relation names that are not a registered str
+    ('run_suite(3, suite=["R1"])', UnknownRelation),
+    ('run_relation(["R1"], {})', UnknownRelation),
+    ('run_relation(("R1", "R2"), {})', UnknownRelation),
+    # an R17 order with more digits than int() reads
+    ('run_relation("R17", {"g": 4, "cls": "double-zero-k" + "1" * 5000, "expect": False})',
+     UnknownRelation),
 ])
 def test_a_malformed_argument_raises_pic_error(call, error):
     with pytest.raises(error):
@@ -173,3 +192,39 @@ def test_the_package_reads_no_read_only_view():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("boundary", "pairing")]
     assert reads == []
+
+
+
+def _callers(test):
+    """(module, function) for each call in the package for which test(call)
+    holds, naming a method Class.method and a module-level call ""."""
+    found = []
+
+    def visit(module, node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(module, child, (owner + "." if owner else "") + child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and test(child):
+                found.append((module, owner))
+            visit(module, child, owner)
+
+    for module, tree in _package_trees():
+        visit(module, tree, "")
+    return found
+
+
+def test_the_genus2_normal_form_has_one_caller():
+    # equality, diff_first and hash all reach normalize_genus2 through _normal
+    assert _callers(lambda call: call.func.id == "normalize_genus2") == [("core", "_normal")]
+
+
+def test_the_class_check_is_written_once():
+    # every other test that a value is a class goes through _check_class or
+    # _check_pair
+    found = _callers(lambda call: call.func.id == "isinstance" and len(call.args) == 2
+                     and any(isinstance(x, ast.Name) and x.id == "DivisorClass"
+                             for x in ast.walk(call.args[1])))
+    allowed = {("core", "_check_class"), ("core", "_check_pair"),
+               ("core", "DivisorClass.__eq__"), ("verify", "_difference")}
+    assert found and set(found) <= allowed, found
