@@ -14,6 +14,13 @@ and the formula run once per distinct view, not once per key.  The other
 side has genus g - i and weight sum sum(d) - d_S, so a formula stated for
 the other side is evaluated there without building the complement of S.
 
+Every class is assembled on the caller's label order; none is built in a
+standard order and relabeled.  A class with one pole reads the view
+(x_S, pole in S), where x is the weight sum (pinch partitions) or the label
+count |S| (coupled classes with one double pole), and the pole's side
+decides whether the side without the pole has genus i or g - i
+(``_pole_free``).
+
 Genera, orders and weights must be ints (a bool is refused): anything else
 raises ParamOutOfRange.
 
@@ -36,7 +43,6 @@ from .core import (
     _int_tuple,
     _nogc,
     enumerate_boundary,
-    relabel,
 )
 
 
@@ -397,67 +403,78 @@ def _coupled_11(g):
     )
 
 
-def _coupled_m2_1_1(g):
-    # standard label order: the double pole first, then the two simple zeros
+def _pole_free(g, total, f):
+    """f(j, x) at the side of a key (i, S) that misses the pole, from the
+    view (x_S, pole in S) of S, where x is additive over the labels and sums
+    to total on the whole base: S is that side when it misses the pole, of
+    genus i and x_S, and otherwise the other side is, of genus g - i and
+    total - x_S."""
+    return lambda i, w: f(g - i, total - w[0]) if w[1] else f(i, w[0])
+
+
+def _coupled_m2_1_1(g, d):
+    # one double pole and two simple zeros, on the view (|S|, pole in S);
+    # the pole-free side of a key holds k zeros
     _check_genus(g, 2)
     base = ModuliBase(g, 3)
     pref = _pow2(g - 3)
+    pole = d.index(-2) + 1
 
-    def all_three(i, s):
+    def all_three(i, w):
         return -pref * 2 ** (i + 1) * (2 ** (g - i) - 1)
 
-    def pole_and_zero(i, s):
+    def pole_and_zero(i, w):
         return -pref * 2 ** (g - 1)
 
-    def pole_only(i, s):
-        # mirror carries the two zeros; evaluate at the mirror index
-        i2 = g - i
-        return -pref * 2 ** (i2 + 1) * (2 ** (g - i2) + 1)
+    def two_zeros(j, k):
+        # j is the genus of the side holding the two zeros alone
+        return -pref * 2 ** (j + 1) * (2 ** (g - j) + 1)
 
-    # every key holds the pole, label 1: |S| = 3 is S = {1, 2, 3}, |S| = 2
-    # the pole and one zero, and |S| = 1 the pole alone
     bnd = _assemble(
         base,
         [
-            (lambda i, s: s == 3, all_three),
-            (lambda i, s: s == 2, pole_and_zero),
-            (lambda i, s: s == 1, pole_only),
+            (lambda i, w: w[0] == 3, all_three),
+            (_pole_free(g, 3, lambda j, k: k == 1), pole_and_zero),
+            (_pole_free(g, 3, lambda j, k: k == 2), _pole_free(g, 3, two_zeros)),
         ],
+        lambda S: (len(S), pole in S),
     )
     return DivisorClass._from_canonical(
         base,
         pref * 2 ** (g + 1),
-        [pref * 2 ** (g + 2), pref * 2 ** (g - 1), pref * 2 ** (g - 1)],
+        [pref * 2 ** (g + 2) if x < 0 else pref * 2 ** (g - 1) for x in d],
         -pref * 2 ** (g - 2),
         bnd,
     )
 
 
-def _coupled_m2_2(g, parity):
-    # standard label order: double pole first, double zero second
+def _coupled_m2_2(g, d, parity):
+    # one double pole and one double zero, on the view (|S|, pole in S)
     _check_genus(g, 2)
     base = ModuliBase(g, 2)
     pref = _pow2(g - 3)
     lam = pref * _by_parity(parity, lambda e: 2**g + e)
-    psi = [2 * lam, pref * _by_parity(parity, lambda e: (1 + e) * (2**g + 1))]
+    zero = pref * _by_parity(parity, lambda e: (1 + e) * (2**g + 1))
     delta0 = pref * _by_parity(parity, lambda e: -pref)
+    pole = d.index(-2) + 1
 
-    def both(i, s):
+    def both(i, w):
         return pref * _by_parity(parity, lambda e: -(2**i - e) * (2 ** (g - i) - 1))
 
-    def zero_only(i, s):
-        # evaluate at the mirror index
-        i = g - i
-        return pref * _by_parity(parity, lambda e: -(2**i + e) * (2 ** (g - i) + 1))
+    def zero_only(j, k):
+        # j is the genus of the side holding the zero alone
+        return pref * _by_parity(parity, lambda e: -(2**j + e) * (2 ** (g - j) + 1))
 
     bnd = _assemble(
         base,
         [
-            (lambda i, s: s == 2, both),
-            (lambda i, s: s == 1, zero_only),
+            (lambda i, w: w[0] == 2, both),
+            (lambda i, w: w[0] == 1, _pole_free(g, 2, zero_only)),
         ],
+        lambda S: (len(S), pole in S),
     )
-    return DivisorClass._from_canonical(base, lam, psi, delta0, bnd)
+    return DivisorClass._from_canonical(
+        base, lam, [2 * lam if x < 0 else zero for x in d], delta0, bnd)
 
 
 def _coupled_general(g, d, parity):
@@ -492,20 +509,6 @@ def _coupled_general(g, d, parity):
     )
 
 
-def _perm_from_standard(d, standard):
-    """A relabeling dict sending the standard label order to the positions
-    the entries occupy in d; greedy matching of equal weights."""
-    remaining = list(range(1, len(d) + 1))
-    perm = {}
-    for pos, want in enumerate(standard, start=1):
-        for t in remaining:
-            if d[t - 1] == want:
-                perm[pos] = t
-                remaining.remove(t)
-                break
-    return perm
-
-
 @_nogc
 def coupled_partition(g, d, parity="total"):
     """Divisor class of curves carrying a differential whose zeros and poles
@@ -526,13 +529,11 @@ def coupled_partition(g, d, parity="total"):
     negs = sorted(-x for x in d if x < 0)
     if negs == [2]:
         if sorted(d) == [-2, 2]:
-            std = _coupled_m2_2(g, parity)
-            return relabel(std, _perm_from_standard(d, (-2, 2)))
+            return _coupled_m2_2(g, d, parity)
         if sorted(d) == [-2, 1, 1]:
             if parity != "total":
                 raise ParityUnavailable("odd weights admit no spin refinement")
-            std = _coupled_m2_1_1(g)
-            return relabel(std, _perm_from_standard(d, (-2, 1, 1)))
+            return _coupled_m2_1_1(g, d)
         raise UnsupportedPole(
             "a single double pole is only supported with weights (-2,2) "
             "or (-2,1,1)"
@@ -629,17 +630,13 @@ def _pinch_mero(g, d, j):
                 - 2 * (g * i * i - 3 * i * i - g * i + 4 * i)
             )
 
-    def pole_free(f):
-        # f at the (genus, weight sum) of the side without the pole j, on the
-        # view (d_S, j in S); the other side of (i, S) has weight sum
-        # g - 2 - d_S
-        return lambda i, w: f(g - i, g - 2 - w[0]) if w[1] else f(i, w[0])
-
+    # each formula reads the (genus, weight sum) of the side without the pole
+    # j; the weights sum to g - 2
     bnd = _assemble(
         base,
         [
-            (pole_free(lambda i, ds: ds <= i - 1), pole_free(cA)),
-            (pole_free(lambda i, ds: ds >= i), pole_free(cB)),
+            (_pole_free(g, g - 2, lambda i, ds: ds <= i - 1), _pole_free(g, g - 2, cA)),
+            (_pole_free(g, g - 2, lambda i, ds: ds >= i), _pole_free(g, g - 2, cB)),
         ],
         lambda S: (_dsum(d, S), j in S),
     )

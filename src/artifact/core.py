@@ -19,9 +19,16 @@ Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
 Both, and ``hash``, compare the one normal form ``_normal``, which on a
 genus-2 base eliminates lambda (``normalize_genus2``).  ``_check_pair`` is the
-one test of when two classes may be combined, ``_read`` the one reader of a
-raw collection of (key, c) entries, and ``_lift_psi`` the one rule for where
-psi_k goes when the labels are moved.
+one test of when two classes may be combined, and ``_lift_psi`` the one rule
+for where psi_k goes when the labels are moved.
+
+Boundary coefficients enter a class through two doors: a catalog formula
+(``catalog._assemble``), or key by key through the constructor, whose
+reader ``_read_boundary`` spans each distinct label set once; ``from_json``
+parses a document and hands its entries to that reader.  ``_items`` is the
+one reading of a raw collection of (key, c) entries, which ``TestCurve``
+shares for its pairing.  ``_check_size`` refuses a base with more than
+2**22 boundary keys before any key is built.
 """
 
 from collections import namedtuple
@@ -30,6 +37,7 @@ import functools
 import gc
 from itertools import compress, product
 import json
+from math import comb
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -227,11 +235,29 @@ def _span(base, S):
     return 1, 0
 
 
+def _labels(i, S):
+    """S as a frozenset, after checking that the pair (i, S) has the shape of
+    a boundary key: a genus and labels that are ints (never a bool, as in
+    ``_check_ints``).  Anything else raises InvalidBoundary."""
+    try:
+        S = frozenset(S)
+    except TypeError:
+        raise InvalidBoundary("%r is not a set of marked points" % (S,)) from None
+    if type(i) is not int or not {int}.issuperset(map(type, S)):
+        raise InvalidBoundary(
+            "boundary genus and labels must be integers, got %r and %r" % (i, set(S))
+        )
+    return S
+
+
 def try_canonical_index(base, i, S):
     """Canonical representative of (i, S), or None when the pair does not name
     a boundary class (genus out of range or an unstable side).  Used by formula
-    code that treats such pairs as zero."""
-    S = frozenset(S)
+    code that treats such pairs as zero.  Raises ParamOutOfRange for a base
+    that is not a ModuliBase, and InvalidBoundary for a genus or a label that
+    is not an int, so None always answers a well-formed pair."""
+    _check_base(base)
+    S = _labels(i, S)
     lo, hi = _span(base, S)
     if lo <= i <= hi:
         return _key(i, S)
@@ -248,25 +274,39 @@ def canonical_index(base, i, S):
 
     The mirror pair (g - i, S^c) names the same class; the canonical
     representative contains the first marked point when n >= 1 and has
-    i <= g/2 when n = 0.  Raises ParamOutOfRange for a base that is not a
-    ModuliBase, and InvalidBoundary for a genus or a label that is not an int
-    and for pairs that do not name a class.
+    i <= g/2 when n = 0.  Raises as ``try_canonical_index``, and
+    InvalidBoundary for a pair that does not name a class.
     """
-    _check_base(base)
-    try:
-        S = frozenset(S)
-    except TypeError:
-        raise InvalidBoundary("%r is not a set of marked points" % (S,)) from None
-    if type(i) is not int or not {int}.issuperset(map(type, S)):
-        raise InvalidBoundary(
-            "boundary genus and labels must be integers, got %r and %r" % (i, set(S))
-        )
     key = try_canonical_index(base, i, S)
     if key is None:
         raise InvalidBoundary(
             "delta_{%d:%s} is not a boundary class on %s" % (i, sorted(S), base)
         )
     return key
+
+
+# The most boundary keys a base may have: g = n = 18 has 2 490 349 and is
+# admitted, g = n = 19 has 5 242 860 and is refused.
+_MAX_KEYS = 1 << 22
+
+
+def _check_size(base):
+    """The number of boundary keys of base, counted without building a key;
+    ParamOutOfRange when it exceeds _MAX_KEYS.  The keys are counted by |S|
+    from the spans of ``_span``: on a pointed base, C(n - 1, s - 1) sets of s
+    labels hold 1, and each spans hi - lo + 1 genera; an unpointed base has
+    g // 2 keys.  The count stops once it is over the limit, so a huge base
+    costs a few terms."""
+    g, n = base
+    count = 0 if n else g // 2
+    for s in range(1, n + 1):
+        if count > _MAX_KEYS:
+            break
+        lo, hi = 0 if s >= 2 else 1, g if s <= n - 2 else g - 1
+        count += comb(n - 1, s - 1) * (hi - lo + 1)
+    if count > _MAX_KEYS:
+        raise ParamOutOfRange("a base with more than %d boundary keys is refused" % _MAX_KEYS)
+    return count
 
 
 @functools.cache
@@ -276,6 +316,7 @@ def _boundary_keys(base):
     # labels, built in output order (i, sorted(S)) without canonicalizing a
     # raw pair: the sets with a nonempty span are sorted once by their
     # members, and the loop over i goes outside.
+    _check_size(base)
     labels = base.labels()
     sides = []
     for bits in product((0, 1), repeat=base.n):
@@ -293,6 +334,7 @@ def enumerate_boundary(base):
 
     The keys are computed once per base and cached; each call returns a fresh
     list, so a caller may change it without affecting later calls."""
+    _check_base(base)
     return list(_boundary_keys(base))
 
 
@@ -331,23 +373,46 @@ def _acc(acc, key, c):
         acc[key] = _frac(c2)
 
 
-def _read(entries, error, what, key):
-    """The sparse coefficient dict of entries, a mapping or a collection of
-    (k, c) pairs, stored on key(k); repeated keys add up.  entries that are
-    not a collection, an entry that is not a pair and a k that key cannot
-    unpack raise error, naming the entries as what."""
+def _items(entries, error, what):
+    """An iterator over the (key, c) pairs of entries, a mapping or a
+    collection of pairs; entries that are not a collection raise error,
+    naming them as what."""
     try:
-        items = iter(entries.items() if isinstance(entries, _MAPPINGS) else entries)
+        return iter(entries.items() if isinstance(entries, _MAPPINGS) else entries)
     except TypeError:
         raise error("%s %r is not a collection of (key, c) pairs" % (what, entries)) from None
-    acc = {}
-    for entry in items:
+
+
+def _read_boundary(base, entries):
+    """The sparse coefficient dict on base of entries, a mapping or a
+    collection of ((i, S), c) pairs; repeated keys add up, and an entry must
+    name a class even when its coefficient is 0.  Each distinct frozenset S
+    is checked (``_labels``) and spanned once, the first time it is met, and
+    any other S each time: a pair whose genus lies in the span of S is its
+    own key, and any other pair (a mirror form, a bad label or genus) is
+    ``canonical_index``'s, which keys it or raises.  A set met again is
+    reused only when it is the same object, as a set holding a bool equals
+    one holding an int.  An entry of a new key with an int coefficient makes
+    no Python call, as it is the one ``from_json`` and a copy of a class
+    give: the key is made as ``_key`` makes it and stored as ``_acc`` stores
+    it."""
+    acc, sides, new = {}, {}, tuple.__new__
+    for entry in _items(entries, InvalidBoundary, "boundary"):
         try:
-            k, c = entry
-            k = key(k)
+            (i, S), c = entry
         except (TypeError, ValueError):
-            raise error("%s entry %r is not a (key, c) pair" % (what, entry)) from None
-        _acc(acc, k, _frac(c))
+            raise InvalidBoundary("boundary entry %r is not a (key, c) pair" % (entry,)) from None
+        side = sides.get(S) if type(S) is frozenset else None
+        if side is None or side[0] is not S:
+            S = _labels(i, S)
+            side = sides[S] = (S, *_span(base, S))
+        S, lo, hi = side
+        k = new(BoundaryIndex, (i, S)) if type(i) is int and lo <= i <= hi \
+            else canonical_index(base, i, S)
+        if type(c) is int and c and k not in acc:
+            acc[k] = c
+        else:
+            _acc(acc, k, _frac(c))
     return acc
 
 
@@ -377,10 +442,7 @@ class DivisorClass(_Frozen):
             )
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "delta0", _frac(delta0))
-        # an entry must name a class even when its coefficient is 0
-        acc = _read(boundary or (), InvalidBoundary, "boundary",
-                    lambda k: canonical_index(base, *k))
-        object.__setattr__(self, "_boundary", acc)
+        object.__setattr__(self, "_boundary", _read_boundary(base, boundary or ()))
 
     @classmethod
     def _from_canonical(cls, base, lam, psi, delta0, boundary):
@@ -610,7 +672,14 @@ class TestCurve(_Frozen):
 
     def __init__(self, base, name, pairing):
         _check_base(base)
-        vec = _read(pairing, UnknownCurve, "pairing", lambda k: _pairing_key(base, k))
+        vec = {}
+        for entry in _items(pairing, UnknownCurve, "pairing"):
+            try:
+                k, c = entry
+                k = _pairing_key(base, k)
+            except (TypeError, ValueError):
+                raise UnknownCurve("pairing entry %r is not a (key, c) pair" % (entry,)) from None
+            _acc(vec, k, _frac(c))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_pairing", vec)
@@ -761,8 +830,9 @@ def from_json(s):
     """Inverse of ``to_json``.  The text must be JSON, g, n, i and the
     members of S integers and every coefficient an integer or a rational
     string; anything else raises MalformedJSON (or the PicError of the class
-    it would name).  Every boundary entry must name a class, one with a zero
-    coefficient too."""
+    it would name).  The checked entries are read by the constructor, so
+    every boundary entry must name a class, one with a zero coefficient
+    too."""
     try:
         d = json.loads(s)
     except (ValueError, RecursionError) as e:
@@ -774,7 +844,7 @@ def from_json(s):
         raise MalformedJSON("g and n must be integers, got %r and %r" % (g, n))
     if type(psi) is not list or type(boundary) is not list:
         raise MalformedJSON("psi and boundary must be lists")
-    values, coeffs = [], {}
+    entries, labels, coeffs = [], {}, {}
     for e in boundary:
         try:
             i, S, c = e["i"], e["S"], e["c"]
@@ -782,6 +852,12 @@ def from_json(s):
             i, S, c = _json_fields(e, ("i", "S", "c"))
         if type(i) is not int or type(S) is not list or not {int}.issuperset(map(type, S)):
             raise MalformedJSON("bad boundary entry %r" % (e,))
+        # one frozenset per distinct label list, so that the constructor meets
+        # each set as one object
+        t = tuple(S)
+        T = labels.get(t)
+        if T is None:
+            T = labels[t] = frozenset(t)
         # only a string coefficient is memoized, as True, 1.0 and 1 hash alike
         if type(c) is str:
             v = coeffs.get(c)
@@ -789,28 +865,9 @@ def from_json(s):
                 v = coeffs[c] = _json_coeff(c)
         else:
             v = _json_coeff(c)
-        values.append(v)
-    head = DivisorClass(
-        ModuliBase(g, n),
-        _json_coeff(lam),
-        [_json_coeff(c) for c in psi],
-        _json_coeff(delta0),
-    )
-    # The entries and the header are checked.  An entry whose genus is in the
-    # span of its set is its own key; any other (a mirror form, an unknown
-    # label, an unstable pair) is canonicalized, or raises, as in the
-    # constructor.  The spans are memoized per tuple(S), whose members are
-    # known to be ints.
-    base, spans, acc = head.base, {}, {}
-    for e, v in zip(boundary, values):
-        i, t = e["i"], tuple(e["S"])
-        span = spans.get(t)
-        if span is None:
-            fs = frozenset(t)
-            span = spans[t] = (fs, *_span(base, fs))
-        fs, lo, hi = span
-        _acc(acc, _key(i, fs) if lo <= i <= hi else canonical_index(base, i, fs), v)
-    return DivisorClass._from_canonical(base, head.lam, head.psi, head.delta0, acc)
+        entries.append(((i, T), v))
+    return DivisorClass(ModuliBase(g, n), _json_coeff(lam), [_json_coeff(c) for c in psi],
+                        _json_coeff(delta0), entries)
 
 
 def _rows(a):

@@ -60,7 +60,8 @@ def de_jonquieres(g, ks, ordered=True):
     inner = Fraction((-1) ** rho, g)
     for j in range(rho):
         inner += Fraction((-1) ** j * esym[rho - j], g - rho + j)
-    return Fraction(math.factorial(g), math.factorial(g - rho - 1)) * prod * inner
+    # g! / (g - rho - 1)!, exactly
+    return math.perm(g, rho + 1) * prod * inner
 
 
 def plucker(r, d, g):

@@ -25,6 +25,7 @@ from .core import (
     _acc,
     _check_class,
     _check_ints,
+    _check_size,
     _key,
     _label_set,
     _lift_psi,
@@ -267,6 +268,7 @@ def _pull_identify_points(m, a):
     # empty, so it is stored without canonicalizing or adding.  The images
     # below hold 1 and 2, so none of them meets these keys.
     if a.delta0:
+        _check_size(dom)
         for mask in range(1 << (n - 2)):
             S = frozenset([1] + [x for x in range(3, n + 1) if mask >> (x - 3) & 1])
             lo, hi = _span(dom, S)

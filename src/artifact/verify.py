@@ -388,6 +388,10 @@ _register("R11b", ["coupled", "theta-char"],
 
 
 def _r12a(g, h, parity):
+    # the cases start at h = 3: at h = 2 the weights are the single double
+    # pole, which coupled_partition builds by a formula of its own
+    if h < 3:
+        _refuse("R12a", h=h)
     dom = ModuliBase(g, 1)
     lhs = pullback(glue_tail(dom, 0, 1, 1), coupled_partition(g, (-h, h), parity))
     return [(lhs, 2 * theta_characteristic_locus(g, parity))]
@@ -527,6 +531,8 @@ _register("R15", ["pinch", "d1-holo", "weierstrass"],
 
 
 def _r16(g, h, parity):
+    if h < 3:
+        _refuse("R16", h=h)
     lhs = coupled_partition(g, (-h, h), parity)
     rhs = coupled_partition(g, (-2, 2), parity) \
         + pullback(forget_point(ModuliBase(g, 2), 1),

@@ -184,9 +184,17 @@ class TestSymmetry:
             assert equals(back, a)
 
     def test_coupled_weight_order_irrelevant_up_to_labels(self):
-        a = coupled_partition(4, (-2, 1, 1))
-        b = coupled_partition(4, (1, -2, 1))
-        assert equals(relabel(b, {1: 2, 2: 1, 3: 3}), a)
+        # each order is assembled on its own labels; relabeling the standard
+        # order (the pole first) is an independent path to the same class
+        cases = [*((d, p) for d in ((-2, 2), (2, -2)) for p in PARITIES),
+                 *((d, "total") for d in sorted(set(itertools.permutations((-2, 1, 1)))))]
+        for g in range(2, 8):
+            for d, parity in cases:
+                zeros = iter(t for t, x in enumerate(d, 1) if x > 0)
+                perm = {1: d.index(-2) + 1, **{k: next(zeros) for k in range(2, len(d) + 1)}}
+                standard = coupled_partition(g, tuple(sorted(d)), parity)
+                got = coupled_partition(g, d, parity)
+                assert to_json(relabel(standard, perm)) == to_json(got), (g, d, parity)
 
     def test_theta_pullback_respects_labels(self):
         a = theta_pullback_class(4, (5, -2))

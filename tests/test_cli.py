@@ -69,6 +69,11 @@ class TestClassVerb:
         assert code == 2
         assert "unknown class" in err
 
+    def test_a_base_with_too_many_keys_is_refused(self, capsys):
+        code, out, err = run(capsys, "class", "--name", "weierstrass", "--g", "1000000000")
+        assert code == 2 and out == ""
+        assert "boundary keys" in err
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "class", "--name", "d1-holo", "--g", "4")
         assert code == 2

@@ -179,6 +179,17 @@ class TestCanonicalIndex:
             assert keys == enumerate_by_canonicalizing(base)
             assert all(type(k) is BoundaryIndex for k in keys)
 
+    def test_the_size_check_counts_the_keys(self):
+        for g in range(2, 9):
+            for n in range(8):
+                base = ModuliBase(g, n)
+                assert core._check_size(base) == len(enumerate_boundary(base))
+        assert core._check_size(ModuliBase(12, 12)) == 26611
+        assert core._check_size(ModuliBase(18, 18)) == 2490349 <= core._MAX_KEYS
+        for base in (ModuliBase(19, 19), ModuliBase(3, 10 ** 9), ModuliBase(10 ** 9, 0)):
+            with pytest.raises(ParamOutOfRange, match="boundary keys"):
+                core._check_size(base)
+
     @pytest.mark.parametrize("mutate", [list.clear, list.reverse])
     def test_caller_cannot_touch_the_cache(self, mutate):
         w, l = to_json(weierstrass(4)), to_json(logan_class(4, (2, 1, 1)))
@@ -548,6 +559,11 @@ class TestSerializerWork:
         assert seen == []
         # one span per distinct label set, never one per entry
         assert 0 < len(spans) <= len({k.S for k in a.boundary}) < len(a.boundary)
+        # the constructor is the same reader
+        spans.clear()
+        b = DivisorClass(a.base, a.lam, a.psi, a.delta0, a.boundary.items())
+        assert equals(b, a) and seen == []
+        assert 0 < len(spans) <= len({k.S for k in a.boundary})
         # a mirror form does go through it, so the count above is a real zero
         mirror = text.replace('"boundary":[', '"boundary":[{"i":7,"S":[2,3,4,5,6,7,8],"c":"1"},')
         key = BoundaryIndex(1, frozenset({1}))
@@ -788,6 +804,14 @@ class TestFromJsonEntries:
         with pytest.raises(MalformedJSON, match="bad boundary entry"):
             from_json(_DOC_32 % ",".join([entry(1, first, "1"), entry(1, second, "1")]))
 
+    @pytest.mark.parametrize("first,second", [([1, 2], [True, 2]), ([1], [1.0]),
+                                              ([1], [True]), ([1, 2], [1, 2.0])])
+    def test_the_constructor_refuses_a_label_that_only_equals_an_int(self, first, second):
+        # the reader reuses a checked set only when it meets the same object
+        entries = [((1, frozenset(first)), 1), ((1, frozenset(second)), 1)]
+        with pytest.raises(InvalidBoundary, match="must be integers"):
+            DivisorClass(ModuliBase(3, 2), boundary=entries)
+
     def test_a_coefficient_that_only_equals_a_string_one_is_refused(self):
         with pytest.raises(MalformedJSON):
             from_json(_DOC_32 % ",".join([entry(1, [1], 1), entry(2, [1], True)]))
@@ -862,7 +886,8 @@ class TestFromJsonEntries:
 @given(st.integers(2, 5), st.integers(0, 4), st.data())
 def test_from_json_entries_agree_with_the_constructor(g, n, data):
     # arbitrary pairs, valid or not, canonical or mirror, against DivisorClass,
-    # which canonicalizes every entry
+    # which reads the same entries, and both against the definitions, one
+    # entry at a time
     base = ModuliBase(g, n)
     pairs = data.draw(st.lists(st.tuples(
         st.integers(-1, g + 1),
@@ -871,13 +896,19 @@ def test_from_json_entries_agree_with_the_constructor(g, n, data):
     ), max_size=8))
     doc = '{"g":%d,"n":%d,"lambda":"0","psi":[%s],"delta0":"0","boundary":[%s]}' % (
         g, n, ",".join(['"0"'] * n), ",".join(entry(*p) for p in pairs))
+    keys = [reference_canonical_index(base, i, S) for i, S, _ in pairs]
     try:
         want = DivisorClass(base, 0, None, 0, [((i, S), Fraction(c)) for i, S, c in pairs])
     except InvalidBoundary as e:
+        assert None in keys
         with pytest.raises(InvalidBoundary) as got:
             from_json(doc)
         assert str(got.value) == str(e)
         return
+    ref = {}
+    for key, (_, _, c) in zip(keys, pairs):
+        ref[key] = ref.get(key, 0) + Fraction(c)
+    assert want.boundary == {k: c for k, c in ref.items() if c}
     got = from_json(doc)
     assert got.boundary == want.boundary
     assert to_json(got) == to_json(want)

@@ -28,6 +28,8 @@ class TestDeJonquieres:
 
     def test_single_double_point(self):
         assert de_jonquieres(3, (2,)) == 8
+        # 2g + 2 at every genus, also past the argument range of math.factorial
+        assert de_jonquieres(10**20, (2,)) == 2 * 10**20 + 2
 
     def test_known_values(self):
         assert de_jonquieres(4, (1, 2, 2)) == 136

@@ -139,6 +139,20 @@ B51 = ModuliBase(5, 1)
     ('core.TestCurve((3, 1), "A", {})', ParamOutOfRange),
     ('builtin_test_curve("A", (3, 1))', ParamOutOfRange),
     ('canonical_index(None, 1, {1})', ParamOutOfRange),
+    ('core.try_canonical_index((3, 2), 1, {1})', ParamOutOfRange),
+    ('core.enumerate_boundary((3, 1))', ParamOutOfRange),
+    # boundary pairs that are not a genus and a set of int labels
+    ('core.try_canonical_index(B32, 1, 5)', core.InvalidBoundary),
+    ('core.try_canonical_index(B32, "1", {1})', core.InvalidBoundary),
+    ('core.try_canonical_index(B32, 1, [[1]])', core.InvalidBoundary),
+    ('core.try_canonical_index(B32, True, {1})', core.InvalidBoundary),
+    ('canonical_index(B32, 1, 5)', core.InvalidBoundary),
+    # bases whose boundary is too large to build; none of them builds a key
+    ('run_relation("R1", {"g": 10 ** 5000})', ParamOutOfRange),
+    ('weierstrass(10 ** 9)', ParamOutOfRange),
+    ('core.enumerate_boundary(ModuliBase(19, 19))', ParamOutOfRange),
+    ('pullback(identify_points(ModuliBase(2, 102)), DivisorClass(ModuliBase(3, 100), delta0=1))',
+     ParamOutOfRange),
     # suite bounds
     ('run_suite("5")', ParamOutOfRange),
     ('run_suite(5, n_max=2.0)', ParamOutOfRange),
@@ -217,6 +231,17 @@ def _callers(test):
 def test_the_genus2_normal_form_has_one_caller():
     # equality, diff_first and hash all reach normalize_genus2 through _normal
     assert _callers(lambda call: call.func.id == "normalize_genus2") == [("core", "_normal")]
+
+
+def test_classes_enter_through_the_formulas_and_the_reader():
+    # a catalog class is assembled on the caller's labels, never relabeled,
+    # and from_json reads its entries through the constructor
+    catalog = dict(_package_trees())["catalog"]
+    names = {n.id for n in ast.walk(catalog) if isinstance(n, ast.Name)} | {
+        a.name for n in ast.walk(catalog) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "relabel" not in names
+    found = _callers(lambda call: call.func.id in ("_span", "canonical_index"))
+    assert found and ("core", "from_json") not in found
 
 
 def test_the_class_check_is_written_once():

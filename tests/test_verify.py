@@ -120,9 +120,12 @@ class TestSuite:
         ("R18", {"g": 5, "curve": "A", "i": 3}),  # A, D and E take no index
         ("R18", {"g": 5, "curve": "D", "i": 1}),
         ("R18", {"g": 5, "curve": "E", "i": -1}),
+        # h = 2 is the single double pole, a formula of its own
+        ("R12a", {"g": 4, "h": 2, "parity": "total"}),
+        ("R16", {"g": 4, "h": 2, "parity": "total"}),
     ], ids=["R3-i-at-g-minus-k", "R6a-n5", "R6a-n1", "R6b-j3", "R6b-j0", "R7-h0-g5",
             "R7-h-negative", "R12b-parity", "R14-n4", "R14-h0", "R15-h1", "R18-A-index",
-            "R18-D-index", "R18-E-index"])
+            "R18-D-index", "R18-E-index", "R12a-h2", "R16-h2"])
     def test_values_outside_the_case_domain_are_refused(self, name, params):
         with pytest.raises(ParamOutOfRange, match="has no case"):
             run_relation(name, params)
