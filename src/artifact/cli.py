@@ -34,7 +34,7 @@ from .enumerative import (
     plucker,
     residue_polynomial,
 )
-from .catalog import CONSTRUCTORS
+from .catalog import CONSTRUCTORS, PARITIES
 
 
 def _int_list(s):
@@ -118,8 +118,7 @@ def _add_class_flags(p):
     p.add_argument("--k", type=int)
     p.add_argument("--h", type=int)
     p.add_argument("--d", type=_int_list)
-    p.add_argument("--parity", default="total",
-                   choices=["odd", "even", "total"])
+    p.add_argument("--parity", default="total", choices=PARITIES)
 
 
 # a class is written as JSON, CSV or a LaTeX table; a value as JSON or bare text
@@ -247,7 +246,7 @@ def dispatch(argv):
                 _emit(report.summary(), args)
             if not report.ok:
                 return 1
-    except (PicError, ValueError) as e:
+    except (PicError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     return 0

@@ -10,10 +10,14 @@ mirror (g - i, S^c) name the same class; every class is stored under a single
 canonical representative.  One rule, ``_span``, decides which: it gives the
 genera i for which (i, S) is its own canonical key.  Canonicalizing,
 enumerating, reading JSON, relabeling and the pullbacks all derive their keys
-and stability tests from it.  Every coefficient is exact and stored in one
-canonical form: an int when it is integral and a Fraction otherwise, so that
-integral arithmetic never builds a Fraction.  There is no floating point
-anywhere in this package.
+and stability tests from it.  ``_side`` is the one mirror rule on top of it:
+it keys the pairs (i - h, S) for every i at once, under S or its mirror, and
+``try_canonical_index`` asks it about one pair.  ``_walk`` is the one loop
+that moves the keys of a class, asking its image rule once per distinct set:
+``relabel`` and every pullback are a walk.  Every coefficient is exact and
+stored in one canonical form: an int when it is integral and a Fraction
+otherwise, so that integral arithmetic never builds a Fraction.  There is no
+floating point anywhere in this package.
 
 Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
@@ -200,8 +204,10 @@ def _ordered(keys):
 
 
 @functools.cache
-def _label_set(base):
-    return frozenset(base.labels())
+def _label_set(n):
+    """The labels 1..n as a frozenset, cached on n: an int hashes at once,
+    where a base would hash as a tuple on every call."""
+    return frozenset(range(1, n + 1))
 
 
 def _key(i, S):
@@ -228,11 +234,50 @@ def _span(base, S):
     is never its own key, and its span is empty."""
     g, n = base
     if n:
-        if 1 in S and S <= _label_set(base):
+        if 1 in S and S <= _label_set(n):
             return 0 if len(S) >= 2 else 1, g if len(S) <= n - 2 else g - 1
     elif not S:
         return 1, g // 2
     return 1, 0
+
+
+def _side(base, S, h=0):
+    """The keys of the pairs (i - h, S) on base for every i at once, as pieces
+    (T, flip, c, lo, hi): for lo <= i <= hi the pair names the class keyed
+    (c - i, T) when flip, and (i - c, T) otherwise.  This is the one mirror
+    rule; it spans one set.  On a pointed base there is one piece: S when it
+    holds 1, and its mirror (g + h - i, S^c) otherwise; a label foreign to the
+    base stays in S^c, so that its range is empty.  On an unpointed base the
+    one set with a span is the empty set, which is its own mirror, so there
+    are two pieces, S and its mirror; they meet at i - h = g / 2."""
+    g, n = base
+    if n and 1 not in S:
+        T = S ^ _label_set(n)
+        lo, hi = _span(base, T)
+        return ((T, True, g + h, g + h - hi, g + h - lo),)
+    lo, hi = _span(base, S)
+    own = (S, False, h, lo + h, hi + h)
+    return (own,) if n else (own, (S, True, g + h, g + h - hi, g + h - lo))
+
+
+def _walk(a, images, bnd):
+    """Store in bnd the coefficient of each key (i, S) of a under the key of
+    each of its images; images(S) gives their ``_side`` pieces, and is called
+    once per distinct S, the first time S is met.  This is the one loop of
+    relabel and the pullbacks over the keys of a class.  Its callers show
+    that images of distinct keys are distinct, so a key is stored without
+    adding; two images of one key that name one class store the one
+    coefficient twice.  A key is made as ``_key`` makes it, without the call
+    per key."""
+    sides, new = {}, tuple.__new__
+    for (i, S), c in a._boundary.items():
+        pieces = sides.get(S)
+        if pieces is None:
+            pieces = sides[S] = images(S)
+        for T, flip, k, lo, hi in pieces:
+            if lo <= i <= hi:
+                bnd[new(BoundaryIndex, (k - i if flip else i - k, T))] = c
+    return bnd
 
 
 def _labels(i, S):
@@ -258,15 +303,10 @@ def try_canonical_index(base, i, S):
     is not an int, so None always answers a well-formed pair."""
     _check_base(base)
     S = _labels(i, S)
-    lo, hi = _span(base, S)
-    if lo <= i <= hi:
-        return _key(i, S)
-    # the mirror side; a label foreign to the base stays in it, so that its
-    # span is empty too
-    T = _label_set(base) ^ S
-    lo, hi = _span(base, T)
-    j = base.g - i
-    return _key(j, T) if lo <= j <= hi else None
+    for T, flip, c, lo, hi in _side(base, S):
+        if lo <= i <= hi:
+            return _key(c - i if flip else i - c, T)
+    return None
 
 
 def canonical_index(base, i, S):
@@ -585,22 +625,9 @@ def relabel(a, perm):
     if not {int}.issuperset(map(type, [*perm, *perm.values()])) \
             or sorted(perm) != labels or sorted(perm.values()) != labels:
         raise ParamOutOfRange("relabeling must permute {1..%d}" % base.n)
-    # A permutation keeps i and |S|, so it maps a key to a stable pair (i, T),
-    # and distinct classes to distinct classes.  When T's span is not empty,
-    # T holds 1 (or T is empty on an unpointed base), the span is every genus
-    # of a stable pair, and (i, T) is its own key; otherwise its mirror is.
-    # So each image is stored under its key, without a stability test or a
-    # sum, and T, its span and its mirror are made once per distinct S, the
-    # first time S is met.
-    g, bnd, sides = base.g, {}, {}
-    for (i, S), c in a._boundary.items():
-        side = sides.get(S)
-        if side is None:
-            T = frozenset(map(perm.__getitem__, S))
-            lo, hi = _span(base, T)
-            side = sides[S] = (False, T) if lo <= hi else (True, _label_set(base) - T)
-        flip, T = side
-        bnd[_key(g - i if flip else i, T)] = c
+    # A permutation keeps i and |S|, so it maps a key to a stable pair, and
+    # distinct classes to distinct classes.
+    bnd = _walk(a, lambda S: _side(base, frozenset(map(perm.__getitem__, S))), {})
     return DivisorClass._from_canonical(base, a.lam, _lift_psi(base, a, perm), a.delta0, bnd)
 
 
@@ -739,6 +766,7 @@ def builtin_test_curve(name, base, i=None, n=None):
     side, needs i and n).
     """
     _check_base(base)
+    _check_size(base)
     given = {"i": i, "n": n}
     _check_ints(ParamOutOfRange, **{k: v for k, v in given.items() if v is not None})
     g = base.g

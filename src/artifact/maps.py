@@ -6,12 +6,13 @@ Each map is a ``GluingMap``: its variant, its domain and the variant's
 parameters, checked once when it is built, with the codomain derived from
 them.  The four named constructors are calls to it.  ``pullback`` applies the
 generator-by-generator substitution table to the canonical representative of
-every class in the input.  Each handler builds the image keys in canonical
-form directly, by the one key rule of ``core._span``, and drops the image
-pairs that name an unstable (hence empty) degeneration as zero.  Forgetting a
-point, gluing a closed tail and identifying two points share one image rule,
-``_pull_two_sided``; its comment and the one in the glue-tail handler prove
-which images are stable, canonical and distinct.
+every class in the input.  Each handler is a ``core._walk`` over the keys of
+the class: it names the image pairs of each distinct set once, and
+``core._side`` keys them in canonical form and drops those that name an
+unstable (hence empty) degeneration as zero.  Forgetting a point, gluing a
+closed tail and identifying two points share one image rule,
+``_pull_two_sided``; its comment and the one in the glue-tail handler say
+which images exist and why they are distinct.
 """
 
 from types import MappingProxyType
@@ -27,10 +28,11 @@ from .core import (
     _check_ints,
     _check_size,
     _key,
-    _label_set,
     _lift_psi,
     _nogc,
+    _side,
     _span,
+    _walk,
     try_canonical_index,
 )
 
@@ -168,30 +170,21 @@ def _pull_glue_tail(m, a):
     # the domain's psi_k, and the tail's own points are not in the domain.
     tail_key = try_canonical_index(cod, h, T)
     psi = [-a.coeff(tail_key) if k == at else a.psi[k - 1] for k in dom.labels()]
-    bnd = {}
-    # Every other key (i, S) holds 1, as n + j >= 1.  Its class restricts to
-    # the domain when the tail lies on one side of the node: the far side
-    # when S misses T, giving (i, S), or the side of S when S holds T and
-    # i >= h, giving (i - h, S - new), as at is in S.  Both images hold 1, so
-    # each is its own key when it is stable.  The key is stable, so i = 0 has
-    # |S| >= 2 and i = g + h has |S| <= n + j - 2; what is left to check:
-    # - (i, S) has at most n - 1 points, as at is not in S.  It needs i <= g,
-    #   and i = g with n - 1 points is the key (g, T^c), the tail class.
-    # - (i - h, S - new) has |S| - j >= 1 points, and at most n - 2 when
-    #   i - h = g.  At i = h with one point, S = T: the tail class.
-    # Images of the first kind miss at and those of the second hold it, and
-    # each kind determines its key, so all images are distinct.
-    for key, c in a._boundary.items():
-        i, S = key
-        if key == tail_key:
-            pass  # in psi, above
-        elif S.isdisjoint(T):
-            if i <= dom.g:
-                bnd[key] = c
-        elif i >= h and T <= S:
-            bnd[_key(i - h, S - new)] = c
-        # remaining cases (S meets T without containing it, or the tail side
-        # would get negative genus) restrict to nothing
+
+    # A key (i, S) restricts to the domain when the tail lies on one side of
+    # its node: the far side when S misses T, giving (i, S), or the side of S
+    # when S holds T, giving (i - h, S - new); a set that meets T without
+    # holding it restricts to nothing.  Images of the first kind miss at and
+    # those of the second hold it, and each kind determines its key, so all
+    # images are distinct.  The tail class goes to psi, above, and the span
+    # rule drops its image: (0, {1}), unstable, when at = 1, and otherwise
+    # (g, T^c), whose n - 1 points put genus g out of range.
+    def images(S):
+        if S.isdisjoint(T):
+            return _side(dom, S)
+        return _side(dom, S - new, h) if T <= S else ()
+
+    bnd = _walk(a, images, {})
     return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
 
@@ -202,46 +195,23 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
     (i - h, S' + A), with S' = lift(S), on the two sides of A.  (h, A) is
     (0, {j}) for forgetting j, (h, {at}) for a closed tail glued at at and
     (1, {1, 2}) for identifying 1 and 2."""
-    # The codomain is (g + h, n - |A|), and lift is the order-preserving
-    # bijection of its labels onto the domain labels outside A; the domain
-    # holds A, so it is pointed.  An image names a class when it is stable,
-    # and its key follows the span rule of try_canonical_index:
-    # - the far image (i, S') is its own key when i is in the span of S'.
-    #   When that span is empty, S' lacks 1, its mirror S'^c holds it, and the
-    #   key is (g - i, S'^c) when g - i is in the span of S'^c.
-    # - the near image holds 1 (A holds it, or the codomain is pointed, so S
-    #   holds its point 1 and lift keeps it), so it is its own key when i - h
-    #   is in its span.
-    # Both are worked out once per distinct S, the first time S is met, with
-    # the far span turned into the range of i.  The node of an image's
-    # generic member becomes a node of the key's type under the map, so an
-    # image determines its key, and images of distinct keys are distinct.
-    # The two images of one key are one class only when the near one is the
-    # far one's mirror: then S' is empty and A is every label, so the
-    # codomain is unpointed, and 2i = g + h.  That symmetric class meets the
-    # image of the map in one divisor, through the one separating node,
-    # transversally, so it is counted once: the second store writes the same
-    # coefficient again.
-    g, same, sides = dom.g, lift == list(range(len(lift))), {}
-    for (i, S), c in a._boundary.items():
-        side = sides.get(S)
-        if side is None:
-            # a lift that keeps every label keeps S, and the image shares it
-            F = S if same else frozenset(map(lift.__getitem__, S))
-            N = F | A
-            lo, hi = _span(dom, F)
-            flip = lo > hi
-            if flip:
-                F = _label_set(dom) - F
-                lo, hi = _span(dom, F)
-                lo, hi = g - hi, g - lo
-            side = sides[S] = (flip, F, lo, hi, N, *_span(dom, N))
-        flip, F, lo, hi, N, nlo, nhi = side
-        if lo <= i <= hi:
-            bnd[_key(g - i if flip else i, F)] = c
-        if nlo <= i - h <= nhi:
-            bnd[_key(i - h, N)] = c
-    return bnd
+    # lift is the order-preserving bijection of the codomain labels onto the
+    # domain labels outside A.  The node of an image's generic member becomes
+    # a node of the key's type under the map, so an image determines its key,
+    # and images of distinct keys are distinct.  The two images of one key
+    # are one class only when the near one is the far one's mirror: then S'
+    # is empty and A is every label, so the codomain is unpointed, and
+    # 2i = g + h.  That symmetric class meets the image of the map in one
+    # divisor, through the one separating node, transversally, so it is
+    # counted once: the second store writes the same coefficient again.
+    same = lift == list(range(len(lift)))
+
+    def images(S):
+        # a lift that keeps every label keeps S, and the image shares it
+        F = S if same else frozenset(map(lift.__getitem__, S))
+        return _side(dom, F) + _side(dom, F | A, h)
+
+    return _walk(a, images, bnd)
 
 
 def _pull_glue_closed_tail(m, a):

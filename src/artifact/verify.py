@@ -24,6 +24,7 @@ from .core import (
 )
 from .maps import forget_point, glue_closed_tail, glue_tail, pullback
 from .catalog import (
+    PARITIES,
     anti_ramification,
     bn_coefficient_check,
     brill_noether,
@@ -373,7 +374,7 @@ _register("R11a", ["coupled"],
 
 def _r11b(g, parity):
     dom = ModuliBase(g, 2)
-    if parity not in ("odd", "even", "total"):
+    if parity not in PARITIES:
         raise UnknownRelation("R11b parity %r" % (parity,))
     swap = {"odd": "even", "even": "odd", "total": "total"}[parity]
     lhs = pullback(glue_closed_tail(dom, 1, 1), theta_characteristic_locus(g + 1, parity))

@@ -241,6 +241,17 @@ class TestOutput:
         assert out == ""
         assert equals(from_json(target.read_text()), weierstrass(3))
 
+    @pytest.mark.parametrize("argv", [["class", "--name", "weierstrass", "--g", "3"],
+                                      ["verify", "--gmax", "3"]])
+    @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+    def test_an_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv, where):
+        # exit 1 is a verification failure; a file that cannot be written is
+        # the caller's error, reported without a traceback
+        target = tmp_path if where == "a directory" else tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(target) in err
+
     def test_missing_verb_is_usage_error(self, capsys):
         assert dispatch([]) == 2
         capsys.readouterr()

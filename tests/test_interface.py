@@ -103,6 +103,10 @@ B51 = ModuliBase(5, 1)
     ('builtin_test_curve("B", B51, i=1.5)', ParamOutOfRange),
     ('builtin_test_curve("C", B51, i=True)', ParamOutOfRange),
     ('builtin_test_curve("Bin", ModuliBase(3, 3), i=1, n=2.0)', ParamOutOfRange),
+    # a test curve on a base past the key limit, as every other key-building
+    # path refuses it
+    ('builtin_test_curve("Bin", ModuliBase(19, 19), i=1, n=1)', ParamOutOfRange),
+    ('builtin_test_curve("Bin", ModuliBase(10 ** 9, 10 ** 9), i=1, n=1)', ParamOutOfRange),
     # enumerative parameters
     ('de_jonquieres(5, [1, "2"])', OutOfRange),
     ('de_jonquieres(5.0, [1, 2])', OutOfRange),
@@ -253,3 +257,19 @@ def test_the_class_check_is_written_once():
     allowed = {("core", "_check_class"), ("core", "_check_pair"),
                ("core", "DivisorClass.__eq__"), ("verify", "_difference")}
     assert found and set(found) <= allowed, found
+
+
+def test_the_mirror_rule_is_written_once():
+    # the label set, from which a mirror S^c is made, is read only by the
+    # span rule and the one mirror rule built on it
+    found = _callers(lambda call: call.func.id == "_label_set")
+    assert found and set(found) == {("core", "_span"), ("core", "_side")}, found
+
+
+def test_the_pullbacks_walk_the_keys_through_core():
+    # every handler maps the keys of a class with core._walk; none of them
+    # reads the private coefficient dict itself
+    maps = dict(_package_trees())["maps"]
+    names = [n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(maps)
+             if isinstance(n, (ast.Attribute, ast.Name))]
+    assert "_walk" in names and "_boundary" not in names

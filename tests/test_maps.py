@@ -601,8 +601,8 @@ def test_pullback_and_relabel_keys_are_canonical_and_nonzero(m, seed):
 
 class TestNoPerKeyCanonicalizing:
     """A pullback or a relabeling canonicalizes O(n) pairs, never one per key:
-    the image keys are built in canonical form, from the span of each
-    distinct label set."""
+    the image keys are built in canonical form, from one span per image of
+    each distinct label set."""
 
     g = 8
 
@@ -627,7 +627,7 @@ class TestNoPerKeyCanonicalizing:
         g, M = self.g, ModuliBase
         a = logan_class(g, (1,) * g)
         sets_in = len({k.S for k in a.boundary})
-        assert len(a.boundary) > 1000 > 3 * sets_in + 2 * (g + 2) and not a.delta0
+        assert len(a.boundary) > 1000 > 2 * sets_in + g + 2 and not a.delta0
         for m in [
             glue_tail(M(g, 1), 0, g - 1, 1),
             glue_tail(M(g - 1, g - 1), 1, 1, attach=g - 1),
@@ -641,12 +641,32 @@ class TestNoPerKeyCanonicalizing:
             pullback(m, a)
             n = m.domain.n
             assert calls["canonical"] <= n, m
-            # at most three spans per distinct set (its far image, that
-            # image's mirror and its near image) and two per canonicalized
-            # pair (it and its mirror); the class has no delta_0, so
+            # one span per image of a distinct set, and one per canonicalized
+            # pair: glue-tail has one image per set and canonicalizes the
+            # tail class; the other maps have two images per set, and forget
+            # canonicalizes one pair per psi_k.  The class has no delta_0, so
             # identify-points makes no delta_0 images
-            assert calls["span"] <= 3 * sets_in + 2 * n, m
+            if m.variant == "glue-tail":
+                assert calls["span"] <= sets_in + 1, m
+            assert calls["span"] <= 2 * sets_in + n, m
         calls.update(canonical=0, span=0)
         relabel(a, [g, *range(1, g)])
         assert calls["canonical"] == 0
         assert calls["span"] <= sets_in
+
+    @pytest.mark.parametrize("base, i, S, key", [
+        pytest.param(ModuliBase(3, 2), 1, {1}, (1, {1}), id="own"),
+        pytest.param(ModuliBase(3, 2), 2, {2}, (1, {1}), id="mirror"),
+        pytest.param(ModuliBase(3, 2), 0, {2}, None, id="mirror-unstable"),
+        pytest.param(ModuliBase(3, 2), 1, {5}, None, id="foreign-label"),
+        pytest.param(ModuliBase(3, 2), 1, {1, 5}, None, id="own-foreign-label"),
+        pytest.param(ModuliBase(5, 0), 1, (), (1, set()), id="unpointed-own"),
+        pytest.param(ModuliBase(5, 0), 4, (), (1, set()), id="unpointed-mirror"),
+        pytest.param(ModuliBase(5, 0), 0, (), None, id="unpointed-unstable"),
+        pytest.param(ModuliBase(5, 0), 1, {1}, None, id="unpointed-foreign-label"),
+    ])
+    def test_try_canonical_index_spans_once(self, calls, base, i, S, key):
+        # the own form and the mirror form are read off one span
+        got = try_canonical_index(base, i, S)
+        assert calls["span"] == 1
+        assert got == (None if key is None else (key[0], frozenset(key[1])))
