@@ -8,16 +8,20 @@ delta_0, and the reducible boundary classes delta_{i:S} indexed by a genus
 0 <= i <= g and a subset S of the marked points.  The pair (i, S) and its
 mirror (g - i, S^c) name the same class; every class is stored under a single
 canonical representative.  One rule, ``_span``, decides which: it gives the
-genera i for which (i, S) is its own canonical key.  Canonicalizing,
-enumerating, reading JSON, relabeling and the pullbacks all derive their keys
-and stability tests from it.  ``_side`` is the one mirror rule on top of it:
-it keys the pairs (i - h, S) for every i at once, under S or its mirror, and
-``try_canonical_index`` asks it about one pair.  ``_walk`` is the one loop
-that moves the keys of a class, asking its image rule once per distinct set:
-``relabel`` and every pullback are a walk.  Every coefficient is exact and
-stored in one canonical form: an int when it is integral and a Fraction
-otherwise, so that integral arithmetic never builds a Fraction.  There is no
-floating point anywhere in this package.
+genera i for which (i, S) is its own canonical key, and ``_bounds`` writes
+its thresholds once, by |S|.  Canonicalizing, reading JSON, relabeling and
+the pullbacks derive their keys and stability tests from ``_span``.
+``_own_sets`` is the one generator of the sets that are their own keys, size
+by size, each with its span: enumerating sorts its output, and the
+identify-points pullback takes its delta_0 keys from it; ``_check_size``
+counts the same sizes from ``_bounds``.  ``_side`` is the one mirror rule on
+top of ``_span``: it keys the pairs (i - h, S) for every i at once, under S
+or its mirror, and ``try_canonical_index`` asks it about one pair.
+``_walk`` is the one loop that moves the keys of a class, asking its image
+rule once per distinct set: ``relabel`` and every pullback are a walk.  Every
+coefficient is exact and stored in one canonical form: an int when it is
+integral and a Fraction otherwise, so that integral arithmetic never builds a
+Fraction.  There is no floating point anywhere in this package.
 
 Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
@@ -39,7 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 import functools
 import gc
-from itertools import compress, product
+from itertools import combinations
 import json
 from math import comb
 from operator import itemgetter
@@ -216,6 +220,16 @@ def _key(i, S):
     return tuple.__new__(BoundaryIndex, (i, S))
 
 
+def _bounds(g, n, s):
+    """(lo, hi): on the base (g, n), the pair (i, S) is its own key exactly
+    when lo <= i <= hi, for S a set of s labels holding 1 when n >= 1, and
+    for the empty set (s = 0) when n = 0.  The span thresholds are written
+    here and nowhere else; ``_span`` says where they come from."""
+    if not n:
+        return 1, g // 2
+    return 0 if s >= 2 else 1, g if s <= n - 2 else g - 1
+
+
 def _span(base, S):
     """(lo, hi): the pair (i, S) is its own canonical key, and names a class
     on base = (g, n), exactly when lo <= i <= hi.  Every other key rule is
@@ -230,15 +244,29 @@ def _span(base, S):
     n >= 1, and the one with 2i <= g when n = 0, where S is empty and both
     sides are stable for 0 < i < g.  So for n >= 1 the span of a set of labels
     holding 1 is the stable range, and for n = 0 the span of the empty set is
-    1..g // 2.  Any other S (one without 1, or with a label the base lacks)
-    is never its own key, and its span is empty."""
+    1..g // 2; ``_bounds`` gives both by |S|.  Any other S (one without 1, or
+    with a label the base lacks) is never its own key, and its span is
+    empty."""
     g, n = base
-    if n:
-        if 1 in S and S <= _label_set(n):
-            return 0 if len(S) >= 2 else 1, g if len(S) <= n - 2 else g - 1
-    elif not S:
-        return 1, g // 2
+    if (not n or 1 in S) and S <= _label_set(n):
+        return _bounds(g, n, len(S))
     return 1, 0
+
+
+def _own_sets(base, rest=None):
+    """(S, lo, hi) for each set S of labels that is its own key on base for
+    the genera lo <= i <= hi, as ``_span`` gives them, size by size: on a
+    pointed base the sets holding 1 whose other labels come from rest, by
+    default 2..n, and on an unpointed base, where rest is left out, the
+    empty set.  Every span is nonempty, as g >= 2.  This is the one
+    generator of key sets."""
+    g, n = base
+    head = (1,) if n else ()
+    rest = range(2, n + 1) if rest is None else rest
+    for k in range(len(rest) + 1):
+        lo, hi = _bounds(g, n, len(head) + k)
+        for T in combinations(rest, k):
+            yield frozenset(head + T), lo, hi
 
 
 def _side(base, S, h=0):
@@ -333,17 +361,18 @@ _MAX_KEYS = 1 << 22
 def _check_size(base):
     """The number of boundary keys of base, counted without building a key;
     ParamOutOfRange when it exceeds _MAX_KEYS.  The keys are counted by |S|
-    from the spans of ``_span``: on a pointed base, C(n - 1, s - 1) sets of s
-    labels hold 1, and each spans hi - lo + 1 genera; an unpointed base has
-    g // 2 keys.  The count stops once it is over the limit, so a huge base
-    costs a few terms."""
+    from the spans of ``_bounds``, as ``_own_sets`` yields them: on a pointed
+    base, C(n - 1, s - 1) sets of s labels hold 1, and on an unpointed base
+    the one set is empty; each spans hi - lo + 1 genera.  The count stops
+    once it is over the limit, so a huge base costs a few terms."""
     g, n = base
-    count = 0 if n else g // 2
-    for s in range(1, n + 1):
+    p = min(n, 1)  # how many labels every own set holds: label 1, when n >= 1
+    count = 0
+    for s in range(p, n + 1):
         if count > _MAX_KEYS:
             break
-        lo, hi = 0 if s >= 2 else 1, g if s <= n - 2 else g - 1
-        count += comb(n - 1, s - 1) * (hi - lo + 1)
+        lo, hi = _bounds(g, n, s)
+        count += comb(n - p, s - p) * (hi - lo + 1)
     if count > _MAX_KEYS:
         raise ParamOutOfRange("a base with more than %d boundary keys is refused" % _MAX_KEYS)
     return count
@@ -352,19 +381,12 @@ def _check_size(base):
 @functools.cache
 def _boundary_keys(base):
     # The keys of a base depend only on (g, n), and a process meets few bases.
-    # They are the pairs (i, S) with i in the span of S, over every set S of
-    # labels, built in output order (i, sorted(S)) without canonicalizing a
-    # raw pair: the sets with a nonempty span are sorted once by their
-    # members, and the loop over i goes outside.
+    # They are the pairs (i, S) with i in the span of S, over the sets of
+    # ``_own_sets``, built in output order (i, sorted(S)) without
+    # canonicalizing a raw pair: the sets are sorted once by their members,
+    # and the loop over i goes outside.
     _check_size(base)
-    labels = base.labels()
-    sides = []
-    for bits in product((0, 1), repeat=base.n):
-        S = frozenset(compress(labels, bits))
-        lo, hi = _span(base, S)
-        if lo <= hi:
-            sides.append((sorted(S), S, lo, hi))
-    sides.sort()
+    sides = sorted((sorted(S), S, lo, hi) for S, lo, hi in _own_sets(base))
     return tuple(_key(i, S) for i in range(base.g + 1)
                  for _, S, lo, hi in sides if lo <= i <= hi)
 
@@ -397,10 +419,10 @@ def _frac(x):
 
 def _acc(acc, key, c):
     """Add c to acc[key] in a sparse coefficient dict, dropping a zero sum.
-    A None key (an unstable pair) or a zero c contributes nothing.  c must be
-    in the canonical form of ``_frac``: a new key stores it as given, and a
-    sum is canonicalized, since two Fractions can add up to an integer."""
-    if key is None or not c:
+    A zero c contributes nothing.  c must be in the canonical form of
+    ``_frac``: a new key stores it as given, and a sum is canonicalized,
+    since two Fractions can add up to an integer."""
+    if not c:
         return
     old = acc.get(key)
     if old is None:
@@ -500,11 +522,18 @@ class DivisorClass(_Frozen):
         return MappingProxyType(self._boundary)
 
     def coeff(self, key):
-        return self._boundary.get(key, 0)
+        """Coefficient of the boundary class keyed by the pair key = (i, S),
+        in either mirror form, as ``delta(i, S)`` gives it; anything that is
+        not such a pair raises InvalidBoundary."""
+        try:
+            i, S = key
+        except (TypeError, ValueError):
+            raise InvalidBoundary("%r is not a boundary key (i, S)" % (key,)) from None
+        return self.delta(i, S)
 
     def delta(self, i, S):
         """Coefficient of delta_{i:S} (any representative)."""
-        return self.coeff(canonical_index(self.base, i, S))
+        return self._boundary.get(canonical_index(self.base, i, S), 0)
 
     def is_zero(self):
         return (
@@ -682,9 +711,10 @@ def diff_first(a, b):
     # unequal ones differ on some key
     if a._boundary == b._boundary:
         return None
-    diff = [k for k in a._boundary.keys() | b._boundary.keys() if a.coeff(k) != b.coeff(k)]
+    # a key whose coefficients differ is in the entries (k, c) of just one
+    diff = {k for k, _ in a._boundary.items() ^ b._boundary.items()}
     key = min(diff, key=BoundaryIndex.sort_key)
-    return (str(key), a.coeff(key), b.coeff(key))
+    return (str(key), a._boundary.get(key, 0), b._boundary.get(key, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +780,7 @@ def pair(curve, a):
         elif k == "delta0":
             total += c * a.delta0
         elif isinstance(k, BoundaryIndex):
-            total += c * a.coeff(k)
+            total += c * a._boundary.get(k, 0)
         else:
             total += c * a.psi[k[1] - 1]
     return _frac(total)

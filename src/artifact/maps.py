@@ -30,10 +30,10 @@ from .core import (
     _key,
     _lift_psi,
     _nogc,
+    _own_sets,
     _side,
-    _span,
     _walk,
-    try_canonical_index,
+    canonical_index,
 )
 
 
@@ -165,11 +165,11 @@ def _pull_glue_tail(m, a):
     new = frozenset(range(dom.n + 1, dom.n + j + 1))  # the tail's own points
     T = new | {at}
     # the class whose generic member is the glued tail itself pulls back to
-    # minus psi at the attach point; detect it canonically since either
-    # mirror representative may be stored.  Every other psi_k restricts to
-    # the domain's psi_k, and the tail's own points are not in the domain.
-    tail_key = try_canonical_index(cod, h, T)
-    psi = [-a.coeff(tail_key) if k == at else a.psi[k - 1] for k in dom.labels()]
+    # minus psi at the attach point; it names a class, as h = j = 0 is
+    # refused.  Every other psi_k restricts to the domain's psi_k, and the
+    # tail's own points are not in the domain.
+    tail = a.delta(h, T)
+    psi = [-tail if k == at else a.psi[k - 1] for k in dom.labels()]
 
     # A key (i, S) restricts to the domain when the tail lies on one side of
     # its node: the far side when S misses T, giving (i, S), or the side of S
@@ -219,8 +219,8 @@ def _pull_glue_closed_tail(m, a):
     h, at = m.params["h"], m.params["attach"]
     lift = [0, *(x for x in dom.labels() if x != at)]  # cod label k -> dom label
     psi = _lift_psi(dom, a, lift)
-    # the class whose generic member is the tail itself also meets psi
-    psi[at - 1] = -a.coeff(try_canonical_index(cod, h, ()))
+    # the class whose generic member is the tail itself (h >= 1) also meets psi
+    psi[at - 1] = -a.delta(h, ())
     bnd = _pull_two_sided(dom, a, lift, h, {at}, {})
     return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
 
@@ -234,14 +234,13 @@ def _pull_identify_points(m, a):
     # every class separating the two glued points maps into the irreducible
     # boundary; each such class has exactly one representative (i, S) with 1
     # in S and 2 outside, and that is its key when it names a class, that is
-    # when i is in the span of S.  Each key is met once and bnd is still
-    # empty, so it is stored without canonicalizing or adding.  The images
-    # below hold 1 and 2, so none of them meets these keys.
+    # when i is in the span of S: the own sets over the labels 3..n.  Each
+    # key is met once and bnd is still empty, so it is stored without
+    # canonicalizing or adding.  The images below hold 1 and 2, so none of
+    # them meets these keys.
     if a.delta0:
         _check_size(dom)
-        for mask in range(1 << (n - 2)):
-            S = frozenset([1] + [x for x in range(3, n + 1) if mask >> (x - 3) & 1])
-            lo, hi = _span(dom, S)
+        for S, lo, hi in _own_sets(dom, range(3, n + 1)):
             for i in range(lo, hi + 1):
                 bnd[_key(i, S)] = a.delta0
     _pull_two_sided(dom, a, lift, 1, {1, 2}, bnd)
@@ -253,10 +252,11 @@ def _pull_forget(m, a):
     j = m.params["j"]
     lift = [0, *range(1, j), *range(j + 1, dom.n + 1)]  # cod label k -> dom label
     bnd = _pull_two_sided(dom, a, lift, 0, {j}, {})
-    # psi_k pulls back to psi_k less the class where k and j bubble off
+    # psi_k pulls back to psi_k less the class where k and j bubble off,
+    # which is stable: the far side has genus g >= 2
     for k, c in enumerate(a.psi, 1):
         if c:
-            _acc(bnd, try_canonical_index(dom, 0, (lift[k], j)), -c)
+            _acc(bnd, canonical_index(dom, 0, (lift[k], j)), -c)
     return DivisorClass._from_canonical(dom, a.lam, _lift_psi(dom, a, lift), a.delta0, bnd)
 
 

@@ -190,6 +190,27 @@ class TestCanonicalIndex:
             with pytest.raises(ParamOutOfRange, match="boundary keys"):
                 core._check_size(base)
 
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_the_own_sets_are_the_sets_with_a_span(self, g):
+        # every set of labels is spanned by _span; the generator yields those
+        # with a nonempty span whose labels other than 1 come from its pool,
+        # each once and with its span, for the default pool 2..n and for the
+        # identify-points pool 3..n
+        for n in range(9):
+            base = ModuliBase(g, n)
+            for rest in (None, range(3, n + 1)):
+                pool = {1, *(range(2, n + 1) if rest is None else rest)}
+                want = {}
+                for bits in range(1 << n):
+                    S = frozenset(x for x in base.labels() if bits >> (x - 1) & 1)
+                    lo, hi = core._span(base, S)
+                    if lo <= hi and S <= pool:
+                        want[S] = (lo, hi)
+                got = [(S, (lo, hi)) for S, lo, hi in core._own_sets(base, rest)]
+                assert len(got) == len(want) and dict(got) == want, (g, n, rest)
+            spans = sum(hi - lo + 1 for _, lo, hi in core._own_sets(base))
+            assert spans == core._check_size(base), (g, n)
+
     @pytest.mark.parametrize("mutate", [list.clear, list.reverse])
     def test_caller_cannot_touch_the_cache(self, mutate):
         w, l = to_json(weierstrass(4)), to_json(logan_class(4, (2, 1, 1)))
@@ -207,6 +228,19 @@ class TestVectorSpace:
         a = DivisorClass(base, boundary=[((1, {2}), 1), ((2, {1}), 2)])
         assert a.delta(1, {2}) == 3
         assert a.delta(2, {1}) == 3
+
+    def test_coeff_reads_either_mirror_form(self):
+        w = weierstrass(3)
+        assert w.delta(2, ()) == -3
+        for key in [(2, frozenset()), BoundaryIndex(2, frozenset()), (2, ()), (1, {1}), [1, [1]]]:
+            assert w.coeff(key) == w.delta(*key) == -3, key
+        rng = seeded(21)
+        for _ in range(20):
+            a = random_class(rng)
+            for k in enumerate_boundary(a.base):
+                want = a.delta(k.i, k.S)
+                assert want == a.boundary.get(k, 0)
+                assert a.coeff(k) == a.coeff(mirror(a.base, k)) == want, (a.base, k)
 
     def test_zero_coefficients_pruned(self):
         base = ModuliBase(3, 1)
@@ -567,7 +601,7 @@ class TestSerializerWork:
         # a mirror form does go through it, so the count above is a real zero
         mirror = text.replace('"boundary":[', '"boundary":[{"i":7,"S":[2,3,4,5,6,7,8],"c":"1"},')
         key = BoundaryIndex(1, frozenset({1}))
-        assert from_json(mirror).coeff(key) == a.coeff(key) + 1
+        assert from_json(mirror).boundary[key] == a.boundary.get(key, 0) + 1
         assert len(seen) == 1
 
 

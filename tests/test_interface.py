@@ -151,6 +151,11 @@ B51 = ModuliBase(5, 1)
     ('core.try_canonical_index(B32, 1, [[1]])', core.InvalidBoundary),
     ('core.try_canonical_index(B32, True, {1})', core.InvalidBoundary),
     ('canonical_index(B32, 1, 5)', core.InvalidBoundary),
+    ('weierstrass(3).coeff(5)', core.InvalidBoundary),
+    ('weierstrass(3).coeff([1])', core.InvalidBoundary),
+    ('weierstrass(3).coeff((1, 2, 3))', core.InvalidBoundary),
+    ('weierstrass(3).coeff(None)', core.InvalidBoundary),
+    ('weierstrass(3).coeff((0, {1}))', core.InvalidBoundary),
     # bases whose boundary is too large to build; none of them builds a key
     ('run_relation("R1", {"g": 10 ** 5000})', ParamOutOfRange),
     ('weierstrass(10 ** 9)', ParamOutOfRange),
@@ -273,3 +278,42 @@ def test_the_pullbacks_walk_the_keys_through_core():
     names = [n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(maps)
              if isinstance(n, (ast.Attribute, ast.Name))]
     assert "_walk" in names and "_boundary" not in names
+
+
+def test_the_own_key_sets_have_one_generator():
+    # every key set is generated by core._own_sets; no module builds all
+    # subsets with product, compress or a bit mask
+    trees = dict(_package_trees())
+    assert _callers(lambda call: call.func.id == "combinations") == [("core", "_own_sets")]
+    names = {a.name for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    attrs = {n.attr for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)}
+    assert not {"product", "compress", "itertools"} & (names | attrs)
+    assert not [n for tree in trees.values() for n in ast.walk(tree)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift)]
+
+
+def test_the_span_thresholds_are_written_once():
+    # |S| >= 2, |S| <= n - 2 and g // 2: in the key layer, only _bounds
+    # compares with ">= 2" or with some "x - 2", or halves
+    def two(node):
+        return isinstance(node, ast.Constant) and node.value == 2
+
+    def threshold(node):
+        if isinstance(node, ast.BinOp):
+            return isinstance(node.op, ast.FloorDiv) and two(node.right)
+        return isinstance(node, ast.Compare) and any(
+            isinstance(op, ast.GtE) and two(x)
+            or isinstance(x, ast.BinOp) and isinstance(x.op, ast.Sub) and two(x.right)
+            for op, x in zip(node.ops, node.comparators))
+
+    trees = dict(_package_trees())
+    found = {(module, fn.name) for module in ("core", "maps")
+             for fn in ast.walk(trees[module]) if isinstance(fn, ast.FunctionDef)
+             if any(map(threshold, ast.walk(fn)))}
+    assert found == {("core", "_bounds")}, found
+    # the pullbacks reach the span rule and canonicalizing through core
+    names = {n.id for n in ast.walk(trees["maps"]) if isinstance(n, ast.Name)} | {
+        a.name for n in ast.walk(trees["maps"]) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not {"_span", "try_canonical_index"} & names
