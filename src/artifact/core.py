@@ -36,7 +36,9 @@ reader ``_read_boundary`` spans each distinct label set once; ``from_json``
 parses a document and hands its entries to that reader.  ``_items`` is the
 one reading of a raw collection of (key, c) entries, which ``TestCurve``
 shares for its pairing.  ``_check_size`` refuses a base with more than
-2**22 boundary keys before any key is built.
+2**22 boundary keys before any key is built.  The text serializers share
+``_writer``, which refuses a coefficient past Python's int-to-str digit
+limit with ParamOutOfRange.
 """
 
 from collections import namedtuple
@@ -47,6 +49,7 @@ from itertools import combinations
 import json
 from math import comb
 from operator import itemgetter
+import sys
 from types import MappingProxyType
 
 
@@ -97,6 +100,22 @@ def _nogc(fn):
             gc.enable()
 
     return wrapper
+
+
+def _writer(fn):
+    """A serializer: fn under ``_nogc``, refusing with ParamOutOfRange a
+    coefficient longer than the digits Python writes as text, where str()
+    raises ValueError.  The limit is left as it is, since it is process-wide."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kw):
+        try:
+            return fn(*args, **kw)
+        except ValueError:
+            raise ParamOutOfRange("a coefficient has more than the %d digits Python "
+                                  "writes as text" % sys.get_int_max_str_digits()) from None
+
+    return _nogc(wrapper)
 
 
 def _rebuild(cls, args, kwargs):
@@ -793,12 +812,19 @@ def builtin_test_curve(name, base, i=None, n=None):
     sliding, needs 0 < i < g-1), "C" (genus-i tail through the point,
     1 <= i <= g-1), "D" (pencil attached at the point), "E" (elliptic tail
     pencil).  On (g, g): "Bin" (sliding node with n of the g points on one
-    side, needs i and n).
+    side, needs i and n).  A parameter the curve does not take raises
+    ParamOutOfRange: A, D and E take neither, B and C take i only.
     """
     _check_base(base)
     _check_size(base)
-    given = {"i": i, "n": n}
-    _check_ints(ParamOutOfRange, **{k: v for k, v in given.items() if v is not None})
+    takes = {"A": (), "B": ("i",), "C": ("i",), "D": (), "E": (), "Bin": ("i", "n")}
+    if type(name) is not str or name not in takes:
+        raise UnknownCurve("unknown test curve %r" % (name,))
+    given = {k: v for k, v in (("i", i), ("n", n)) if v is not None}
+    _check_ints(ParamOutOfRange, **given)
+    unused = [k for k in given if k not in takes[name]]
+    if unused:
+        raise ParamOutOfRange("curve %s takes no parameter %s" % (name, ", ".join(unused)))
     g = base.g
 
     def key(ii, S):
@@ -824,26 +850,25 @@ def builtin_test_curve(name, base, i=None, n=None):
         )
     if name == "E":
         return TestCurve(base, "E", {"lambda": 1, "delta0": 12, key(g - 1, {1}): -1})
-    if name == "Bin":
-        if base.n != g:
-            raise UnknownCurve("curve Bin lives on a g-pointed base")
-        if i is None or n is None or not 1 <= i <= g - 1 or not i <= n <= g:
-            raise ParamOutOfRange("curve Bin needs 1 <= i <= g-1 and i <= n <= g")
-        # the attachment point moves on the side carrying the last g-n marked
-        # points; colliding with each of them contributes one psi degree and
-        # one extra boundary degree
-        S = set(range(1, n + 1))
-        vec = [(key(i, S), 2 - 2 * (g - i) - (g - n))]
-        for extra in range(n + 1, g + 1):
-            vec += [(("psi", extra), 1), (key(i, S | {extra}), 1)]
-        return TestCurve(base, "B_{%d,%d}" % (i, n), vec)
-    raise UnknownCurve("unknown test curve %r" % (name,))
+    # the one curve left is Bin
+    if base.n != g:
+        raise UnknownCurve("curve Bin lives on a g-pointed base")
+    if i is None or n is None or not 1 <= i <= g - 1 or not i <= n <= g:
+        raise ParamOutOfRange("curve Bin needs 1 <= i <= g-1 and i <= n <= g")
+    # the attachment point moves on the side carrying the last g-n marked
+    # points; colliding with each of them contributes one psi degree and
+    # one extra boundary degree
+    S = set(range(1, n + 1))
+    vec = [(key(i, S), 2 - 2 * (g - i) - (g - n))]
+    for extra in range(n + 1, g + 1):
+        vec += [(("psi", extra), 1), (key(i, S | {extra}), 1)]
+    return TestCurve(base, "B_{%d,%d}" % (i, n), vec)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-@_nogc
+@_writer
 def to_json(a):
     """The class as compact JSON: g, n, the coefficients of lambda, psi and
     delta_0, and one {"i", "S", "c"} object per boundary key in output order.
@@ -942,7 +967,7 @@ def _rows(a):
         yield (_delta_name(i, text), (i, text), b[k])
 
 
-@_nogc
+@_writer
 def to_csv(a):
     lines = ["generator,coefficient"]
     for name, _, c in _rows(a):
@@ -968,6 +993,7 @@ def _latex_gen(name, boundary):
     return r"\psi_{%s}" % name[4:]
 
 
+@_writer
 def to_latex_expr(a):
     """The class as a one-line LaTeX linear combination."""
     terms = []
@@ -986,7 +1012,7 @@ def to_latex_expr(a):
     return " ".join(terms)
 
 
-@_nogc
+@_writer
 def to_latex(a):
     """The class as a LaTeX coefficient table, one row per generator."""
     lines = [r"\begin{tabular}{ll}", r"generator & coefficient \\"]

@@ -9,9 +9,25 @@ import pytest
 
 import artifact
 import artifact.verify
+from artifact import (
+    ModuliBase,
+    builtin_test_curve,
+    count_distinct_nonzero_roots,
+    coupled_partition,
+    de_jonquieres,
+    forget_point,
+    glue_tail,
+    pair,
+    picard_degree,
+    plucker,
+    pullback,
+    residue_polynomial,
+    to_json,
+)
 from artifact.cli import dispatch
 from artifact.core import equals, from_json
-from artifact.catalog import residual, theta_characteristic_locus, weierstrass
+from artifact.catalog import CONSTRUCTORS, residual, theta_characteristic_locus, weierstrass
+from artifact.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -84,6 +100,39 @@ class TestClassVerb:
         assert code == 2
 
 
+# a value for every class flag, valid for every class that takes it but for
+# the weights, which some classes take in their own form
+_FLAG_VALUES = {"g": "4", "k": "2", "h": "2", "d": "3,1", "parity": "odd"}
+_WEIGHTS = {"coupled": "-2,2", "pinch": "2,1", "theta-pullback": "5,-2"}
+_VERB_FLAGS = {"class": [], "pullback": ["--map", "forget"], "pair": ["--curve", "A"]}
+
+
+def _class_argv(name, flags):
+    values = dict(_FLAG_VALUES, d=_WEIGHTS.get(name, "3,1"))
+    return ["--name", name] + [x for w in flags for x in ("--" + w, values[w])]
+
+
+class TestClassFlags:
+    """A class flag is passed to the catalog function only when the class
+    takes it; any other class flag is refused, before anything is built."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_the_flags_a_class_takes_build_it(self, capsys, name):
+        code, out, err = run(capsys, "class", *_class_argv(name, CONSTRUCTORS[name][1]))
+        assert code == 0, err
+        assert from_json(out).base.g == 4
+
+    @pytest.mark.parametrize("verb", sorted(_VERB_FLAGS))
+    @pytest.mark.parametrize("name,flag", [
+        (name, flag) for name, (_, wants) in sorted(CONSTRUCTORS.items())
+        for flag in _FLAG_VALUES if flag not in wants])
+    def test_a_flag_the_class_does_not_take_is_refused(self, capsys, verb, name, flag):
+        argv = _class_argv(name, CONSTRUCTORS[name][1] + (flag,))
+        code, out, err = run(capsys, verb, *argv, *_VERB_FLAGS[verb])
+        assert (code, out) == (2, "")
+        assert "takes no flag --%s" % flag in err
+
+
 class TestPullbackVerb:
     def test_glue_tail(self, capsys):
         code, out, _ = run(
@@ -123,6 +172,10 @@ class TestPullbackVerb:
         ("glue-tail:h=1,attach=2", "no parameter attach"),
         ("identify-points:h=3", "no parameter h"),
         ("forget:j=2,j=1", "repeated map parameter 'j=1'"),
+        # an unknown parameter is refused before the map is built
+        ("glue-tail:attach=2", "map glue-tail takes no parameter attach"),
+        ("glue-closed-tail:h=0,foo=1", "map glue-closed-tail takes no parameter foo"),
+        ("forget:j=x", "map parameter j is not an integer: 'x'"),
     ])
     def test_unknown_or_repeated_map_parameter(self, capsys, spec, named):
         code, out, err = run(
@@ -188,6 +241,16 @@ class TestValueVerbs:
         assert code == 0
         assert json.loads(out) == {"value": "0"}
 
+    @pytest.mark.parametrize("curve,flags", [
+        ("A", ["--i", "7"]), ("A", ["--n", "1"]), ("E", ["--i", "1"]),
+        ("B", ["--i", "1", "--n", "1"]), ("C", ["--i", "1", "--n", "1"]),
+    ])
+    def test_pair_refuses_a_parameter_the_curve_does_not_take(self, capsys, curve, flags):
+        code, out, err = run(capsys, "pair", "--name", "weierstrass", "--g", "4",
+                             "--curve", curve, *flags)
+        assert (code, out) == (2, "")
+        assert "curve %s takes no parameter" % curve in err
+
     def test_value_domain_error(self, capsys):
         code, _, _ = run(capsys, "dj", "--g", "3", "--kappa", "1,1,1")
         assert code == 2
@@ -229,6 +292,59 @@ class TestVerifyVerb:
         code, out, _ = run(capsys, "verify", "--suite", "BAD", "--gmax", "3")
         assert code == 1
         assert "FAIL BAD[] first difference ('lambda'," in out
+
+
+def _value(v):
+    return json.dumps({"value": str(v)}, separators=(",", ":"))
+
+
+# each README command-line example and the library call it stands for; the
+# coupled example leaves out --parity, so the catalog's default applies
+_README_CALLS = {
+    "class --name weierstrass --g 3": lambda: to_json(weierstrass(3)),
+    "class --name theta-char --g 3 --parity odd":
+        lambda: to_json(theta_characteristic_locus(3, "odd")),
+    "class --name coupled --g 4 --d -2,1,1": lambda: to_json(coupled_partition(4, (-2, 1, 1))),
+    "pullback --name residual --g 4 --map glue-tail:h=1,j=0,at=1":
+        lambda: to_json(pullback(glue_tail(ModuliBase(3, 1), 1, 0, 1), residual(4))),
+    "pullback --name weierstrass --g 4 --map forget:j=2":
+        lambda: to_json(pullback(forget_point(ModuliBase(4, 2), 2), weierstrass(4))),
+    "pair --name residual --g 4 --curve E":
+        lambda: _value(pair(builtin_test_curve("E", ModuliBase(4, 1)), residual(4))),
+    "pair --name weierstrass --g 5 --curve C --i 2":
+        lambda: _value(pair(builtin_test_curve("C", ModuliBase(5, 1), i=2), weierstrass(5))),
+    # the CLI counts configurations unless --ordered; the library counts
+    # ordered zeros unless told otherwise
+    "dj --g 4 --kappa 1,2,2": lambda: _value(de_jonquieres(4, (1, 2, 2), ordered=False)),
+    "dj --g 4 --kappa 1,2,2 --ordered": lambda: _value(de_jonquieres(4, (1, 2, 2))),
+    "plucker --r 2 --d 4 --g 3": lambda: _value(plucker(2, 4, 3)),
+    "picdeg --g 2 --kappa 5,1": lambda: _value(picard_degree((5, 1), 2)),
+    "residue --j 4 --k 5 --m 5": lambda: json.dumps(
+        {"coeffs": list(residue_polynomial(4, 5, 5).coeffs),
+         "distinct_nonzero_roots": count_distinct_nonzero_roots(residue_polynomial(4, 5, 5))},
+        separators=(",", ":")),
+    "verify --gmax 5": lambda: run_suite(5).summary(),
+    "verify --suite R18 --gmax 6 --json": lambda: run_suite(6, suite="R18").to_json(),
+}
+
+
+def _readme_examples():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in section.splitlines()
+            if line.startswith("artifact ")]
+
+
+class TestReadmeExamples:
+    def test_every_example_has_its_library_call(self):
+        assert sorted(" ".join(argv) for argv in _readme_examples()) == sorted(_README_CALLS)
+
+    @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+    def test_the_example_prints_its_library_call(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        want = _README_CALLS[" ".join(argv)]()
+        assert code == 0
+        assert out == want if want.endswith("\n") else out == want + "\n"
 
 
 class TestOutput:

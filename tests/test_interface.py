@@ -3,6 +3,7 @@ PicError subclass, every module documents itself, and one base class holds
 the immutability rule of the value types."""
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -49,14 +50,23 @@ from artifact.core import (
     equals,
     normalize_genus2,
     relabel,
+    to_latex_expr,
     zero_class,
 )
 from artifact.maps import GluingMap, InvalidMap
 from artifact.verify import UnknownRelation, run_relation, run_suite
 
 B21 = ModuliBase(2, 1)
+# lambda = 10**5000 has more digits than Python writes as text by default
+HUGE = DivisorClass(ModuliBase(2, 0), lam=10 ** 5000)
 B32 = ModuliBase(3, 2)
 B51 = ModuliBase(5, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def huge_theta():
+    # a catalog class whose coefficients pass the same digit limit
+    return theta_characteristic_locus(15000, "odd")
 
 
 @pytest.mark.parametrize("call,error", [
@@ -103,6 +113,14 @@ B51 = ModuliBase(5, 1)
     ('builtin_test_curve("B", B51, i=1.5)', ParamOutOfRange),
     ('builtin_test_curve("C", B51, i=True)', ParamOutOfRange),
     ('builtin_test_curve("Bin", ModuliBase(3, 3), i=1, n=2.0)', ParamOutOfRange),
+    # a parameter the curve does not take
+    ('builtin_test_curve("A", ModuliBase(4, 1), i=7, n=3)', ParamOutOfRange),
+    ('builtin_test_curve("A", ModuliBase(4, 1), i=7)', ParamOutOfRange),
+    ('builtin_test_curve("D", ModuliBase(4, 1), n=1)', ParamOutOfRange),
+    ('builtin_test_curve("E", ModuliBase(4, 1), i=1)', ParamOutOfRange),
+    ('builtin_test_curve("B", ModuliBase(4, 1), i=1, n=99)', ParamOutOfRange),
+    ('builtin_test_curve("C", ModuliBase(4, 1), i=1, n=1)', ParamOutOfRange),
+    ('builtin_test_curve(["A"], ModuliBase(4, 1))', UnknownCurve),
     # a test curve on a base past the key limit, as every other key-building
     # path refuses it
     ('builtin_test_curve("Bin", ModuliBase(19, 19), i=1, n=1)', ParamOutOfRange),
@@ -137,6 +155,17 @@ B51 = ModuliBase(5, 1)
     ('equals(weierstrass(2), 5)', BaseMismatch),
     ('normalize_genus2(5)', BaseMismatch),
     ('bn_coefficient_check(5)', BaseMismatch),
+    # a coefficient with more digits than Python's int-to-str limit
+    ('to_json(HUGE)', ParamOutOfRange),
+    ('to_csv(HUGE)', ParamOutOfRange),
+    ('to_latex(HUGE)', ParamOutOfRange),
+    ('to_latex_expr(HUGE)', ParamOutOfRange),
+    ('repr(HUGE)', ParamOutOfRange),
+    ('to_json(huge_theta())', ParamOutOfRange),
+    ('to_csv(huge_theta())', ParamOutOfRange),
+    ('to_latex(huge_theta())', ParamOutOfRange),
+    ('to_latex_expr(huge_theta())', ParamOutOfRange),
+    ('repr(huge_theta())', ParamOutOfRange),
     # bases that are not a ModuliBase
     ('DivisorClass((3, 1))', ParamOutOfRange),
     ('zero_class(None)', ParamOutOfRange),
@@ -317,3 +346,42 @@ def test_the_span_thresholds_are_written_once():
     names = {n.id for n in ast.walk(trees["maps"]) if isinstance(n, ast.Name)} | {
         a.name for n in ast.walk(trees["maps"]) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert not {"_span", "try_canonical_index"} & names
+
+
+def _cli():
+    return importlib.import_module("artifact.cli"), dict(_package_trees())["cli"]
+
+
+def test_the_cli_dispatches_every_verb_on_one_path():
+    # each verb carries its call and writer from its own subparser, so
+    # dispatch never asks which verb it runs
+    _, tree = _cli()
+    dispatch = next(n for n in tree.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "dispatch")
+    assert not [n for n in ast.walk(dispatch)
+                if isinstance(n, ast.Attribute) and n.attr == "verb"]
+
+
+def test_the_parity_default_is_written_only_in_the_catalog():
+    _, tree = _cli()
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and n.value == "total"]
+
+
+def _holds_package_function(v):
+    if isinstance(v, dict):
+        return any(map(_holds_package_function, [*v, *v.values()]))
+    if isinstance(v, (list, tuple, set, frozenset)):
+        return any(map(_holds_package_function, v))
+    return callable(v) and (getattr(v, "__module__", None) or "").startswith("artifact")
+
+
+def test_no_cli_table_holds_a_package_function():
+    # the benchmark tracer swaps module attributes for wrappers after import,
+    # so a table filled at import would keep calling the unwrapped functions;
+    # catalog.CONSTRUCTORS, imported here, is rewritten in place by it
+    cli, tree = _cli()
+    names = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+             for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+             if isinstance(t, ast.Name)}
+    assert names and not [n for n in names if _holds_package_function(getattr(cli, n))]
