@@ -14,6 +14,13 @@ and the formula run once per distinct view, not once per key.  The other
 side has genus g - i and weight sum sum(d) - d_S, so a formula stated for
 the other side is evaluated there without building the complement of S.
 
+A class whose weights repeat is built in orbit form (``core``): its labels
+are coloured by weight, every view is the same on the keys of an orbit of
+that colouring, and ``_assemble`` evaluates the representative of each orbit
+only.  The spin-refined coefficients are 2**(g - 3) times products of
+numbers of about g bits, written out as shifts and adds (``_spin``), so that
+a class costs about its output length.
+
 Every class is assembled on the caller's label order; none is built in a
 standard order and relabeled.  A class with one pole reads the view
 (x_S, pole in S), where x is the weight sum (pinch partitions) or the label
@@ -37,12 +44,14 @@ from .core import (
     ModuliBase,
     ParamOutOfRange,
     PicError,
+    _boundary_keys,
     _check_class,
     _check_ints,
+    _colouring,
     _frac,
     _int_tuple,
     _nogc,
-    enumerate_boundary,
+    _orbit_keys,
 )
 
 
@@ -108,14 +117,22 @@ def _div(num, den):
     return Fraction(num, den) if r else q
 
 
-def _pow2(e):
-    """2**e exactly: an int for e >= 0 and a Fraction below (2 ** -1 is a
-    float)."""
-    return 2**e if e >= 0 else Fraction(1, 2**-e)
+def _scaled(x, e):
+    """x * 2**e exactly, by a shift: an int when it is integral, a Fraction
+    otherwise."""
+    return x << e if e >= 0 else _div(x, 1 << -e)
+
+
+def _spin(g, i, s, e):
+    """-(2**i + e)(2**(g - i) + s) for s and e in {-1, 0, 1}, multiplied
+    out into shifts and adds: the spin-refined coefficients are 2**(g - 3)
+    times such products, of numbers of about g bits, and a product of two of
+    them would cost more than the coefficient's length."""
+    return -(1 << g) - s * (1 << i) - e * (1 << (g - i)) - s * e
 
 
 @_nogc
-def _assemble(base, regimes, view=len):
+def _assemble(base, regimes, view=len, colours=None):
     """Boundary dict from piecewise regimes [(predicate, formula)], enforcing
     that exactly one regime claims each canonical generator.  Predicates and
     formulas are called as f(i, w) on the view of a key (i, S), w = view(S),
@@ -123,6 +140,14 @@ def _assemble(base, regimes, view=len):
     the audit and the formula once per distinct view: a later key with the
     same view takes the same coefficient.  The first key in output order
     with a failing view is the first failing key, as in a per-key audit.
+
+    The keys are the representatives of the orbits under colours (by
+    default every key, ``core._orbit_keys``), and the dict holds one
+    coefficient per orbit.  view must be the same on the keys of an orbit,
+    as a weight sum is under the colouring by weight; then every key of an
+    orbit has the view of its representative, which is the orbit's first
+    key in output order, and the audit of the representatives is the audit
+    of every key.
 
     The default view len suffices where a regime reads only |S|: every key
     of a pointed base holds label 1, and S is empty on an unpointed base."""
@@ -136,7 +161,7 @@ def _assemble(base, regimes, view=len):
     shared = {}
     bnd = {}
     coef_i = None
-    for key in enumerate_boundary(base):
+    for key in _boundary_keys(base) if colours is None else _orbit_keys(base, colours):
         i, S = key
         x = per_set.get(S)
         if x is None:
@@ -305,13 +330,15 @@ def logan_class(g, d):
     if not d or any(x < 1 for x in d) or sum(x for x in d) != g:
         raise BadWeights("weights must be positive and sum to the genus")
     base = ModuliBase(g, len(d))
+    colours = _colouring(d)
 
     bnd = _assemble(
         base,
         [(lambda i, ds: True, lambda i, ds: -_tri(abs(ds - i)))],
         lambda S: _dsum(d, S),
+        colours,
     )
-    return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
+    return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd, colours)
 
 
 @_nogc
@@ -326,11 +353,13 @@ def theta_pullback_class(g, d):
         raise BadWeights("at least one weight must be negative")
     base = ModuliBase(g, len(d))
     P = frozenset(j + 1 for j, x in enumerate(d) if x < 0)
+    colours = _colouring(d)
 
     def pole_free(i, ds):
         return -_tri(abs(ds - i))
 
-    # the view of S is (d_S, the poles in S)
+    # the view of S is (d_S, the number of poles in S), the same on an orbit
+    # of the colouring by weight
     bnd = _assemble(
         base,
         [
@@ -338,14 +367,15 @@ def theta_pullback_class(g, d):
             (lambda i, w: not w[1], lambda i, w: pole_free(i, w[0])),
             # all poles on this side: evaluate at the pole-free other side,
             # of genus g - i and weight sum g - 1 - d_S
-            (lambda i, w: w[1] == P, lambda i, w: pole_free(g - i, g - 1 - w[0])),
+            (lambda i, w: w[1] == len(P), lambda i, w: pole_free(g - i, g - 1 - w[0])),
             # poles on both sides; u(u+1)/2 is invariant under u -> -(u+1),
             # which is exactly what passing to the other side does here
-            (lambda i, w: w[1] and w[1] != P, lambda i, w: -_tri(w[0] - i)),
+            (lambda i, w: 0 < w[1] < len(P), lambda i, w: -_tri(w[0] - i)),
         ],
-        lambda S: (_dsum(d, S), S & P),
+        lambda S: (_dsum(d, S), len(S & P)),
+        colours,
     )
-    return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd)
+    return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd, colours)
 
 
 @_nogc
@@ -355,13 +385,12 @@ def theta_characteristic_locus(g, parity="total"):
     ``parity="total"`` is the sum of the odd and even classes."""
     _check_genus(g, 2)
     base = ModuliBase(g, 1)
-    pref = _pow2(g - 3)
-    lam = pref * _by_parity(parity, lambda e: 2**g + e)
-    psi = pref * _by_parity(parity, lambda e: (1 - e) * (2**g + e))
-    delta0 = pref * _by_parity(parity, lambda e: -pref)
+    lam = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 3)
+    psi = _scaled(_by_parity(parity, lambda e: (1 - e) * ((1 << g) + e)), g - 3)
+    delta0 = _scaled(_by_parity(parity, lambda e: -1), 2 * g - 6)
 
     def c(i, s):
-        return pref * _by_parity(parity, lambda e: -(2**i - e) * (2 ** (g - i) - 1))
+        return _scaled(_by_parity(parity, lambda e: _spin(g, i, -1, -e)), g - 3)
 
     bnd = _assemble(base, [(lambda i, s: True, c)])
     return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
@@ -379,13 +408,12 @@ def anti_ramification(g):
 def _coupled_11(g):
     _check_genus(g, 2)
     base = ModuliBase(g, 2)
-    pref = _pow2(g - 3)
 
     def both(i, s):
-        return -pref * 2 ** (i + 1) * (2 ** (g - i) - 1)
+        return _scaled(_spin(g, i, -1, 0), g - 2)
 
     def first_only(i, s):
-        return -pref * 2 ** (g - 1)
+        return -_scaled(1, 2 * g - 4)
 
     bnd = _assemble(
         base,
@@ -396,9 +424,9 @@ def _coupled_11(g):
     )
     return DivisorClass._from_canonical(
         base,
-        pref * 2 ** (g + 1),
-        [pref * 2 ** (g - 1)] * 2,
-        -pref * 2 ** (g - 2),
+        _scaled(1, 2 * g - 2),
+        [_scaled(1, 2 * g - 4)] * 2,
+        -_scaled(1, 2 * g - 5),
         bnd,
     )
 
@@ -417,18 +445,18 @@ def _coupled_m2_1_1(g, d):
     # the pole-free side of a key holds k zeros
     _check_genus(g, 2)
     base = ModuliBase(g, 3)
-    pref = _pow2(g - 3)
+    colours = _colouring(d)
     pole = d.index(-2) + 1
 
     def all_three(i, w):
-        return -pref * 2 ** (i + 1) * (2 ** (g - i) - 1)
+        return _scaled(_spin(g, i, -1, 0), g - 2)
 
     def pole_and_zero(i, w):
-        return -pref * 2 ** (g - 1)
+        return -_scaled(1, 2 * g - 4)
 
     def two_zeros(j, k):
         # j is the genus of the side holding the two zeros alone
-        return -pref * 2 ** (j + 1) * (2 ** (g - j) + 1)
+        return _scaled(_spin(g, j, 1, 0), g - 2)
 
     bnd = _assemble(
         base,
@@ -438,13 +466,15 @@ def _coupled_m2_1_1(g, d):
             (_pole_free(g, 3, lambda j, k: k == 2), _pole_free(g, 3, two_zeros)),
         ],
         lambda S: (len(S), pole in S),
+        colours,
     )
     return DivisorClass._from_canonical(
         base,
-        pref * 2 ** (g + 1),
-        [pref * 2 ** (g + 2) if x < 0 else pref * 2 ** (g - 1) for x in d],
-        -pref * 2 ** (g - 2),
+        _scaled(1, 2 * g - 2),
+        [_scaled(1, 2 * g - 1) if x < 0 else _scaled(1, 2 * g - 4) for x in d],
+        -_scaled(1, 2 * g - 5),
         bnd,
+        colours,
     )
 
 
@@ -452,18 +482,17 @@ def _coupled_m2_2(g, d, parity):
     # one double pole and one double zero, on the view (|S|, pole in S)
     _check_genus(g, 2)
     base = ModuliBase(g, 2)
-    pref = _pow2(g - 3)
-    lam = pref * _by_parity(parity, lambda e: 2**g + e)
-    zero = pref * _by_parity(parity, lambda e: (1 + e) * (2**g + 1))
-    delta0 = pref * _by_parity(parity, lambda e: -pref)
+    lam = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 3)
+    zero = _scaled(_by_parity(parity, lambda e: (1 + e) * ((1 << g) + 1)), g - 3)
+    delta0 = _scaled(_by_parity(parity, lambda e: -1), 2 * g - 6)
     pole = d.index(-2) + 1
 
     def both(i, w):
-        return pref * _by_parity(parity, lambda e: -(2**i - e) * (2 ** (g - i) - 1))
+        return _scaled(_by_parity(parity, lambda e: _spin(g, i, -1, -e)), g - 3)
 
     def zero_only(j, k):
         # j is the genus of the side holding the zero alone
-        return pref * _by_parity(parity, lambda e: -(2**j + e) * (2 ** (g - j) + 1))
+        return _scaled(_by_parity(parity, lambda e: _spin(g, j, 1, e)), g - 3)
 
     bnd = _assemble(
         base,
@@ -480,20 +509,21 @@ def _coupled_m2_2(g, d, parity):
 def _coupled_general(g, d, parity):
     _check_genus(g, 2)
     base = ModuliBase(g, len(d))
-    pref = 2 ** (g - 2)
+    colours = _colouring(d)
     n = len(d)
-    lam = pref * _by_parity(parity, lambda e: 2**g + e)
-    qpsi = _frac(pref * _by_parity(parity, lambda e: _div(2**g + e, 4)))
-    delta0 = pref * _by_parity(parity, lambda e: -_pow2(g - 3))
+    lam = _by_parity(parity, lambda e: (1 << g) + e) << (g - 2)
+    qpsi = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 4)
+    delta0 = _scaled(_by_parity(parity, lambda e: -1), 2 * g - 5)
 
     def side(i, e):
-        return (2**i - 1) * (2 ** (g - i) - e)
+        # (2**i - 1)(2**(g - i) - e)
+        return -_spin(g, i, -e, -1)
 
     def balanced(i, w):
         # a sum over the sides that miss a marked point; the other side
         # never holds label 1, so it always misses one
-        return -pref * _by_parity(
-            parity, lambda e: (side(i, e) if w[0] != n else 0) + side(g - i, e))
+        return -(_by_parity(
+            parity, lambda e: (side(i, e) if w[0] != n else 0) + side(g - i, e)) << (g - 2))
 
     # the view of S is (|S|, d_S)
     bnd = _assemble(
@@ -503,9 +533,10 @@ def _coupled_general(g, d, parity):
             (lambda i, w: w[1] != 0, lambda i, w: -qpsi * w[1] * w[1]),
         ],
         lambda S: (len(S), _dsum(d, S)),
+        colours,
     )
     return DivisorClass._from_canonical(
-        base, lam, [qpsi * x * x for x in d], delta0, bnd
+        base, lam, [qpsi * x * x for x in d], delta0, bnd, colours
     )
 
 
@@ -550,7 +581,7 @@ def d_infinity(g, parity="total"):
     ``parity="total"`` is the sum of the odd and even classes."""
     _check_genus(g, 2)
     base = ModuliBase(g, 2)
-    q = _by_parity(parity, lambda e: _pow2(g - 4) * (2**g + e))
+    q = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 4)
 
     bnd = _assemble(base, [(lambda i, s: True, lambda i, s: -q if s == 1 else 0)])
     return DivisorClass._from_canonical(base, 0, [q, q], 0, bnd)
@@ -559,6 +590,7 @@ def d_infinity(g, parity="total"):
 def _pinch_holo(g, d):
     _check_genus(g, 3)
     base = ModuliBase(g, len(d))
+    colours = _colouring(d)
     lam = -4 * (g - 7)
     psi = [(2 * g * (x + 1) - 3 * x - 5) * x for x in d]
 
@@ -577,12 +609,14 @@ def _pinch_holo(g, d):
             (lambda i, ds: ds >= i, lambda i, ds: c(g - i, g - 1 - ds)),
         ],
         lambda S: _dsum(d, S),
+        colours,
     )
-    return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
+    return DivisorClass._from_canonical(base, lam, psi, -2, bnd, colours)
 
 
 def _pinch_mero(g, d, j):
     base = ModuliBase(g, len(d))
+    colours = _colouring(d)
     h = -d[j - 1]
     if h == 2:
         lam = 27 - 4 * g
@@ -639,8 +673,9 @@ def _pinch_mero(g, d, j):
             (_pole_free(g, g - 2, lambda i, ds: ds >= i), _pole_free(g, g - 2, cB)),
         ],
         lambda S: (_dsum(d, S), j in S),
+        colours,
     )
-    return DivisorClass._from_canonical(base, lam, psi, -2, bnd)
+    return DivisorClass._from_canonical(base, lam, psi, -2, bnd, colours)
 
 
 @_nogc

@@ -23,6 +23,26 @@ coefficient is exact and stored in one canonical form: an int when it is
 integral and a Fraction otherwise, so that integral arithmetic never builds a
 Fraction.  There is no floating point anywhere in this package.
 
+A class is stored in orbit form: it keeps a colouring of its labels, with
+label 1 always a colour of its own, and one coefficient per orbit of its keys
+under the colour-preserving permutations, the keys (i, S) with one i and one
+count of each colour in S.  The coefficient is stored at the orbit's
+representative, which takes the first labels of each colour and is the
+orbit's first key in output order.  A catalog class colours its labels by
+weight; a class built key by key (the constructor, ``from_json``, a copy)
+has the singleton colouring, None, where every key is its own orbit, and
+stores what it was given.  Builds, ``relabel`` and the pullbacks cost
+orbits, not keys: ``_walk`` runs over the representatives, and each image
+rule keys its pieces by the representatives of the colouring it carries
+along.  ``_split`` is the one refinement, to a finer colouring: every orbit
+of the finer colouring takes the coefficient of the orbit that holds it.
+A sum, ``equals`` and ``diff_first`` refine both classes to the coarsest
+colouring finer than both (``_meet``), and ``hash`` reads every key, so
+that it does not depend on the colouring; ``delta`` and ``pair`` read one
+key at its representative.  Full expansion is the refinement to the
+singleton colouring (``_expand``): ``boundary`` expands on its first read
+and keeps the result, and so do the serializers, which write every key.
+
 Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
 Both, and ``hash``, compare the one normal form ``_normal``, which on a
@@ -45,7 +65,6 @@ from collections import namedtuple
 from fractions import Fraction
 import functools
 import gc
-from itertools import combinations
 import json
 from math import comb
 from operator import itemgetter
@@ -215,15 +234,16 @@ def _ordered(keys):
     """(i, label text, key) for each boundary key, in output order: the order
     of ``__lt__``, (i, sorted(S)).  The label text is the sorted members of S
     joined by commas, "" for an empty S.  Each distinct S is sorted, ranked
-    and joined once; the keys are then sorted on (i, rank of S), a pair that
-    differs between distinct keys, so the comparisons never reach the key."""
+    and joined once; each key is then numbered by (i, rank of S), as one int
+    that differs between distinct keys, and the numbers are sorted, so no
+    two keys are compared and the keys may come in any order."""
     members = {S: sorted(S) for S in set(map(itemgetter(1), keys))}
     sets = sorted(members, key=members.__getitem__)
+    m = len(sets)
     rank = {S: r for r, S in enumerate(sets)}
     text = {S: ",".join(map(str, members[S])) for S in sets}
-    order = sorted(zip(map(itemgetter(0), keys),
-                       map(rank.__getitem__, map(itemgetter(1), keys)), keys))
-    return [(i, text[k.S], k) for i, _, k in order]
+    number = {k[0] * m + rank[k[1]]: k for k in keys}
+    return [(k[0], text[k[1]], k) for k in map(number.__getitem__, sorted(number))]
 
 
 @functools.cache
@@ -237,6 +257,94 @@ def _key(i, S):
     """A BoundaryIndex made by tuple.__new__, without the Python-level __new__
     of the named tuple; the caller has checked (i, S)."""
     return tuple.__new__(BoundaryIndex, (i, S))
+
+
+# ---------------------------------------------------------------------------
+# colourings of the labels: a class stores one coefficient per orbit
+#
+# A colouring of the labels 1..n is a tuple of blocks, each an ascending
+# tuple of labels, ordered by their first labels, with label 1 a block of
+# its own; None is the singleton colouring, where every label is a block.
+# The colour-preserving permutations move a key (i, S) within its orbit, the
+# keys with the same i and the same count of labels of each colour in S; as
+# label 1 is its own colour, an orbit holds 1 in every set or in none, and
+# all its keys have one span.  The representative of an orbit takes the
+# first labels of each colour, and is the orbit's first key in output order:
+# the k-th smallest label of any other set of the orbit is at least the k-th
+# smallest of the representative.  Each function below that makes a
+# colouring gives None for the singleton one, so that a class built key by
+# key pays one test of None for its colouring.
+
+@functools.cache
+def _singletons(n):
+    """The blocks of the singleton colouring of the labels 1..n."""
+    return tuple((k,) for k in range(1, n + 1))
+
+
+def _coarse(blocks):
+    """The colouring with these blocks, in order: None when each is one
+    label."""
+    blocks = tuple(sorted(blocks))
+    return blocks if any(len(b) > 1 for b in blocks) else None
+
+
+@functools.lru_cache(maxsize=256)
+def _colouring(values):
+    """The colouring of the labels 1..len(values) in which label k > 1 has the
+    colour values[k - 1], and label 1 a colour of its own; values is a
+    tuple, such as a weight vector.  The last colourings made are kept, and
+    no more, as a caller may pass any number of weight vectors."""
+    blocks = {}
+    for k, v in enumerate(values[1:], 2):
+        blocks.setdefault(v, []).append(k)
+    return _coarse([(1,), *map(tuple, blocks.values())] if values else [])
+
+
+def _meet(c1, c2):
+    """The coarsest colouring finer than both: two labels share a colour when
+    they share one in c1 and one in c2."""
+    if c1 is None or c2 is None:
+        return None
+    if c1 == c2:
+        return c1
+    where = {x: k for k, b in enumerate(c2) for x in b}
+    blocks = {}
+    for k, b in enumerate(c1):
+        for x in b:
+            blocks.setdefault((k, where[x]), []).append(x)
+    return _coarse(map(tuple, blocks.values()))
+
+
+def _moved(colours, move, extra=()):
+    """The colouring of the images of the blocks of colours under move, a
+    label to its new label or to 0 when it is dropped, with each label of
+    extra a colour of its own."""
+    if colours is None:
+        return None
+    blocks = [tuple(sorted(filter(None, map(move, b)))) for b in colours]
+    return _coarse([b for b in blocks if b] + [(x,) for x in extra])
+
+
+def _rep(colours, S):
+    """The representative of the orbit of the set S under colours."""
+    if colours is None:
+        return S
+    return frozenset([x for b in colours for x in b[:len(S.intersection(b))]])
+
+
+def _parts(blocks):
+    """{k: the label tuples of size k made of the first few labels of each
+    block}: one set per orbit of the k-sets of their labels under the
+    colouring whose colours are the blocks, and every k-set when the blocks
+    are single labels."""
+    parts = {0: [()]}
+    for b in blocks:
+        grown = {}
+        for k, ps in parts.items():
+            for t in range(len(b) + 1):
+                grown.setdefault(k + t, []).extend([p + b[:t] for p in ps])
+        parts = grown
+    return parts
 
 
 def _bounds(g, n, s):
@@ -272,19 +380,21 @@ def _span(base, S):
     return 1, 0
 
 
-def _own_sets(base, rest=None):
+def _own_sets(base, blocks=None):
     """(S, lo, hi) for each set S of labels that is its own key on base for
-    the genera lo <= i <= hi, as ``_span`` gives them, size by size: on a
-    pointed base the sets holding 1 whose other labels come from rest, by
-    default 2..n, and on an unpointed base, where rest is left out, the
-    empty set.  Every span is nonempty, as g >= 2.  This is the one
-    generator of key sets."""
+    the genera lo <= i <= hi, as ``_span`` gives them, and the representative
+    of its orbit under the colouring whose colours other than label 1's are
+    blocks (``_parts``), size by size.  On a pointed base each S holds 1 and
+    its other labels come from blocks, by default the singletons of 2..n,
+    under which every set is a representative; on an unpointed base, where
+    blocks are left out, S is the empty set.  Every span is nonempty, as
+    g >= 2.  This is the one generator of key sets."""
     g, n = base
     head = (1,) if n else ()
-    rest = range(2, n + 1) if rest is None else rest
-    for k in range(len(rest) + 1):
+    parts = _parts(_singletons(n)[1:] if blocks is None else blocks)
+    for k in sorted(parts):
         lo, hi = _bounds(g, n, len(head) + k)
-        for T in combinations(rest, k):
+        for T in parts[k]:
             yield frozenset(head + T), lo, hi
 
 
@@ -307,24 +417,87 @@ def _side(base, S, h=0):
     return (own,) if n else (own, (S, True, g + h, g + h - hi, g + h - lo))
 
 
-def _walk(a, images, bnd):
-    """Store in bnd the coefficient of each key (i, S) of a under the key of
-    each of its images; images(S) gives their ``_side`` pieces, and is called
-    once per distinct S, the first time S is met.  This is the one loop of
-    relabel and the pullbacks over the keys of a class.  Its callers show
-    that images of distinct keys are distinct, so a key is stored without
-    adding; two images of one key that name one class store the one
-    coefficient twice.  A key is made as ``_key`` makes it, without the call
-    per key."""
+def _walk(orbits, images, bnd, colours):
+    """Store in bnd the coefficient of each orbit (i, S) of orbits, a dict
+    from representative keys, under the key of each of its images; images(S)
+    gives their ``_side`` pieces, and is called once per distinct S, the
+    first time S is met.  Each piece's set is then replaced by its
+    representative under colours, the colouring of the images: an image
+    rule maps an orbit onto an orbit, but a mirror image of a representative
+    is not a representative.  This is the one loop of relabel and the
+    pullbacks over the orbits of a class.  Its callers show that images of
+    distinct keys are distinct, so a key is stored without adding; two
+    images of one key that name one class store the one coefficient twice.
+    A key is made as ``_key`` makes it, without the call per key."""
     sides, new = {}, tuple.__new__
-    for (i, S), c in a._boundary.items():
+    for (i, S), c in orbits.items():
         pieces = sides.get(S)
         if pieces is None:
-            pieces = sides[S] = images(S)
+            pieces = images(S)
+            if colours is not None:
+                pieces = tuple((_rep(colours, T), *p) for T, *p in pieces)
+            sides[S] = pieces
         for T, flip, k, lo, hi in pieces:
             if lo <= i <= hi:
                 bnd[new(BoundaryIndex, (k - i if flip else i - k, T))] = c
     return bnd
+
+
+def _split(a, colours):
+    """The coefficients of a by the orbits of colours, a refinement of a's
+    colouring, keyed by their representatives: each orbit of a splits into
+    the orbits of colours that it holds, which take its coefficient.  An
+    orbit of a is a count of labels in S for each colour of a, and its
+    parts are the ways to share each count among the colours of colours
+    inside that colour (``_parts``); a colour that colours keeps whole keeps
+    its labels.  This is the one refinement; ``_expand`` is the refinement
+    to every key.  It reads only the orbits that a holds, and makes each new
+    set once, whatever its number of genera."""
+    coarse, new = a._colours, tuple.__new__
+    owner = {x: k for k, b in enumerate(coarse) for x in b}
+    within = [[] for _ in coarse]
+    for b in colours or _singletons(a.base.n):
+        within[owner[b[0]]].append(b)
+    cut = [(b, _parts(w)) for b, w in zip(coarse, within) if len(w) > 1]
+    moved = frozenset([x for b, _ in cut for x in b])
+    sets, out = {}, {}
+    for (i, R), c in a._orbits.items():
+        Ss = sets.get(R)
+        if Ss is None:
+            Ss = [()]
+            for b, parts in cut:
+                t = len(R.intersection(b))
+                if t:
+                    Ss = [p + q for p in Ss for q in parts[t]]
+            kept = R - moved
+            Ss = sets[R] = [kept.union(p) for p in Ss]
+        for S in Ss:
+            out[new(BoundaryIndex, (i, S))] = c
+    return out
+
+
+@_nogc
+def _expand(a):
+    """The coefficient of every key of a: its orbits split into single keys.
+    ``DivisorClass._boundary`` calls it once per class, and keeps the
+    result."""
+    return _split(a, None)
+
+
+def _refined(a, colours):
+    """The orbits of a under colours, a refinement of a's colouring; the
+    expansion that a keeps, for the singleton colouring."""
+    if colours == a._colours:
+        return a._orbits
+    if colours is None:
+        return a._boundary
+    return _split(a, colours)
+
+
+def _coeff(a, key):
+    """The coefficient of a at the canonical key (i, S): the coefficient of
+    the orbit of the key, stored at its representative."""
+    return a._orbits.get((key[0], _rep(a._colours, key[1])), 0)
 
 
 def _labels(i, S):
@@ -397,17 +570,29 @@ def _check_size(base):
     return count
 
 
-@functools.cache
-def _boundary_keys(base):
-    # The keys of a base depend only on (g, n), and a process meets few bases.
-    # They are the pairs (i, S) with i in the span of S, over the sets of
-    # ``_own_sets``, built in output order (i, sorted(S)) without
-    # canonicalizing a raw pair: the sets are sorted once by their members,
-    # and the loop over i goes outside.
+@functools.lru_cache(maxsize=64)
+def _orbit_keys(base, colours=None):
+    """The representative keys of the orbits under colours, by default every
+    key, in output order: the pairs (i, S) with i in the span of S, over the
+    sets of ``_own_sets``.  They are built without canonicalizing a raw
+    pair: the sets are sorted once by their members, and the loop over i
+    goes outside.  Catalog builds repeat a few colourings, so the keys of
+    the last 64 are kept, and no more, as a process may meet any number of
+    colourings of one base; every key of a base is kept by
+    ``_boundary_keys``, and no refinement reads these keys (``_split``)."""
     _check_size(base)
-    sides = sorted((sorted(S), S, lo, hi) for S, lo, hi in _own_sets(base))
+    blocks = None if colours is None else colours[1:]
+    sides = sorted((sorted(S), S, lo, hi) for S, lo, hi in _own_sets(base, blocks))
     return tuple(_key(i, S) for i in range(base.g + 1)
                  for _, S, lo, hi in sides if lo <= i <= hi)
+
+
+@functools.cache
+def _boundary_keys(base):
+    # Every key of a base: the keys depend only on (g, n), and a process
+    # meets few bases.  Built by the function that _orbit_keys wraps, so
+    # that they take none of its 64 places.
+    return _orbit_keys.__wrapped__(base)
 
 
 def enumerate_boundary(base):
@@ -501,11 +686,17 @@ class DivisorClass(_Frozen):
     """An exact rational divisor class on a fixed base (g, n).
 
     Instances are immutable; all arithmetic returns new objects.  Boundary
-    coefficients are stored sparsely on canonical keys with zeros pruned;
-    ``boundary`` is a read-only view of them.
+    coefficients are stored sparsely with zeros pruned, one per orbit of the
+    keys under a colouring of the labels (``_colours``), at the orbit's
+    representative key (``_orbits``): the class has the same coefficient on
+    every key of an orbit, and its psi coefficients are constant on each
+    colour.  A class built key by key has the singleton colouring, None,
+    where every key is its own orbit.  ``boundary`` is a read-only view of the
+    coefficient of every key, expanded from the orbits on the first read and
+    kept.
     """
 
-    __slots__ = ("base", "lam", "psi", "delta0", "_boundary")
+    __slots__ = ("base", "lam", "psi", "delta0", "_orbits", "_colours", "_keys")
 
     def __init__(self, base, lam=0, psi=None, delta0=0, boundary=None):
         _check_base(base)
@@ -523,18 +714,36 @@ class DivisorClass(_Frozen):
             )
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "delta0", _frac(delta0))
-        object.__setattr__(self, "_boundary", _read_boundary(base, boundary or ()))
+        object.__setattr__(self, "_orbits", _read_boundary(base, boundary or ()))
+        object.__setattr__(self, "_colours", None)
 
     @classmethod
-    def _from_canonical(cls, base, lam, psi, delta0, boundary):
-        """Trusted constructor: ``boundary`` must already be a dict on canonical
-        keys with nonzero coefficients, and is stored as given."""
+    def _from_canonical(cls, base, lam, psi, delta0, boundary, colours=None):
+        """Trusted constructor: ``boundary`` must already be a dict from the
+        representative keys of the orbits under colours (by default every
+        key) to nonzero coefficients, constant on each orbit as psi is on
+        each colour, and is stored as given."""
         out = cls(base, lam, psi, delta0)
-        object.__setattr__(out, "_boundary", boundary)
+        object.__setattr__(out, "_orbits", boundary)
+        if colours is not None:
+            object.__setattr__(out, "_colours", colours)
         return out
 
     def _init_args(self):
         return (self.base, self.lam, self.psi, self.delta0, self._boundary), {}
+
+    @property
+    def _boundary(self):
+        """The coefficient of every key: the orbits themselves under the
+        singleton colouring, and otherwise their expansion, made on the first
+        read and kept."""
+        if self._colours is None:
+            return self._orbits
+        try:
+            return self._keys
+        except AttributeError:
+            object.__setattr__(self, "_keys", _expand(self))
+            return self._keys
 
     @property
     def boundary(self):
@@ -552,20 +761,21 @@ class DivisorClass(_Frozen):
 
     def delta(self, i, S):
         """Coefficient of delta_{i:S} (any representative)."""
-        return self._boundary.get(canonical_index(self.base, i, S), 0)
+        return _coeff(self, canonical_index(self.base, i, S))
 
     def is_zero(self):
         return (
             self.lam == 0
             and all(c == 0 for c in self.psi)
             and self.delta0 == 0
-            and not self._boundary
+            and not self._orbits
         )
 
     def __add__(self, other):
         _check_pair(self, other)
-        acc = dict(self._boundary)
-        for k, c in other._boundary.items():
+        colours = _meet(self._colours, other._colours)
+        acc = dict(_refined(self, colours))
+        for k, c in _refined(other, colours).items():
             _acc(acc, k, c)
         return DivisorClass._from_canonical(
             self.base,
@@ -573,6 +783,7 @@ class DivisorClass(_Frozen):
             [a + b for a, b in zip(self.psi, other.psi)],
             self.delta0 + other.delta0,
             acc,
+            colours,
         )
 
     def __neg__(self):
@@ -591,7 +802,8 @@ class DivisorClass(_Frozen):
             self.lam * c,
             [a * c for a in self.psi],
             self.delta0 * c,
-            {k: _frac(v * c) for k, v in self._boundary.items()},
+            {k: _frac(v * c) for k, v in self._orbits.items()},
+            self._colours,
         )
 
     __rmul__ = __mul__
@@ -602,7 +814,8 @@ class DivisorClass(_Frozen):
         return equals(self, other)
 
     def __hash__(self):
-        # hash the form that ``equals`` compares, so equal classes hash alike
+        # hash the form that ``equals`` compares, so equal classes hash alike,
+        # on every key, so that the hash does not depend on the colouring
         a = _normal(self)
         return hash((a.base, a.lam, a.psi, a.delta0, frozenset(a._boundary.items())))
 
@@ -674,9 +887,15 @@ def relabel(a, perm):
             or sorted(perm) != labels or sorted(perm.values()) != labels:
         raise ParamOutOfRange("relabeling must permute {1..%d}" % base.n)
     # A permutation keeps i and |S|, so it maps a key to a stable pair, and
-    # distinct classes to distinct classes.
-    bnd = _walk(a, lambda S: _side(base, frozenset(map(perm.__getitem__, S))), {})
-    return DivisorClass._from_canonical(base, a.lam, _lift_psi(base, a, perm), a.delta0, bnd)
+    # distinct classes to distinct classes.  It maps the orbits of a
+    # colouring onto those of the moved colouring, once the label it takes
+    # to 1 has a colour of its own.
+    colours = _meet(a._colours, _colouring(tuple(perm[k] == 1 for k in labels)))
+    moved = _moved(colours, perm.__getitem__)
+    bnd = _walk(_refined(a, colours),
+                lambda S: _side(base, frozenset(map(perm.__getitem__, S))), {}, moved)
+    return DivisorClass._from_canonical(base, a.lam, _lift_psi(base, a, perm), a.delta0, bnd,
+                                        moved)
 
 
 def _lift_psi(base, a, lift):
@@ -698,9 +917,12 @@ def normalize_genus2(a):
     if a.lam == 0:
         return a
     # R = -lambda + delta_0/10 + (1/5) sum delta_{1:S} is zero on genus 2
+    # R is symmetric in the labels other than 1, so it is built on one key per
+    # orbit of the coarsest colouring
     fifth = Fraction(1, 5)
-    bnd = {key: fifth for key in _boundary_keys(a.base) if key.i == 1}
-    R = DivisorClass._from_canonical(a.base, -1, None, Fraction(1, 10), bnd)
+    colours = _colouring((0,) * a.base.n)
+    bnd = {key: fifth for key in _orbit_keys(a.base, colours) if key.i == 1}
+    R = DivisorClass._from_canonical(a.base, -1, None, Fraction(1, 10), bnd, colours)
     return a + a.lam * R
 
 
@@ -726,14 +948,20 @@ def diff_first(a, b):
     if x != y:
         names = ["lambda", *("psi_%d" % j for j in a.base.labels()), "delta_0"]
         return next((name, u, v) for name, u, v in zip(names, x, y) if u != v)
-    # zeros are pruned, so equal dicts are exactly equal coefficients, and
-    # unequal ones differ on some key
-    if a._boundary == b._boundary:
+    # Under one colouring, and zeros pruned, equal dicts are exactly equal
+    # coefficients, and unequal ones differ on some orbit, that is on all its
+    # keys.  So the classes are compared on their common refinement, and the
+    # first key where they differ is the representative of a differing orbit.
+    if a._colours == b._colours and a._orbits == b._orbits:
+        return None
+    colours = _meet(a._colours, b._colours)
+    x, y = _refined(a, colours), _refined(b, colours)
+    if x == y:
         return None
     # a key whose coefficients differ is in the entries (k, c) of just one
-    diff = {k for k, _ in a._boundary.items() ^ b._boundary.items()}
+    diff = {k for k, _ in x.items() ^ y.items()}
     key = min(diff, key=BoundaryIndex.sort_key)
-    return (str(key), a._boundary.get(key, 0), b._boundary.get(key, 0))
+    return (str(key), x.get(key, 0), y.get(key, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +1027,7 @@ def pair(curve, a):
         elif k == "delta0":
             total += c * a.delta0
         elif isinstance(k, BoundaryIndex):
-            total += c * a._boundary.get(k, 0)
+            total += c * _coeff(a, k)
         else:
             total += c * a.psi[k[1] - 1]
     return _frac(total)

@@ -6,13 +6,17 @@ Each map is a ``GluingMap``: its variant, its domain and the variant's
 parameters, checked once when it is built, with the codomain derived from
 them.  The four named constructors are calls to it.  ``pullback`` applies the
 generator-by-generator substitution table to the canonical representative of
-every class in the input.  Each handler is a ``core._walk`` over the keys of
-the class: it names the image pairs of each distinct set once, and
-``core._side`` keys them in canonical form and drops those that name an
-unstable (hence empty) degeneration as zero.  Forgetting a point, gluing a
-closed tail and identifying two points share one image rule,
-``_pull_two_sided``; its comment and the one in the glue-tail handler say
-which images exist and why they are distinct.
+every class in the input.  Each handler is a ``core._walk`` over the orbits
+of the class (``core``), one representative key each: it names the image
+pairs of each distinct set once, and ``core._side`` keys them in canonical
+form and drops those that name an unstable (hence empty) degeneration as
+zero.  The map carries the colouring of the labels along: forgetting a
+point, gluing a closed tail and identifying two points lift it and give
+each point they add a colour of its own, and gluing a pointed tail first
+cuts each colour along the tail's points and the attach point.  Forgetting
+a point, gluing a closed tail and identifying two points share one image
+rule, ``_pull_two_sided``; its comment and the one in the glue-tail handler
+say which images exist and why they are distinct.
 """
 
 from types import MappingProxyType
@@ -27,11 +31,17 @@ from .core import (
     _check_class,
     _check_ints,
     _check_size,
+    _colouring,
     _key,
     _lift_psi,
+    _meet,
+    _moved,
     _nogc,
     _own_sets,
+    _refined,
+    _rep,
     _side,
+    _singletons,
     _walk,
     canonical_index,
 )
@@ -184,17 +194,22 @@ def _pull_glue_tail(m, a):
             return _side(dom, S)
         return _side(dom, S - new, h) if T <= S else ()
 
-    bnd = _walk(a, images, {})
-    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
+    # Once the colours are split along T, whether S misses T or holds it is
+    # the same on an orbit, and the domain's colours are the split colours
+    # on its own labels, where at has a colour of its own.
+    colours = _meet(a._colours, _colouring(tuple(k in T for k in cod.labels())))
+    out = _moved(colours, lambda k: k if k <= dom.n else 0)
+    bnd = _walk(_refined(a, colours), images, {}, out)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, out)
 
 
-def _pull_two_sided(dom, a, lift, h, A, bnd):
-    """Store in bnd the image keys of the boundary of a along a map that
-    forgets the domain points A (h = 0) or glues them into a genus-h piece:
-    a key (i, S) pulls back to its far image (i, S') and its near image
-    (i - h, S' + A), with S' = lift(S), on the two sides of A.  (h, A) is
-    (0, {j}) for forgetting j, (h, {at}) for a closed tail glued at at and
-    (1, {1, 2}) for identifying 1 and 2."""
+def _pull_two_sided(dom, a, lift, h, A):
+    """The image keys of the boundary of a along a map that forgets the
+    domain points A (h = 0) or glues them into a genus-h piece, and the
+    domain's colouring: a key (i, S) pulls back to its far image (i, S') and
+    its near image (i - h, S' + A), with S' = lift(S), on the two sides of A.
+    (h, A) is (0, {j}) for forgetting j, (h, {at}) for a closed tail glued
+    at at and (1, {1, 2}) for identifying 1 and 2."""
     # lift is the order-preserving bijection of the codomain labels onto the
     # domain labels outside A.  The node of an image's generic member becomes
     # a node of the key's type under the map, so an image determines its key,
@@ -211,18 +226,21 @@ def _pull_two_sided(dom, a, lift, h, A, bnd):
         F = S if same else frozenset(map(lift.__getitem__, S))
         return _side(dom, F) + _side(dom, F | A, h)
 
-    return _walk(a, images, bnd)
+    # The lift maps the orbits of a's colouring onto those of the lifted
+    # colouring, in which each point of A has a colour of its own.
+    colours = _moved(a._colours, lift.__getitem__, A)
+    return _walk(a._orbits, images, {}, colours), colours
 
 
 def _pull_glue_closed_tail(m, a):
-    dom, cod = m.domain, m.codomain
+    dom = m.domain
     h, at = m.params["h"], m.params["attach"]
     lift = [0, *(x for x in dom.labels() if x != at)]  # cod label k -> dom label
     psi = _lift_psi(dom, a, lift)
     # the class whose generic member is the tail itself (h >= 1) also meets psi
     psi[at - 1] = -a.delta(h, ())
-    bnd = _pull_two_sided(dom, a, lift, h, {at}, {})
-    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
+    bnd, colours = _pull_two_sided(dom, a, lift, h, {at})
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, colours)
 
 
 def _pull_identify_points(m, a):
@@ -230,34 +248,39 @@ def _pull_identify_points(m, a):
     n = dom.n
     lift = [0, *range(3, n + 1)]  # cod label k -> dom label
     psi = _lift_psi(dom, a, lift)
-    bnd = {}
+    bnd, colours = _pull_two_sided(dom, a, lift, 1, {1, 2})
     # every class separating the two glued points maps into the irreducible
     # boundary; each such class has exactly one representative (i, S) with 1
     # in S and 2 outside, and that is its key when it names a class, that is
-    # when i is in the span of S: the own sets over the labels 3..n.  Each
-    # key is met once and bnd is still empty, so it is stored without
-    # canonicalizing or adding.  The images below hold 1 and 2, so none of
-    # them meets these keys.
+    # when i is in the span of S: the own sets over the labels 3..n.  They
+    # all take delta_0's coefficient, so one key per orbit is stored: the own
+    # sets over the colours of 3..n.  The images above hold 1 and 2, so none
+    # of them is one of these keys, and each of these is met once: it is
+    # stored without canonicalizing or adding.
     if a.delta0:
         _check_size(dom)
-        for S, lo, hi in _own_sets(dom, range(3, n + 1)):
+        for S, lo, hi in _own_sets(dom, (colours or _singletons(n))[2:]):
             for i in range(lo, hi + 1):
                 bnd[_key(i, S)] = a.delta0
-    _pull_two_sided(dom, a, lift, 1, {1, 2}, bnd)
-    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, colours)
 
 
 def _pull_forget(m, a):
     dom = m.domain
     j = m.params["j"]
     lift = [0, *range(1, j), *range(j + 1, dom.n + 1)]  # cod label k -> dom label
-    bnd = _pull_two_sided(dom, a, lift, 0, {j}, {})
+    bnd, colours = _pull_two_sided(dom, a, lift, 0, {j})
     # psi_k pulls back to psi_k less the class where k and j bubble off,
-    # which is stable: the far side has genus g >= 2
+    # which is stable: the far side has genus g >= 2.  These classes for the
+    # labels k of one colour make one orbit, and psi_k is the same on them,
+    # so only the one keyed by the orbit's representative is stored.
     for k, c in enumerate(a.psi, 1):
         if c:
-            _acc(bnd, canonical_index(dom, 0, (lift[k], j)), -c)
-    return DivisorClass._from_canonical(dom, a.lam, _lift_psi(dom, a, lift), a.delta0, bnd)
+            key = canonical_index(dom, 0, (lift[k], j))
+            if _rep(colours, key.S) == key.S:
+                _acc(bnd, key, -c)
+    return DivisorClass._from_canonical(dom, a.lam, _lift_psi(dom, a, lift), a.delta0, bnd,
+                                        colours)
 
 
 _HANDLERS = {

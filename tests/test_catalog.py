@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from artifact import catalog
+from artifact import catalog, core
 from artifact.core import (
     BaseMismatch,
     DivisorClass,
@@ -363,22 +363,26 @@ class TestWorkCounts:
     """The per-view cost as counts, not times."""
 
     def test_weight_sum_once_per_distinct_set(self, monkeypatch):
+        # once per distinct set of the representatives of the orbits under
+        # the colouring by weight: with equal weights, one set per size
         calls = []
         dsum = catalog._dsum
         monkeypatch.setattr(catalog, "_dsum", lambda d, S: calls.append(S) or dsum(d, S))
         logan_class(8, (1,) * 8)
+        reps = core._orbit_keys(ModuliBase(8, 8), core._colouring((1,) * 8))
         keys = enumerate_boundary(ModuliBase(8, 8))
-        assert len(calls) == len(set(calls)) == len({k.S for k in keys}) == 128
-        assert len(keys) > 128
+        assert len(calls) == len(set(calls)) == len({k.S for k in reps}) == 8
+        assert len({k.S for k in keys}) == 128 and len(keys) > 128
 
     def test_predicate_once_per_distinct_view(self, monkeypatch):
         g, d = 6, (2, 1, 1, 1, 0)
         runs = []
         assemble = catalog._assemble
 
-        def counted(base, regimes, view=len):
+        def counted(base, regimes, view=len, colours=None):
             (p, f), *rest = regimes
-            return assemble(base, [(lambda *v: runs.append(v) or p(*v), f)] + rest, view)
+            return assemble(base, [(lambda *v: runs.append(v) or p(*v), f)] + rest, view,
+                            colours)
 
         monkeypatch.setattr(catalog, "_assemble", counted)
         pinch_partition(g, d)
@@ -514,11 +518,15 @@ def test_assemble_matches_per_key_audit(monkeypatch, fn, args):
     keys in the same order, the same values and the same value types."""
     compared = []
 
-    def both(base, regimes, view=len):
-        fast = _assemble(base, regimes, view)
+    def both(base, regimes, view=len, colours=None):
+        fast = _assemble(base, regimes, view, colours)
         slow = _assemble_per_key(base, regimes, view)
-        assert list(fast) == list(slow)
-        assert [(c, type(c)) for c in fast.values()] == \
+        # fast holds the representatives of the orbits, in output order, and
+        # each orbit's keys take its representative's coefficient
+        assert list(fast) == [k for k in slow if k in fast]
+        keys = DivisorClass._from_canonical(base, 0, None, 0, fast, colours).boundary
+        assert dict(keys) == slow
+        assert [(c, type(c)) for c in map(keys.get, slow)] == \
             [(c, type(c)) for c in slow.values()]
         compared.append(base)
         return fast

@@ -195,11 +195,11 @@ class TestCanonicalIndex:
         # every set of labels is spanned by _span; the generator yields those
         # with a nonempty span whose labels other than 1 come from its pool,
         # each once and with its span, for the default pool 2..n and for the
-        # identify-points pool 3..n
+        # identify-points pool 3..n, each label a colour of its own
         for n in range(9):
             base = ModuliBase(g, n)
-            for rest in (None, range(3, n + 1)):
-                pool = {1, *(range(2, n + 1) if rest is None else rest)}
+            for rest in (None, [(x,) for x in range(3, n + 1)]):
+                pool = {1, *(range(2, n + 1) if rest is None else [x for x, in rest])}
                 want = {}
                 for bits in range(1 << n):
                     S = frozenset(x for x in base.labels() if bits >> (x - 1) & 1)

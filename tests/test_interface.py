@@ -310,10 +310,14 @@ def test_the_pullbacks_walk_the_keys_through_core():
 
 
 def test_the_own_key_sets_have_one_generator():
-    # every key set is generated by core._own_sets; no module builds all
-    # subsets with product, compress or a bit mask
+    # every set of labels is generated by core._parts: the key sets of a
+    # base by core._own_sets, and the sets of the orbits a class holds by
+    # core._split; no module builds all subsets with combinations, product,
+    # compress or a bit mask
     trees = dict(_package_trees())
-    assert _callers(lambda call: call.func.id == "combinations") == [("core", "_own_sets")]
+    assert _callers(lambda call: call.func.id == "_parts") == [("core", "_own_sets"),
+                                                               ("core", "_split")]
+    assert _callers(lambda call: call.func.id == "combinations") == []
     names = {a.name for tree in trees.values() for n in ast.walk(tree)
              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
     attrs = {n.attr for tree in trees.values() for n in ast.walk(tree)

@@ -1,0 +1,292 @@
+"""Classes in orbit form: one stored coefficient per orbit of the keys under a
+colouring of the labels, checked against the same classes built key by key."""
+
+import copy
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+
+from artifact import core
+from artifact.catalog import (
+    anti_ramification,
+    brill_noether,
+    coupled_partition,
+    d1_holo,
+    d1_mero,
+    d_infinity,
+    diaz,
+    logan_class,
+    pinch_partition,
+    residual,
+    theta_characteristic_locus,
+    theta_pullback_class,
+    weierstrass,
+)
+from artifact.core import (
+    DivisorClass,
+    ModuliBase,
+    diff_first,
+    equals,
+    normalize_genus2,
+    relabel,
+    to_json,
+)
+from artifact.maps import (
+    forget_point,
+    glue_closed_tail,
+    glue_tail,
+    identify_points,
+    pullback,
+)
+
+# every catalog constructor, on bases with g <= 6 and n <= 5
+CASES = [
+    (weierstrass, (2,)), (weierstrass, (5,)), (residual, (4,)), (diaz, (3,)), (diaz, (6,)),
+    (d1_holo, (5, 2)), (d1_mero, (4, 3)), (brill_noether, (5,)),
+    (theta_characteristic_locus, (4, "odd")), (theta_characteristic_locus, (3, "total")),
+    (logan_class, (3, (1, 1, 1))), (logan_class, (5, (1, 1, 1, 1, 1))),
+    (logan_class, (5, (2, 1, 1, 1))), (logan_class, (6, (1, 1, 2, 1, 1))),
+    (theta_pullback_class, (3, (1, 1, 1, -1))), (theta_pullback_class, (4, (1, 1, 1, 1, -1))),
+    (theta_pullback_class, (6, (-1, 2, 2, 2))), (theta_pullback_class, (5, (2, -1, 2, 1))),
+    (anti_ramification, (4,)), (anti_ramification, (6,)),
+    (coupled_partition, (3, (2, -2), "odd")), (coupled_partition, (3, (1, 1))),
+    (coupled_partition, (4, (1, -2, 1))), (coupled_partition, (4, (2, 2, -2, -2), "even")),
+    (coupled_partition, (5, (3, -1, -1, -1))), (coupled_partition, (5, (1, -1, 1, -1))),
+    (pinch_partition, (5, (1, 1, 1, 1))), (pinch_partition, (6, (2, 1, 1, 1, 0))),
+    (pinch_partition, (5, (2, 1, 1, 1, -2))), (pinch_partition, (4, (-2, 2, 1, 1))),
+    (d_infinity, (4, "even")),
+]
+
+
+def _id(case):
+    fn, args = case
+    return "%s%s" % (fn.__name__, repr(args).replace(" ", ""))
+
+
+def by_keys(a):
+    """a built key by key, with the singleton colouring."""
+    return DivisorClass(a.base, a.lam, a.psi, a.delta0, dict(a.boundary))
+
+
+def js(x):
+    """to_json(x), after checking that x stores one coefficient per orbit of
+    its keys, at the orbit's representative, and psi constant on each
+    colour."""
+    assert set(x._orbits) == {(k.i, core._rep(x._colours, k.S)) for k in x.boundary}
+    assert all(len({x.psi[k - 1] for k in b}) == 1 for b in x._colours or ())
+    return to_json(x)
+
+
+def perms(n, rng):
+    """Permutations of 1..n: ones that fix label 1 and ones that move it."""
+    if n < 2:
+        return [list(range(1, n + 1))]
+    out = [[1, *range(n, 1, -1)], [*range(2, n + 1), 1], [n, *range(2, n), 1]]
+    for _ in range(2):
+        out.append(rng.sample(range(1, n + 1), n))
+    return out
+
+
+def maps_onto(base):
+    """Every map variant whose codomain is base: forget j = 1 and j = n,
+    closed tail and glue-tail attached at 1 and at n, and identify-points."""
+    g, n = base
+    M = ModuliBase
+    out = [forget_point(M(g, n + 1), 1), forget_point(M(g, n + 1), n + 1)]
+    if g >= 3:
+        out += [glue_closed_tail(M(g - 1, n + 1), 1, 1),
+                glue_closed_tail(M(g - 1, n + 1), 1, n + 1), identify_points(M(g - 1, n + 2))]
+    for h, j in ((1, 0), (0, 1), (1, 1), (0, 2)):
+        if g - h >= 2 and n - j >= 1:
+            dom = M(g - h, n - j)
+            out += [glue_tail(dom, h, j, 1), glue_tail(dom, h, j, dom.n)]
+    return out
+
+
+@pytest.mark.parametrize("case", CASES, ids=_id)
+def test_orbit_form_matches_key_form(case):
+    fn, args = case
+    rng = random.Random(_id(case))
+    a = fn(*args)
+    k = by_keys(a)
+    n = a.base.n
+    assert js(a) == to_json(k)
+    for p in perms(n, rng):
+        assert js(relabel(a, p)) == to_json(relabel(k, p)), p
+    for m in maps_onto(a.base):
+        assert js(pullback(m, a)) == to_json(pullback(m, k)), m
+    # sums and comparisons of classes with different colourings
+    others = [relabel(a, p) for p in perms(n, rng)]
+    others += [b for b in (f(*x) for f, x in CASES) if b.base == a.base]
+    for b in others:
+        kb = by_keys(b)
+        assert js(a + b) == to_json(k + kb)
+        assert js(a - b) == to_json(k - kb)
+        assert js(b - a) == to_json(kb - k)
+        assert diff_first(a, b) == diff_first(k, kb) == diff_first(k, b) == diff_first(a, kb)
+        assert equals(a, b) == equals(k, kb)
+
+
+def test_a_difference_off_the_representatives_is_found():
+    # b differs from a on one key that is the last of its orbit, so that
+    # comparing a and b on the representatives of a's colouring misses it
+    a = logan_class(5, (1, 1, 1, 1, 1))
+    key = max(a.boundary, key=lambda k: (k.i == 2 and len(k.S) == 3, k.sort_key()))
+    assert key != (key.i, core._rep(a._colours, key.S))
+    b = a + DivisorClass(a.base, boundary=[(key, 1)])
+    want = (str(key), a.boundary[key], a.boundary[key] + 1)
+    assert diff_first(a, b) == want and not equals(a, b) and a != b
+    assert diff_first(b, a) == (want[0], want[2], want[1])
+    assert js(b - a) == to_json(DivisorClass(a.base, boundary=[(key, 1)]))
+
+
+def test_the_cases_are_in_orbit_form():
+    # the differential test above is about classes whose colouring is not
+    # the singleton one
+    coarse = [_id(c) for c in CASES if c[0](*c[1])._colours is not None]
+    assert len(coarse) >= 15, coarse
+
+
+def test_representatives_come_first_in_their_orbits():
+    a = logan_class(6, (2, 1, 1, 1, 1))
+    keys = sorted(a.boundary)
+    seen = set()
+    for key in keys:
+        rep = (key.i, core._rep(a._colours, key.S))
+        if rep not in seen:
+            assert rep == key
+            seen.add(rep)
+    assert seen == set(a._orbits) and len(seen) < len(keys)
+
+
+# orbit-form classes, on genus 2 among others
+HASHED = [
+    theta_pullback_class(2, (1, 1, 1, -1, -1)),
+    coupled_partition(2, (2, 2, -2, -2)),
+    logan_class(5, (1, 1, 1, 1, 1)),
+    pullback(forget_point(ModuliBase(4, 5), 1), logan_class(4, (1, 1, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("a", HASHED, ids=lambda a: str(a.base))
+def test_hash_agrees_with_equals_across_colourings(a):
+    assert a._colours is not None
+    k = by_keys(a)
+    assert k._colours is None and equals(a, k) and hash(a) == hash(k)
+    b = relabel(relabel(a, [*range(2, a.base.n + 1), 1]), [a.base.n, *range(1, a.base.n)])
+    assert b._colours != a._colours and equals(a, b) and hash(a) == hash(b)
+    if a.base.g == 2:
+        # another lambda, equal after the genus-2 normalization
+        lam = DivisorClass(a.base, lam=1)
+        c = a + 3 * (lam - normalize_genus2(lam))
+        assert c.lam != a.lam and equals(a, c) and hash(a) == hash(c)
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert equals(copied, a) and hash(copied) == hash(a)
+        assert to_json(copied) == to_json(a)
+
+
+class TestNoExpansion:
+    """Builds, relabels and pullbacks store one coefficient per orbit: counted
+    entries and counted expansions, not times."""
+
+    g = 12
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        calls = []
+        expand = core._expand
+        monkeypatch.setattr(core, "_expand", lambda a: calls.append(a.base) or expand(a))
+        return calls
+
+    def test_wide_steps_store_orbits(self, expansions):
+        g, M = self.g, ModuliBase
+        logan = logan_class(g, (1,) * g)
+        pinch = pinch_partition(g, [2] + [1] * (g - 3) + [0, 0])
+        assert len(logan._orbits) <= 13 * 12
+        steps = [
+            (logan, relabel(logan, [g, *range(1, g)])),
+            (logan, relabel(logan, [1, *range(g, 1, -1)])),
+            (logan, pullback(glue_tail(M(g, 1), 0, g - 1, 1), logan)),
+            (logan, pullback(glue_tail(M(g - 1, g - 1), 1, 1, attach=g - 1), logan)),
+            (logan, pullback(glue_closed_tail(M(g - 1, g + 1), 1, 1), logan)),
+            (pinch, pullback(identify_points(M(g - 1, g + 2)), pinch)),
+            (logan, pullback(forget_point(M(g, g + 1), g + 1), logan)),
+        ]
+        assert expansions == []
+        for a, out in steps:
+            assert len(out._orbits) <= 4 * len(a._orbits), out.base
+        # the counts above are of orbits, far fewer than the keys
+        assert len(logan.boundary) == 24564 > 100 * len(logan._orbits)
+        assert expansions == [logan.base]
+        for _, out in steps:
+            assert len(out.boundary) >= len(out._orbits)
+
+    def test_sums_and_comparisons_of_one_colouring_do_not_expand(self, expansions):
+        a = logan_class(self.g, (1,) * self.g)
+        b = a + 2 * a - a
+        assert equals(b, 2 * a) and diff_first(b, a) is not None
+        assert b._colours == a._colours
+        assert expansions == []
+
+
+def test_new_colourings_grow_no_cache():
+    # relabels by new permutations give new colourings, and sums and
+    # comparisons refine to their meets; a cache that keys on a colouring or
+    # a weight vector has a bound, and no other cache keeps anything per
+    # colouring, so after a first round they keep their sizes
+    import artifact.catalog
+    import artifact.maps
+    cached = {f.__name__: f for m in (core, artifact.catalog, artifact.maps)
+              for f in vars(m).values() if hasattr(f, "cache_info")}
+    unbounded = {name for name, f in cached.items() if f.cache_info().maxsize is None}
+    assert unbounded == {"_label_set", "_singletons", "_boundary_keys"}
+    cached = [cached[name] for name in sorted(unbounded)]
+    rng = random.Random(5)
+    g, n = 8, 6
+    a = logan_class(g, (1, 1, 1, 2, 2, 1))
+    b = theta_pullback_class(g, (1, 1, 2, 2, -1, 2))
+    tail = glue_tail(ModuliBase(g - 1, n - 1), 1, 1, attach=n - 1)
+    sizes = None
+    for _ in range(20):
+        p, q = rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)
+        x, y = relabel(a, p), relabel(b, q)
+        assert equals(x + y - y, x) and diff_first(x, y) is not None
+        assert equals(pullback(tail, x - y), pullback(tail, x) - pullback(tail, y))
+        now = [f.cache_info().currsize for f in cached]
+        assert sizes is None or now == sizes
+        sizes = now
+
+
+def _pow2(e):
+    return 2**e if e >= 0 else Fraction(1, 2**-e)
+
+
+def _by_parity(parity, f):
+    return f(-1) + f(1) if parity == "total" else f(-1 if parity == "odd" else 1)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even", "total"])
+def test_spin_coefficients_by_shifts_equal_the_products(parity):
+    # the products of powers of two that the spin-refined classes were
+    # written with, against the shifts and adds they are computed with
+    for g in range(2, 41):
+        pref = _pow2(g - 3)
+        a = theta_characteristic_locus(g, parity)
+        assert a.lam == pref * _by_parity(parity, lambda e: 2**g + e)
+        assert a.psi == (pref * _by_parity(parity, lambda e: (1 - e) * (2**g + e)),)
+        assert a.delta0 == pref * _by_parity(parity, lambda e: -pref)
+        for i in range(1, g):
+            want = pref * _by_parity(parity, lambda e: -(2**i - e) * (2 ** (g - i) - 1))
+            assert a.delta(i, {1}) == want, (g, i)
+        c = coupled_partition(g, (-2, 2), parity)
+        for i in range(0, g + 1):
+            for S, s in (({1, 2}, -1), ({2}, 1)):
+                if core.try_canonical_index(c.base, i, S) is None:
+                    continue
+                # the side of genus i holds both points, or the zero alone
+                want = pref * _by_parity(parity, lambda e: -(2**i + s * e) * (2 ** (g - i) + s))
+                assert c.delta(i, S) == want, (g, i, S)
+        q = _by_parity(parity, lambda e: _pow2(g - 4) * (2**g + e))
+        assert d_infinity(g, parity).psi == (q, q)
