@@ -35,13 +35,17 @@ stores what it was given.  Builds, ``relabel`` and the pullbacks cost
 orbits, not keys: ``_walk`` runs over the representatives, and each image
 rule keys its pieces by the representatives of the colouring it carries
 along.  ``_split`` is the one refinement, to a finer colouring: every orbit
-of the finer colouring takes the coefficient of the orbit that holds it.
-A sum, ``equals`` and ``diff_first`` refine both classes to the coarsest
-colouring finer than both (``_meet``), and ``hash`` reads every key, so
-that it does not depend on the colouring; ``delta`` and ``pair`` read one
-key at its representative.  Full expansion is the refinement to the
-singleton colouring (``_expand``): ``boundary`` expands on its first read
-and keeps the result, and so do the serializers, which write every key.
+of the finer colouring takes the coefficient of the orbit that holds it,
+and ``_members`` gives the sets it splits into.  A sum, ``equals`` and
+``diff_first`` refine both classes to the coarsest colouring finer than
+both (``_meet``), and ``hash`` reads every key, so that it does not depend
+on the colouring; ``delta`` and ``pair`` read one key at its
+representative.  Full expansion is the refinement to the singleton
+colouring (``_expand``): ``boundary`` expands on its first read and keeps
+the result, which ``hash``, copies and a comparison with a class built key
+by key read.  The serializers expand nothing: ``_boundary_rows`` writes the
+rows of every key from the orbits and the member sets of their
+representatives.
 
 Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
@@ -67,7 +71,6 @@ import functools
 import gc
 import json
 from math import comb
-from operator import itemgetter
 import sys
 from types import MappingProxyType
 
@@ -228,22 +231,6 @@ def _delta_name(i, text):
     """The name of the key (i, S) whose sorted labels, joined by commas, are
     text: delta_{i:{1,3}}, or delta_i for an empty S."""
     return "delta_{%d:{%s}}" % (i, text) if text else "delta_%d" % i
-
-
-def _ordered(keys):
-    """(i, label text, key) for each boundary key, in output order: the order
-    of ``__lt__``, (i, sorted(S)).  The label text is the sorted members of S
-    joined by commas, "" for an empty S.  Each distinct S is sorted, ranked
-    and joined once; each key is then numbered by (i, rank of S), as one int
-    that differs between distinct keys, and the numbers are sorted, so no
-    two keys are compared and the keys may come in any order."""
-    members = {S: sorted(S) for S in set(map(itemgetter(1), keys))}
-    sets = sorted(members, key=members.__getitem__)
-    m = len(sets)
-    rank = {S: r for r, S in enumerate(sets)}
-    text = {S: ",".join(map(str, members[S])) for S in sets}
-    number = {k[0] * m + rank[k[1]]: k for k in keys}
-    return [(k[0], text[k[1]], k) for k in map(number.__getitem__, sorted(number))]
 
 
 @functools.cache
@@ -443,35 +430,46 @@ def _walk(orbits, images, bnd, colours):
     return bnd
 
 
-def _split(a, colours):
-    """The coefficients of a by the orbits of colours, a refinement of a's
-    colouring, keyed by their representatives: each orbit of a splits into
-    the orbits of colours that it holds, which take its coefficient.  An
-    orbit of a is a count of labels in S for each colour of a, and its
-    parts are the ways to share each count among the colours of colours
-    inside that colour (``_parts``); a colour that colours keeps whole keeps
-    its labels.  This is the one refinement; ``_expand`` is the refinement
-    to every key.  It reads only the orbits that a holds, and makes each new
-    set once, whatever its number of genera."""
-    coarse, new = a._colours, tuple.__new__
+def _members(a, colours):
+    """{R: the representative sets of the orbits of colours inside the orbit
+    of R} for the set R of each orbit of a; colours is a refinement of a's
+    colouring, and for the singleton one, None, they are every set of R's
+    orbit.  An orbit of a is a count of labels in S for each colour of a,
+    and its parts are the ways to share each count among the colours of
+    colours inside that colour (``_parts``); a colour that colours keeps
+    whole keeps its labels.  This is the one refinement rule of sets; it
+    makes each set once, whatever the number of genera of R."""
+    coarse = a._colours or _singletons(a.base.n)
     owner = {x: k for k, b in enumerate(coarse) for x in b}
     within = [[] for _ in coarse]
     for b in colours or _singletons(a.base.n):
         within[owner[b[0]]].append(b)
     cut = [(b, _parts(w)) for b, w in zip(coarse, within) if len(w) > 1]
+    if not cut:
+        return {R: [R] for _, R in a._orbits}
     moved = frozenset([x for b, _ in cut for x in b])
-    sets, out = {}, {}
-    for (i, R), c in a._orbits.items():
-        Ss = sets.get(R)
-        if Ss is None:
+    sets = {}
+    for _, R in a._orbits:
+        if R not in sets:
             Ss = [()]
             for b, parts in cut:
                 t = len(R.intersection(b))
                 if t:
                     Ss = [p + q for p in Ss for q in parts[t]]
             kept = R - moved
-            Ss = sets[R] = [kept.union(p) for p in Ss]
-        for S in Ss:
+            sets[R] = [kept.union(p) for p in Ss]
+    return sets
+
+
+def _split(a, colours):
+    """The coefficients of a by the orbits of colours, a refinement of a's
+    colouring, keyed by their representatives: each orbit of a splits into
+    the orbits of colours that it holds (``_members``), which take its
+    coefficient.  ``_expand`` is the refinement to every key.  It reads only
+    the orbits that a holds."""
+    sets, out, new = _members(a, colours), {}, tuple.__new__
+    for (i, R), c in a._orbits.items():
+        for S in sets[R]:
             out[new(BoundaryIndex, (i, S))] = c
     return out
 
@@ -1096,6 +1094,28 @@ def builtin_test_curve(name, base, i=None, n=None):
 # ---------------------------------------------------------------------------
 # serialization
 
+def _boundary_rows(a):
+    """(i, label text, c) for each boundary key (i, S) of a, with coefficient
+    c, in output order: the order of ``BoundaryIndex.__lt__``, (i, sorted(S)).
+    The label text is the sorted members of S joined by commas, "" for an
+    empty S.  The rows are read from the orbits, whose sets are the members
+    of their representatives (``_members``): each distinct set is sorted,
+    ranked and joined once, each row is numbered by (i, rank of S) as one
+    int, and the numbers are sorted, so no key is built and no two keys are
+    compared."""
+    sets = _members(a, None)
+    labels = {S: sorted(S) for Ss in sets.values() for S in Ss}
+    order = sorted(labels, key=labels.__getitem__)
+    m = len(order)
+    rank = {S: (r, ",".join(map(str, labels[S]))) for r, S in enumerate(order)}
+    ranked = {R: [rank[S] for S in Ss] for R, Ss in sets.items()}
+    rows = {}
+    for (i, R), c in a._orbits.items():
+        for r, text in ranked[R]:
+            rows[i * m + r] = (i, text, c)
+    return map(rows.__getitem__, sorted(rows))
+
+
 @_writer
 def to_json(a):
     """The class as compact JSON: g, n, the coefficients of lambda, psi and
@@ -1104,9 +1124,7 @@ def to_json(a):
     or a Fraction, so nothing needs escaping, and the bytes are those of
     ``json.dumps`` with separators (",", ":")."""
     _check_class(a)
-    b = a._boundary
-    rows = ",".join(['{"i":%d,"S":[%s],"c":"%s"}' % (i, text, b[k])
-                     for i, text, k in _ordered(b)])
+    rows = ",".join(['{"i":%d,"S":[%s],"c":"%s"}' % row for row in _boundary_rows(a)])
     return '{"g":%d,"n":%d,"lambda":"%s","psi":[%s],"delta0":"%s","boundary":[%s]}' % (
         a.base.g, a.base.n, a.lam, ",".join('"%s"' % c for c in a.psi), a.delta0, rows)
 
@@ -1183,16 +1201,15 @@ def from_json(s):
 
 def _rows(a):
     """(name, boundary, coefficient) per generator in output order; boundary
-    is (i, label text) for the row of a key (i, S), as given by ``_ordered``,
-    and None otherwise."""
+    is (i, label text) for the row of a key (i, S), as ``_boundary_rows``
+    gives it, and None otherwise."""
     _check_class(a)
     yield ("lambda", None, a.lam)
     for j in a.base.labels():
         yield ("psi_%d" % j, None, a.psi[j - 1])
     yield ("delta_0", None, a.delta0)
-    b = a._boundary
-    for i, text, k in _ordered(b):
-        yield (_delta_name(i, text), (i, text), b[k])
+    for i, text, c in _boundary_rows(a):
+        yield (_delta_name(i, text), (i, text), c)
 
 
 @_writer

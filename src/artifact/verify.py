@@ -683,11 +683,19 @@ def run_relation(name, params):
 
 def run_suite(g_max, suite="all", n_max=6, h_max=4):
     """Run every registered identity (or one named family) over its parameter
-    domain capped at the given genus, marked-point and tail-genus bounds."""
+    domain capped at the given genus, marked-point and tail-genus bounds.
+    Bounds that are negative, or that select no case, raise ParamOutOfRange:
+    a report that checked nothing would read as a success."""
     _check_ints(ParamOutOfRange, g_max=g_max, n_max=n_max, h_max=h_max)
+    if n_max < 0 or h_max < 0:
+        raise ParamOutOfRange("n_max and h_max must be nonnegative, got %d and %d"
+                              % (n_max, h_max))
     names = list(RELATIONS) if suite == "all" else [suite]
     report = Report()
     for name in names:
         for params in _relation(name).cases(g_max, n_max, h_max):
             report.entries.append(run_relation(name, params))
+    if not report.entries:
+        raise ParamOutOfRange("suite %s has no case with g_max=%d, n_max=%d, h_max=%d"
+                              % (suite, g_max, n_max, h_max))
     return report

@@ -278,6 +278,13 @@ class TestVerifyVerb:
         code, _, _ = run(capsys, "verify", "--gmax", "3", "--format", "json")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--gmax", "1"], ["--gmax", "-1"],
+                                      ["--suite", "R1", "--gmax", "3"],
+                                      ["--gmax", "5", "--nmax", "-3"]])
+    def test_bounds_that_check_nothing_are_refused(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "error:" in err
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "R999", "--gmax", "3")
         assert code == 2

@@ -195,6 +195,12 @@ def huge_theta():
     ('run_suite("5")', ParamOutOfRange),
     ('run_suite(5, n_max=2.0)', ParamOutOfRange),
     ('run_suite(5, h_max="4")', ParamOutOfRange),
+    # bounds that select no case, or are negative: a report of 0/0 is no success
+    ('run_suite(1)', ParamOutOfRange),
+    ('run_suite(-1)', ParamOutOfRange),
+    ('run_suite(3, suite="R1")', ParamOutOfRange),
+    ('run_suite(5, n_max=-3)', ParamOutOfRange),
+    ('run_suite(5, h_max=-1)', ParamOutOfRange),
     # relation names that are not a registered str
     ('run_suite(3, suite=["R1"])', UnknownRelation),
     ('run_relation(["R1"], {})', UnknownRelation),
@@ -312,11 +318,13 @@ def test_the_pullbacks_walk_the_keys_through_core():
 def test_the_own_key_sets_have_one_generator():
     # every set of labels is generated by core._parts: the key sets of a
     # base by core._own_sets, and the sets of the orbits a class holds by
-    # core._split; no module builds all subsets with combinations, product,
-    # compress or a bit mask
+    # core._members, which refinement and the serializers share; no module
+    # builds all subsets with combinations, product, compress or a bit mask
     trees = dict(_package_trees())
     assert _callers(lambda call: call.func.id == "_parts") == [("core", "_own_sets"),
-                                                               ("core", "_split")]
+                                                               ("core", "_members")]
+    assert _callers(lambda call: call.func.id == "_members") == [("core", "_split"),
+                                                                 ("core", "_boundary_rows")]
     assert _callers(lambda call: call.func.id == "combinations") == []
     names = {a.name for tree in trees.values() for n in ast.walk(tree)
              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}

@@ -2,11 +2,13 @@
 colouring of the labels, checked against the same classes built key by key."""
 
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact import core
 from artifact.catalog import (
@@ -29,9 +31,13 @@ from artifact.core import (
     ModuliBase,
     diff_first,
     equals,
+    from_json,
     normalize_genus2,
     relabel,
+    to_csv,
     to_json,
+    to_latex,
+    to_latex_expr,
 )
 from artifact.maps import (
     forget_point,
@@ -70,13 +76,19 @@ def by_keys(a):
     return DivisorClass(a.base, a.lam, a.psi, a.delta0, dict(a.boundary))
 
 
-def js(x):
-    """to_json(x), after checking that x stores one coefficient per orbit of
+def texts(x):
+    """x as every serializer writes it."""
+    return [write(x) for write in (to_json, to_csv, to_latex, to_latex_expr, repr)]
+
+
+def written(x):
+    """texts(x), after checking that x stores one coefficient per orbit of
     its keys, at the orbit's representative, and psi constant on each
-    colour."""
+    colour.  The texts are written before the check reads x.boundary."""
+    out = texts(x)
     assert set(x._orbits) == {(k.i, core._rep(x._colours, k.S)) for k in x.boundary}
     assert all(len({x.psi[k - 1] for k in b}) == 1 for b in x._colours or ())
-    return to_json(x)
+    return out
 
 
 def perms(n, rng):
@@ -112,19 +124,19 @@ def test_orbit_form_matches_key_form(case):
     a = fn(*args)
     k = by_keys(a)
     n = a.base.n
-    assert js(a) == to_json(k)
+    assert written(a) == texts(k)
     for p in perms(n, rng):
-        assert js(relabel(a, p)) == to_json(relabel(k, p)), p
+        assert written(relabel(a, p)) == texts(relabel(k, p)), p
     for m in maps_onto(a.base):
-        assert js(pullback(m, a)) == to_json(pullback(m, k)), m
+        assert written(pullback(m, a)) == texts(pullback(m, k)), m
     # sums and comparisons of classes with different colourings
     others = [relabel(a, p) for p in perms(n, rng)]
     others += [b for b in (f(*x) for f, x in CASES) if b.base == a.base]
     for b in others:
         kb = by_keys(b)
-        assert js(a + b) == to_json(k + kb)
-        assert js(a - b) == to_json(k - kb)
-        assert js(b - a) == to_json(kb - k)
+        assert written(a + b) == texts(k + kb)
+        assert written(a - b) == texts(k - kb)
+        assert written(b - a) == texts(kb - k)
         assert diff_first(a, b) == diff_first(k, kb) == diff_first(k, b) == diff_first(a, kb)
         assert equals(a, b) == equals(k, kb)
 
@@ -139,7 +151,7 @@ def test_a_difference_off_the_representatives_is_found():
     want = (str(key), a.boundary[key], a.boundary[key] + 1)
     assert diff_first(a, b) == want and not equals(a, b) and a != b
     assert diff_first(b, a) == (want[0], want[2], want[1])
-    assert js(b - a) == to_json(DivisorClass(a.base, boundary=[(key, 1)]))
+    assert written(b - a) == texts(DivisorClass(a.base, boundary=[(key, 1)]))
 
 
 def test_the_cases_are_in_orbit_form():
@@ -187,6 +199,44 @@ def test_hash_agrees_with_equals_across_colourings(a):
         assert to_json(copied) == to_json(a)
 
 
+@st.composite
+def repeated_weight_classes(draw):
+    """A logan, theta-pullback or coupled class at g = 2..5 whose weights
+    repeat, in a drawn order of its labels."""
+    g = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["logan", "theta", "coupled"]))
+    if kind == "logan":
+        twos = draw(st.integers(0, g // 2))
+        d = [2] * twos + [1] * (g - 2 * twos)
+    elif kind == "theta":
+        poles = draw(st.integers(1, 2))
+        d = [-1] * poles + [1] * (g - 1 + poles)
+    else:
+        d = list(draw(st.sampled_from([(1, -1, 1, -1), (2, -1, -1), (3, -1, -1, -1)])))
+    d = draw(st.permutations(d))
+    build = {"logan": logan_class, "theta": theta_pullback_class, "coupled": coupled_partition}
+    return build[kind](g, tuple(d))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(repeated_weight_classes(), st.data())
+def test_hash_agrees_with_equals_on_drawn_classes(a, data):
+    n = a.base.n
+    p = data.draw(st.permutations(range(1, n + 1)))
+    inverse = [p.index(k) + 1 for k in range(1, n + 1)]
+    moved = relabel(a, p)
+    copied = by_keys(moved)
+    forms = [a, moved, copied, relabel(copied, inverse)]
+    assert equals(moved, copied) and equals(forms[-1], a)
+    if a.base.g == 2:
+        lam = DivisorClass(a.base, lam=1)
+        forms.append(moved + data.draw(st.integers(1, 5)) * (lam - normalize_genus2(lam)))
+        assert forms[-1].lam != moved.lam and equals(forms[-1], copied)
+    for x in forms:
+        for y in forms:
+            assert not equals(x, y) or hash(x) == hash(y)
+
+
 class TestNoExpansion:
     """Builds, relabels and pullbacks store one coefficient per orbit: counted
     entries and counted expansions, not times."""
@@ -228,6 +278,40 @@ class TestNoExpansion:
         b = a + 2 * a - a
         assert equals(b, 2 * a) and diff_first(b, a) is not None
         assert b._colours == a._colours
+        assert expansions == []
+
+    def test_serializers_do_not_expand(self, expansions):
+        a = logan_class(self.g, (1,) * self.g)
+        text = to_json(a)
+        assert to_csv(a) and to_latex(a) and to_latex_expr(a) and repr(a)
+        assert expansions == []
+        # a comparison with a class built key by key refines a to every key,
+        # once: the expansion is kept, and the read-only view reads it
+        assert equals(from_json(text), a)
+        assert len(a.boundary) == len(a.boundary) == 24564
+        assert expansions == [a.base]
+
+    def test_writing_a_coloured_class_reads_its_orbits_not_its_base(self, expansions,
+                                                                     monkeypatch):
+        # one orbit of 17 keys on a base of 2 490 349 keys, relabeled: the
+        # rows come from the class's own orbits, never from its expansion or
+        # the sets or keys of the base
+        base = ModuliBase(18, 18)
+        colours = core._colouring((0,) * 18)
+        key = core.canonical_index(base, 3, {1, 2})
+        x = DivisorClass._from_canonical(base, 0, None, 0, {key: Fraction(2)}, colours)
+
+        def refuse(*args):
+            raise AssertionError("a serializer read the keys of the base")
+
+        monkeypatch.setattr(core, "_own_sets", refuse)
+        monkeypatch.setattr(core, "_boundary_keys", refuse)
+        a = relabel(x, [1, *range(18, 1, -1)])
+        assert a._colours == colours and len(a._orbits) == 1
+        rows = [{"i": 3, "S": [1, k], "c": "2"} for k in range(2, 19)]
+        assert json.loads(to_json(a))["boundary"] == rows
+        assert to_csv(a).endswith("".join("delta_{3:{1,%d}},2\n" % k for k in range(2, 19)))
+        assert to_latex_expr(a).count("delta") == 17
         assert expansions == []
 
 
