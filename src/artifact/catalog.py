@@ -14,12 +14,18 @@ and the formula run once per distinct view, not once per key.  The other
 side has genus g - i and weight sum sum(d) - d_S, so a formula stated for
 the other side is evaluated there without building the complement of S.
 
-A class whose weights repeat is built in orbit form (``core``): its labels
-are coloured by weight, every view is the same on the keys of an orbit of
-that colouring, and ``_assemble`` evaluates the representative of each orbit
-only.  The spin-refined coefficients are 2**(g - 3) times products of
-numbers of about g bits, written out as shifts and adds (``_spin``), so that
-a class costs about its output length.
+Every constructor returns ``_class``, the one builder of a catalog class:
+it takes the lambda, psi and delta_0 coefficients, the regimes and the view,
+and the weights d when they colour the labels.  A class whose weights repeat
+is then built in orbit form (``core``): its labels are coloured by weight,
+every view is the same on the keys of an orbit of that colouring, and
+``_assemble`` evaluates the representative of each orbit only.  No other
+function here makes a colouring or stores a class.  The spin-refined
+coefficients are 2**(g - 3) times products of numbers of about g bits,
+written out as shifts and adds (``_spin``), so that a class costs about its
+output length; as ``_class`` evaluates them before ``_assemble`` counts the
+keys, the constructors with such coefficients refuse a base with too many
+keys first (``core._check_size``).
 
 Every class is assembled on the caller's label order; none is built in a
 standard order and relabeled.  A class with one pole reads the view
@@ -47,6 +53,7 @@ from .core import (
     _boundary_keys,
     _check_class,
     _check_ints,
+    _check_size,
     _colouring,
     _frac,
     _int_tuple,
@@ -185,6 +192,18 @@ def _assemble(base, regimes, view=len, colours=None):
     return bnd
 
 
+def _class(base, lam, psi, delta0, regimes, view=len, d=None):
+    """The class on base with these lambda, psi and delta_0 coefficients and
+    the boundary that regimes assemble under view (``_assemble``), in orbit
+    form under the colouring of the labels by the weights d when they are
+    given: every view must then be the same on the sets of an orbit.  This
+    is the one place in the catalog that colours labels or stores a
+    class."""
+    colours = None if d is None else _colouring(d)
+    bnd = _assemble(base, regimes, view, colours)
+    return DivisorClass._from_canonical(base, lam, psi, delta0, bnd, colours)
+
+
 def _dsum(d, S):
     return sum(d[s - 1] for s in S)
 
@@ -193,9 +212,8 @@ def _dsum(d, S):
 def weierstrass(g):
     """Closure of the locus where the marked point is a Weierstrass point."""
     _check_genus(g, 2)
-    base = ModuliBase(g, 1)
-    bnd = _assemble(base, [(lambda i, s: True, lambda i, s: -_tri(g - i))])
-    return DivisorClass._from_canonical(base, -1, [_tri(g)], 0, bnd)
+    return _class(ModuliBase(g, 1), -1, [_tri(g)], 0,
+                  [(lambda i, s: True, lambda i, s: -_tri(g - i))])
 
 
 @_nogc
@@ -205,15 +223,13 @@ def diaz(g):
     genus up."""
     _check_genus(g, 3)
     G = g + 1
-    base = ModuliBase(g, 0)
     lam = _div(G * (G + 1) * (3 * G * G - 3 * G + 2), 2)
     delta0 = -_div(G * G * (G - 1) * (G + 1), 6)
 
     def c(i, s):
         return -_div(G * i * (G - i - 1) * (G + 1) ** 2, 2)
 
-    bnd = _assemble(base, [(lambda i, s: True, c)])
-    return DivisorClass._from_canonical(base, lam, [], delta0, bnd)
+    return _class(ModuliBase(g, 0), lam, [], delta0, [(lambda i, s: True, c)])
 
 
 @_nogc
@@ -221,7 +237,6 @@ def residual(g):
     """Closure of the locus of 1-pointed curves carrying a differential with
     a zero of maximal order away from the marked point."""
     _check_genus(g, 3)
-    base = ModuliBase(g, 1)
     psi = _div(g * (g + 1) * (g - 2), 2)
     lam = _div(g * (3 * g**3 - 3 * g + 2), 2)
     delta0 = _div(g**2 - g**4, 6)
@@ -229,8 +244,7 @@ def residual(g):
     def c(i, s):
         return _div(g * (i - g) * (g * g * i + g * i - g + i - 1), 2)
 
-    bnd = _assemble(base, [(lambda i, s: True, c)])
-    return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
+    return _class(ModuliBase(g, 1), lam, [psi], delta0, [(lambda i, s: True, c)])
 
 
 @_nogc
@@ -241,7 +255,6 @@ def d1_holo(g, k):
     _check_ints(ParamOutOfRange, k=k)
     if not 0 <= k <= g - 1:
         raise ParamOutOfRange("needs 0 <= k <= g-1")
-    base = ModuliBase(g, 1)
     psi = _div(
         (k + 1) * (g - k) * ((k + 1) * g * g - (k * k + k + 1) * g - 2), 2
     )
@@ -275,14 +288,13 @@ def d1_holo(g, k):
             2,
         )
 
-    bnd = _assemble(
-        base,
+    return _class(
+        ModuliBase(g, 1), lam, [psi], delta0,
         [
             (lambda i, s: i <= g - k, low),
             (lambda i, s: i > g - k, high),
         ],
     )
-    return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
 
 
 @_nogc
@@ -293,7 +305,6 @@ def d1_mero(g, h):
     _check_ints(ParamOutOfRange, h=h)
     if h < 2:
         raise ParamOutOfRange("needs pole order h >= 2")
-    base = ModuliBase(g, 1)
     psi = _div(
         g * (g + h + 1) * (h - 1) * (h * h + g * h + g + 1), 2
     )
@@ -318,8 +329,7 @@ def d1_mero(g, h):
             2,
         )
 
-    bnd = _assemble(base, [(lambda i, s: True, c)])
-    return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
+    return _class(ModuliBase(g, 1), lam, [psi], delta0, [(lambda i, s: True, c)])
 
 
 @_nogc
@@ -329,16 +339,12 @@ def logan_class(g, d):
     d = _check_weights(g, d)
     if not d or any(x < 1 for x in d) or sum(x for x in d) != g:
         raise BadWeights("weights must be positive and sum to the genus")
-    base = ModuliBase(g, len(d))
-    colours = _colouring(d)
-
-    bnd = _assemble(
-        base,
+    return _class(
+        ModuliBase(g, len(d)), -1, [_tri(x) for x in d], 0,
         [(lambda i, ds: True, lambda i, ds: -_tri(abs(ds - i)))],
         lambda S: _dsum(d, S),
-        colours,
+        d,
     )
-    return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd, colours)
 
 
 @_nogc
@@ -351,17 +357,15 @@ def theta_pullback_class(g, d):
         raise BadWeights("weights must be nonzero and sum to g-1")
     if not any(x < 0 for x in d):
         raise BadWeights("at least one weight must be negative")
-    base = ModuliBase(g, len(d))
     P = frozenset(j + 1 for j, x in enumerate(d) if x < 0)
-    colours = _colouring(d)
 
     def pole_free(i, ds):
         return -_tri(abs(ds - i))
 
     # the view of S is (d_S, the number of poles in S), the same on an orbit
     # of the colouring by weight
-    bnd = _assemble(
-        base,
+    return _class(
+        ModuliBase(g, len(d)), -1, [_tri(x) for x in d], 0,
         [
             # all poles on the other side: evaluate here
             (lambda i, w: not w[1], lambda i, w: pole_free(i, w[0])),
@@ -373,9 +377,8 @@ def theta_pullback_class(g, d):
             (lambda i, w: 0 < w[1] < len(P), lambda i, w: -_tri(w[0] - i)),
         ],
         lambda S: (_dsum(d, S), len(S & P)),
-        colours,
+        d,
     )
-    return DivisorClass._from_canonical(base, -1, [_tri(x) for x in d], 0, bnd, colours)
 
 
 @_nogc
@@ -385,6 +388,7 @@ def theta_characteristic_locus(g, parity="total"):
     ``parity="total"`` is the sum of the odd and even classes."""
     _check_genus(g, 2)
     base = ModuliBase(g, 1)
+    _check_size(base)
     lam = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 3)
     psi = _scaled(_by_parity(parity, lambda e: (1 - e) * ((1 << g) + e)), g - 3)
     delta0 = _scaled(_by_parity(parity, lambda e: -1), 2 * g - 6)
@@ -392,8 +396,7 @@ def theta_characteristic_locus(g, parity="total"):
     def c(i, s):
         return _scaled(_by_parity(parity, lambda e: _spin(g, i, -1, -e)), g - 3)
 
-    bnd = _assemble(base, [(lambda i, s: True, c)])
-    return DivisorClass._from_canonical(base, lam, [psi], delta0, bnd)
+    return _class(base, lam, [psi], delta0, [(lambda i, s: True, c)])
 
 
 @_nogc
@@ -402,32 +405,26 @@ def anti_ramification(g):
     support a differential with a double zero elsewhere; the weight-one
     member of the pinch family."""
     _check_genus(g, 3)
+    _check_size(ModuliBase(g, g - 1))
     return pinch_partition(g, (1,) * (g - 1))
 
 
 def _coupled_11(g):
-    _check_genus(g, 2)
-    base = ModuliBase(g, 2)
-
     def both(i, s):
         return _scaled(_spin(g, i, -1, 0), g - 2)
 
     def first_only(i, s):
         return -_scaled(1, 2 * g - 4)
 
-    bnd = _assemble(
-        base,
+    return _class(
+        ModuliBase(g, 2),
+        _scaled(1, 2 * g - 2),
+        [_scaled(1, 2 * g - 4)] * 2,
+        -_scaled(1, 2 * g - 5),
         [
             (lambda i, s: s == 2, both),
             (lambda i, s: s == 1, first_only),
         ],
-    )
-    return DivisorClass._from_canonical(
-        base,
-        _scaled(1, 2 * g - 2),
-        [_scaled(1, 2 * g - 4)] * 2,
-        -_scaled(1, 2 * g - 5),
-        bnd,
     )
 
 
@@ -443,9 +440,6 @@ def _pole_free(g, total, f):
 def _coupled_m2_1_1(g, d):
     # one double pole and two simple zeros, on the view (|S|, pole in S);
     # the pole-free side of a key holds k zeros
-    _check_genus(g, 2)
-    base = ModuliBase(g, 3)
-    colours = _colouring(d)
     pole = d.index(-2) + 1
 
     def all_three(i, w):
@@ -458,30 +452,23 @@ def _coupled_m2_1_1(g, d):
         # j is the genus of the side holding the two zeros alone
         return _scaled(_spin(g, j, 1, 0), g - 2)
 
-    bnd = _assemble(
-        base,
+    return _class(
+        ModuliBase(g, 3),
+        _scaled(1, 2 * g - 2),
+        [_scaled(1, 2 * g - 1) if x < 0 else _scaled(1, 2 * g - 4) for x in d],
+        -_scaled(1, 2 * g - 5),
         [
             (lambda i, w: w[0] == 3, all_three),
             (_pole_free(g, 3, lambda j, k: k == 1), pole_and_zero),
             (_pole_free(g, 3, lambda j, k: k == 2), _pole_free(g, 3, two_zeros)),
         ],
         lambda S: (len(S), pole in S),
-        colours,
-    )
-    return DivisorClass._from_canonical(
-        base,
-        _scaled(1, 2 * g - 2),
-        [_scaled(1, 2 * g - 1) if x < 0 else _scaled(1, 2 * g - 4) for x in d],
-        -_scaled(1, 2 * g - 5),
-        bnd,
-        colours,
+        d,
     )
 
 
 def _coupled_m2_2(g, d, parity):
     # one double pole and one double zero, on the view (|S|, pole in S)
-    _check_genus(g, 2)
-    base = ModuliBase(g, 2)
     lam = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 3)
     zero = _scaled(_by_parity(parity, lambda e: (1 + e) * ((1 << g) + 1)), g - 3)
     delta0 = _scaled(_by_parity(parity, lambda e: -1), 2 * g - 6)
@@ -494,22 +481,17 @@ def _coupled_m2_2(g, d, parity):
         # j is the genus of the side holding the zero alone
         return _scaled(_by_parity(parity, lambda e: _spin(g, j, 1, e)), g - 3)
 
-    bnd = _assemble(
-        base,
+    return _class(
+        ModuliBase(g, 2), lam, [2 * lam if x < 0 else zero for x in d], delta0,
         [
             (lambda i, w: w[0] == 2, both),
             (lambda i, w: w[0] == 1, _pole_free(g, 2, zero_only)),
         ],
         lambda S: (len(S), pole in S),
     )
-    return DivisorClass._from_canonical(
-        base, lam, [2 * lam if x < 0 else zero for x in d], delta0, bnd)
 
 
 def _coupled_general(g, d, parity):
-    _check_genus(g, 2)
-    base = ModuliBase(g, len(d))
-    colours = _colouring(d)
     n = len(d)
     lam = _by_parity(parity, lambda e: (1 << g) + e) << (g - 2)
     qpsi = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 4)
@@ -526,17 +508,14 @@ def _coupled_general(g, d, parity):
             parity, lambda e: (side(i, e) if w[0] != n else 0) + side(g - i, e)) << (g - 2))
 
     # the view of S is (|S|, d_S)
-    bnd = _assemble(
-        base,
+    return _class(
+        ModuliBase(g, n), lam, [qpsi * x * x for x in d], delta0,
         [
             (lambda i, w: w[1] == 0, balanced),
             (lambda i, w: w[1] != 0, lambda i, w: -qpsi * w[1] * w[1]),
         ],
         lambda S: (len(S), _dsum(d, S)),
-        colours,
-    )
-    return DivisorClass._from_canonical(
-        base, lam, [qpsi * x * x for x in d], delta0, bnd, colours
+        d,
     )
 
 
@@ -551,6 +530,9 @@ def coupled_partition(g, d, parity="total"):
     _check_parity(parity)
     if not d or any(x == 0 for x in d):
         raise UnsupportedWeights("weights must be nonzero")
+    # every branch builds on (g, len(d)) and computes numbers of about g bits
+    _check_genus(g, 2)
+    _check_size(ModuliBase(g, len(d)))
     if sorted(d) == [1, 1]:
         if parity != "total":
             raise ParityUnavailable("odd weights admit no spin refinement")
@@ -581,16 +563,13 @@ def d_infinity(g, parity="total"):
     ``parity="total"`` is the sum of the odd and even classes."""
     _check_genus(g, 2)
     base = ModuliBase(g, 2)
+    _check_size(base)
     q = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 4)
-
-    bnd = _assemble(base, [(lambda i, s: True, lambda i, s: -q if s == 1 else 0)])
-    return DivisorClass._from_canonical(base, 0, [q, q], 0, bnd)
+    return _class(base, 0, [q, q], 0, [(lambda i, s: True, lambda i, s: -q if s == 1 else 0)])
 
 
 def _pinch_holo(g, d):
     _check_genus(g, 3)
-    base = ModuliBase(g, len(d))
-    colours = _colouring(d)
     lam = -4 * (g - 7)
     psi = [(2 * g * (x + 1) - 3 * x - 5) * x for x in d]
 
@@ -601,22 +580,20 @@ def _pinch_holo(g, d):
             - 2 * g * i * i + 7 * i * i - 2 * g * i - i - 2
         )
 
-    bnd = _assemble(
-        base,
+    return _class(
+        ModuliBase(g, len(d)), lam, psi, -2,
         [
             (lambda i, ds: ds <= i - 1, c),
             # evaluate at the other side, of weight sum g - 1 - d_S
             (lambda i, ds: ds >= i, lambda i, ds: c(g - i, g - 1 - ds)),
         ],
         lambda S: _dsum(d, S),
-        colours,
+        d,
     )
-    return DivisorClass._from_canonical(base, lam, psi, -2, bnd, colours)
 
 
 def _pinch_mero(g, d, j):
     base = ModuliBase(g, len(d))
-    colours = _colouring(d)
     h = -d[j - 1]
     if h == 2:
         lam = 27 - 4 * g
@@ -666,16 +643,15 @@ def _pinch_mero(g, d, j):
 
     # each formula reads the (genus, weight sum) of the side without the pole
     # j; the weights sum to g - 2
-    bnd = _assemble(
-        base,
+    return _class(
+        base, lam, psi, -2,
         [
             (_pole_free(g, g - 2, lambda i, ds: ds <= i - 1), _pole_free(g, g - 2, cA)),
             (_pole_free(g, g - 2, lambda i, ds: ds >= i), _pole_free(g, g - 2, cB)),
         ],
         lambda S: (_dsum(d, S), j in S),
-        colours,
+        d,
     )
-    return DivisorClass._from_canonical(base, lam, psi, -2, bnd, colours)
 
 
 @_nogc
@@ -704,11 +680,8 @@ def pinch_partition(g, d):
 def brill_noether(g):
     """The pulled-back Brill-Noether divisor class on the 1-pointed space."""
     _check_genus(g, 3)
-    base = ModuliBase(g, 1)
-    bnd = _assemble(
-        base, [(lambda i, s: True, lambda i, s: -i * (g - i))]
-    )
-    return DivisorClass._from_canonical(base, g + 3, [0], -_div(g + 1, 6), bnd)
+    return _class(ModuliBase(g, 1), g + 3, [0], -_div(g + 1, 6),
+                  [(lambda i, s: True, lambda i, s: -i * (g - i))])
 
 
 def bn_coefficient_check(a):

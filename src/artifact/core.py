@@ -32,14 +32,18 @@ orbit's first key in output order.  A catalog class colours its labels by
 weight; a class built key by key (the constructor, ``from_json``, a copy)
 has the singleton colouring, None, where every key is its own orbit, and
 stores what it was given.  Builds, ``relabel`` and the pullbacks cost
-orbits, not keys: ``_walk`` runs over the representatives, and each image
-rule keys its pieces by the representatives of the colouring it carries
-along.  ``_split`` is the one refinement, to a finer colouring: every orbit
-of the finer colouring takes the coefficient of the orbit that holds it,
-and ``_members`` gives the sets it splits into.  A sum, ``equals`` and
-``diff_first`` refine both classes to the coarsest colouring finer than
-both (``_meet``), and ``hash`` reads every key, so that it does not depend
-on the colouring; ``delta`` and ``pair`` read one key at its
+orbits, not keys: ``_walk`` runs over the representatives, and keys each
+image by the representatives of the colouring it carries along.  Only this
+module makes, cuts and moves a colouring: the catalog names the weights it
+colours by, which ``catalog._class`` hands to ``_colouring``, and a map
+names its label rule and its image rule; ``_walk`` cuts the colouring of
+the class by a value per label, moves it by the label rule and returns it
+with the images.  ``_split`` is the one refinement, to a finer colouring:
+every orbit of the finer colouring takes the coefficient of the orbit that
+holds it, and ``_members`` gives the sets it splits into.  A sum,
+``equals`` and ``diff_first`` refine both classes to the coarsest colouring
+finer than both (``_meet``), and ``hash`` reads every key, so that it does
+not depend on the colouring; ``delta`` and ``pair`` read one key at its
 representative.  Full expansion is the refinement to the singleton
 colouring (``_expand``): ``boundary`` expands on its first read and keeps
 the result, which ``hash``, copies and a comparison with a class built key
@@ -367,18 +371,19 @@ def _span(base, S):
     return 1, 0
 
 
-def _own_sets(base, blocks=None):
+def _own_sets(base, colours=None, skip=1):
     """(S, lo, hi) for each set S of labels that is its own key on base for
     the genera lo <= i <= hi, as ``_span`` gives them, and the representative
-    of its orbit under the colouring whose colours other than label 1's are
-    blocks (``_parts``), size by size.  On a pointed base each S holds 1 and
-    its other labels come from blocks, by default the singletons of 2..n,
-    under which every set is a representative; on an unpointed base, where
-    blocks are left out, S is the empty set.  Every span is nonempty, as
-    g >= 2.  This is the one generator of key sets."""
+    of its orbit under colours (``_parts``), by default the singleton
+    colouring, under which every set is a representative, size by size.  On
+    a pointed base each S holds 1 and its other labels come from the blocks
+    of colours after the first skip: label 1's alone by default, and 1's
+    and 2's for the identify-points keys, which miss 2.  On an unpointed
+    base, which has no blocks, S is the empty set.  Every span is nonempty,
+    as g >= 2.  This is the one generator of key sets."""
     g, n = base
     head = (1,) if n else ()
-    parts = _parts(_singletons(n)[1:] if blocks is None else blocks)
+    parts = _parts((colours or _singletons(n))[skip:])
     for k in sorted(parts):
         lo, hi = _bounds(g, n, len(head) + k)
         for T in parts[k]:
@@ -404,19 +409,29 @@ def _side(base, S, h=0):
     return (own,) if n else (own, (S, True, g + h, g + h - hi, g + h - lo))
 
 
-def _walk(orbits, images, bnd, colours):
-    """Store in bnd the coefficient of each orbit (i, S) of orbits, a dict
-    from representative keys, under the key of each of its images; images(S)
-    gives their ``_side`` pieces, and is called once per distinct S, the
-    first time S is met.  Each piece's set is then replaced by its
-    representative under colours, the colouring of the images: an image
-    rule maps an orbit onto an orbit, but a mirror image of a representative
-    is not a representative.  This is the one loop of relabel and the
-    pullbacks over the orbits of a class.  Its callers show that images of
+def _walk(a, move, images, cut=None, extra=()):
+    """(bnd, colours): the coefficient of each orbit (i, S) of a stored under
+    the key of each of its images, and the colouring of the images.  The
+    colouring of a is first cut by cut, a value per label, when it is given:
+    the labels of one colour keep one colour only where their values agree.
+    The cut colouring is then moved by move, a label to its image or to 0
+    when it is dropped, with each label of extra a colour of its own
+    (``_moved``); a caller cuts so that its image rule maps each orbit of the
+    cut colouring onto an orbit of the moved one.  images(S) gives the
+    ``_side`` pieces of the images, and is called once per distinct S, the
+    first time S is met; each piece's set is then replaced by its
+    representative under the moved colouring, as a mirror image of a
+    representative is not a representative.  This is the one loop of relabel
+    and the pullbacks over the orbits of a class, and the one place where a
+    map cuts and carries a colouring.  Its callers show that images of
     distinct keys are distinct, so a key is stored without adding; two
     images of one key that name one class store the one coefficient twice.
     A key is made as ``_key`` makes it, without the call per key."""
-    sides, new = {}, tuple.__new__
+    colours = a._colours
+    if cut is not None:
+        colours = _meet(colours, _colouring(cut))
+    orbits, colours = _refined(a, colours), _moved(colours, move, extra)
+    sides, bnd, new = {}, {}, tuple.__new__
     for (i, S), c in orbits.items():
         pieces = sides.get(S)
         if pieces is None:
@@ -427,7 +442,7 @@ def _walk(orbits, images, bnd, colours):
         for T, flip, k, lo, hi in pieces:
             if lo <= i <= hi:
                 bnd[new(BoundaryIndex, (k - i if flip else i - k, T))] = c
-    return bnd
+    return bnd, colours
 
 
 def _members(a, colours):
@@ -579,8 +594,7 @@ def _orbit_keys(base, colours=None):
     colourings of one base; every key of a base is kept by
     ``_boundary_keys``, and no refinement reads these keys (``_split``)."""
     _check_size(base)
-    blocks = None if colours is None else colours[1:]
-    sides = sorted((sorted(S), S, lo, hi) for S, lo, hi in _own_sets(base, blocks))
+    sides = sorted((sorted(S), S, lo, hi) for S, lo, hi in _own_sets(base, colours))
     return tuple(_key(i, S) for i in range(base.g + 1)
                  for _, S, lo, hi in sides if lo <= i <= hi)
 
@@ -888,12 +902,11 @@ def relabel(a, perm):
     # distinct classes to distinct classes.  It maps the orbits of a
     # colouring onto those of the moved colouring, once the label it takes
     # to 1 has a colour of its own.
-    colours = _meet(a._colours, _colouring(tuple(perm[k] == 1 for k in labels)))
-    moved = _moved(colours, perm.__getitem__)
-    bnd = _walk(_refined(a, colours),
-                lambda S: _side(base, frozenset(map(perm.__getitem__, S))), {}, moved)
+    bnd, colours = _walk(a, perm.__getitem__,
+                         lambda S: _side(base, frozenset(map(perm.__getitem__, S))),
+                         tuple(perm[k] == 1 for k in labels))
     return DivisorClass._from_canonical(base, a.lam, _lift_psi(base, a, perm), a.delta0, bnd,
-                                        moved)
+                                        colours)
 
 
 def _lift_psi(base, a, lift):
@@ -950,8 +963,6 @@ def diff_first(a, b):
     # coefficients, and unequal ones differ on some orbit, that is on all its
     # keys.  So the classes are compared on their common refinement, and the
     # first key where they differ is the representative of a differing orbit.
-    if a._colours == b._colours and a._orbits == b._orbits:
-        return None
     colours = _meet(a._colours, b._colours)
     x, y = _refined(a, colours), _refined(b, colours)
     if x == y:
@@ -1164,7 +1175,7 @@ def from_json(s):
     too."""
     try:
         d = json.loads(s)
-    except (ValueError, RecursionError) as e:
+    except (TypeError, ValueError, RecursionError) as e:  # TypeError: s is not text
         raise MalformedJSON("not JSON: %s" % e) from None
     g, n, lam, psi, delta0, boundary = _json_fields(
         d, ("g", "n", "lambda", "psi", "delta0", "boundary")

@@ -10,13 +10,15 @@ every class in the input.  Each handler is a ``core._walk`` over the orbits
 of the class (``core``), one representative key each: it names the image
 pairs of each distinct set once, and ``core._side`` keys them in canonical
 form and drops those that name an unstable (hence empty) degeneration as
-zero.  The map carries the colouring of the labels along: forgetting a
-point, gluing a closed tail and identifying two points lift it and give
-each point they add a colour of its own, and gluing a pointed tail first
-cuts each colour along the tail's points and the attach point.  Forgetting
-a point, gluing a closed tail and identifying two points share one image
-rule, ``_pull_two_sided``; its comment and the one in the glue-tail handler
-say which images exist and why they are distinct.
+zero.  A handler names only its label rule and its image rule, and the walk
+carries the colouring of the labels along, which only ``core`` makes, cuts
+and moves: forgetting a point, gluing a closed tail and identifying two
+points move each label by the lift and give each point they add a colour of
+its own, and gluing a pointed tail cuts by whether a label is one of the
+tail's points or the attach point.  Forgetting a point, gluing a closed
+tail and identifying two points share one image rule, ``_pull_two_sided``;
+its comment and the one in the glue-tail handler say which images exist and
+why they are distinct.
 """
 
 from types import MappingProxyType
@@ -31,17 +33,12 @@ from .core import (
     _check_class,
     _check_ints,
     _check_size,
-    _colouring,
     _key,
     _lift_psi,
-    _meet,
-    _moved,
     _nogc,
     _own_sets,
-    _refined,
     _rep,
     _side,
-    _singletons,
     _walk,
     canonical_index,
 )
@@ -194,13 +191,12 @@ def _pull_glue_tail(m, a):
             return _side(dom, S)
         return _side(dom, S - new, h) if T <= S else ()
 
-    # Once the colours are split along T, whether S misses T or holds it is
-    # the same on an orbit, and the domain's colours are the split colours
-    # on its own labels, where at has a colour of its own.
-    colours = _meet(a._colours, _colouring(tuple(k in T for k in cod.labels())))
-    out = _moved(colours, lambda k: k if k <= dom.n else 0)
-    bnd = _walk(_refined(a, colours), images, {}, out)
-    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, out)
+    # Once the colours are cut along T, whether S misses T or holds it is
+    # the same on an orbit, and the domain's colours are the cut colours on
+    # its own labels, where at has a colour of its own.
+    bnd, colours = _walk(a, lambda k: k if k <= dom.n else 0, images,
+                         tuple(k in T for k in cod.labels()))
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, colours)
 
 
 def _pull_two_sided(dom, a, lift, h, A):
@@ -228,8 +224,7 @@ def _pull_two_sided(dom, a, lift, h, A):
 
     # The lift maps the orbits of a's colouring onto those of the lifted
     # colouring, in which each point of A has a colour of its own.
-    colours = _moved(a._colours, lift.__getitem__, A)
-    return _walk(a._orbits, images, {}, colours), colours
+    return _walk(a, lift.__getitem__, images, extra=A)
 
 
 def _pull_glue_closed_tail(m, a):
@@ -245,8 +240,7 @@ def _pull_glue_closed_tail(m, a):
 
 def _pull_identify_points(m, a):
     dom = m.domain
-    n = dom.n
-    lift = [0, *range(3, n + 1)]  # cod label k -> dom label
+    lift = [0, *range(3, dom.n + 1)]  # cod label k -> dom label
     psi = _lift_psi(dom, a, lift)
     bnd, colours = _pull_two_sided(dom, a, lift, 1, {1, 2})
     # every class separating the two glued points maps into the irreducible
@@ -259,7 +253,7 @@ def _pull_identify_points(m, a):
     # stored without canonicalizing or adding.
     if a.delta0:
         _check_size(dom)
-        for S, lo, hi in _own_sets(dom, (colours or _singletons(n))[2:]):
+        for S, lo, hi in _own_sets(dom, colours, 2):
             for i in range(lo, hi + 1):
                 bnd[_key(i, S)] = a.delta0
     return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, colours)

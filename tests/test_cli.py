@@ -90,6 +90,12 @@ class TestClassVerb:
         assert code == 2 and out == ""
         assert "boundary keys" in err
 
+    def test_a_spin_class_on_a_huge_genus_is_refused(self, capsys):
+        # its coefficients have about g bits: the base is refused before them
+        code, out, err = run(capsys, "class", "--name", "theta-char", "--g", str(10 ** 20))
+        assert code == 2 and out == ""
+        assert "boundary keys" in err
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "class", "--name", "d1-holo", "--g", "4")
         assert code == 2

@@ -18,10 +18,12 @@ from artifact import (
     UnknownCurve,
     bn_coefficient_check,
     IntPolynomial,
+    anti_ramification,
     builtin_test_curve,
     count_distinct_nonzero_roots,
     coupled_partition,
     d1_holo,
+    d_infinity,
     d1_mero,
     de_jonquieres,
     forget_point,
@@ -45,9 +47,11 @@ from artifact import (
 from artifact import core
 from artifact.core import (
     DivisorClass,
+    MalformedJSON,
     canonical_index,
     diff_first,
     equals,
+    from_json,
     normalize_genus2,
     relabel,
     to_latex_expr,
@@ -191,6 +195,19 @@ def huge_theta():
     ('core.enumerate_boundary(ModuliBase(19, 19))', ParamOutOfRange),
     ('pullback(identify_points(ModuliBase(2, 102)), DivisorClass(ModuliBase(3, 100), delta0=1))',
      ParamOutOfRange),
+    # catalog classes whose psi, lambda or weights cost about g bits or g
+    # labels refuse the base before the first coefficient
+    ('theta_characteristic_locus(10 ** 20)', ParamOutOfRange),
+    ('d_infinity(10 ** 20)', ParamOutOfRange),
+    ('coupled_partition(10 ** 20, (1, 1))', ParamOutOfRange),
+    ('coupled_partition(10 ** 20, (-2, 2))', ParamOutOfRange),
+    ('coupled_partition(10 ** 20, (-2, 1, 1))', ParamOutOfRange),
+    ('coupled_partition(10 ** 20, (-4, 2, 2))', ParamOutOfRange),
+    ('anti_ramification(10 ** 20)', ParamOutOfRange),
+    # a JSON document that is not text
+    ('from_json(5)', MalformedJSON),
+    ('from_json(None)', MalformedJSON),
+    ('from_json([1])', MalformedJSON),
     # suite bounds
     ('run_suite("5")', ParamOutOfRange),
     ('run_suite(5, n_max=2.0)', ParamOutOfRange),
@@ -253,9 +270,10 @@ def test_the_package_reads_no_read_only_view():
 
 
 
-def _callers(test):
-    """(module, function) for each call in the package for which test(call)
-    holds, naming a method Class.method and a module-level call ""."""
+def _callers(test, kind=ast.Name):
+    """(module, function) for each call in the package of a function of the
+    given kind, a name or an attribute, for which test(call) holds, naming a
+    method Class.method and a module-level call ""."""
     found = []
 
     def visit(module, node, owner):
@@ -263,7 +281,7 @@ def _callers(test):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(module, child, (owner + "." if owner else "") + child.name)
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and test(child):
+            if isinstance(child, ast.Call) and isinstance(child.func, kind) and test(child):
                 found.append((module, owner))
             visit(module, child, owner)
 
@@ -313,6 +331,25 @@ def test_the_pullbacks_walk_the_keys_through_core():
     names = [n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(maps)
              if isinstance(n, (ast.Attribute, ast.Name))]
     assert "_walk" in names and "_boundary" not in names
+
+
+def test_only_core_makes_cuts_and_carries_a_colouring():
+    # the catalog names the weights it colours by, in one helper that also
+    # stores every catalog class; the maps name their label and image rules,
+    # and core._walk cuts and moves the colouring of the class it walks
+    for name in ("_meet", "_moved", "_refined"):
+        found = _callers(lambda call: call.func.id == name)
+        assert found and {m for m, _ in found} == {"core"}, (name, found)
+    found = _callers(lambda call: call.func.id == "_colouring")
+    assert {m for m, _ in found} == {"core", "catalog"}, found
+    assert [f for m, f in found if m == "catalog"] == ["_class"]
+    found = _callers(lambda call: call.func.attr == "_from_canonical", ast.Attribute)
+    assert [f for m, f in found if m == "catalog"] == ["_class"], found
+    maps = dict(_package_trees())["maps"]
+    assert not [n.attr for n in ast.walk(maps)
+                if isinstance(n, ast.Attribute) and n.attr in ("_orbits", "_colours")]
+    imported = {a.name for n in ast.walk(maps) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not imported & {"_colouring", "_meet", "_moved", "_refined", "_singletons"}
 
 
 def test_the_own_key_sets_have_one_generator():
