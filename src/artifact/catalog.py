@@ -50,7 +50,6 @@ from .core import (
     ModuliBase,
     ParamOutOfRange,
     PicError,
-    _boundary_keys,
     _check_class,
     _check_ints,
     _check_size,
@@ -148,13 +147,13 @@ def _assemble(base, regimes, view=len, colours=None):
     same view takes the same coefficient.  The first key in output order
     with a failing view is the first failing key, as in a per-key audit.
 
-    The keys are the representatives of the orbits under colours (by
-    default every key, ``core._orbit_keys``), and the dict holds one
-    coefficient per orbit.  view must be the same on the keys of an orbit,
-    as a weight sum is under the colouring by weight; then every key of an
-    orbit has the view of its representative, which is the orbit's first
-    key in output order, and the audit of the representatives is the audit
-    of every key.
+    The keys are the representatives of the orbits under colours, every key
+    for the singleton colouring None (``core._orbit_keys``), and the dict
+    holds one coefficient per orbit.  view must be the same on the keys of
+    an orbit, as a weight sum is under the colouring by weight; then every
+    key of an orbit has the view of its representative, which is the
+    orbit's first key in output order, and the audit of the representatives
+    is the audit of every key.
 
     The default view len suffices where a regime reads only |S|: every key
     of a pointed base holds label 1, and S is empty on an unpointed base."""
@@ -168,7 +167,7 @@ def _assemble(base, regimes, view=len, colours=None):
     shared = {}
     bnd = {}
     coef_i = None
-    for key in _boundary_keys(base) if colours is None else _orbit_keys(base, colours):
+    for key in _orbit_keys(base, colours):
         i, S = key
         x = per_set.get(S)
         if x is None:

@@ -12,11 +12,15 @@ genera i for which (i, S) is its own canonical key, and ``_bounds`` writes
 its thresholds once, by |S|.  Canonicalizing, reading JSON, relabeling and
 the pullbacks derive their keys and stability tests from ``_span``.
 ``_own_sets`` is the one generator of the sets that are their own keys, size
-by size, each with its span: enumerating sorts its output, and the
+by size, each with its span: ``_orbit_keys`` sorts its output into the keys
+of a base, every key or one per orbit of a colouring, and the
 identify-points pullback takes its delta_0 keys from it; ``_check_size``
-counts the same sizes from ``_bounds``.  ``_side`` is the one mirror rule on
-top of ``_span``: it keys the pairs (i - h, S) for every i at once, under S
-or its mirror, and ``try_canonical_index`` asks it about one pair.
+counts the same sizes from ``_bounds``.  ``_orbit_keys`` is the one source of
+the keys of a base, for enumerating and for the catalog; like every cache in
+the package, it keeps a bounded number of entries.  ``_side`` is the one
+mirror rule on top of ``_span``: it keys the pairs (i - h, S) for every i at
+once, under S or its mirror, and ``try_canonical_index`` asks it about one
+pair.
 ``_walk`` is the one loop that moves the keys of a class, asking its image
 rule once per distinct set: ``relabel`` and every pullback are a walk.  Every
 coefficient is exact and stored in one canonical form: an int when it is
@@ -237,10 +241,12 @@ def _delta_name(i, text):
     return "delta_{%d:{%s}}" % (i, text) if text else "delta_%d" % i
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)
 def _label_set(n):
     """The labels 1..n as a frozenset, cached on n: an int hashes at once,
-    where a base would hash as a tuple on every call."""
+    where a base would hash as a tuple on every call.  The sets of the last
+    32 n are kept, and no more, as a caller may name any n;
+    ``run_suite(12, n_max=10)`` meets 10."""
     return frozenset(range(1, n + 1))
 
 
@@ -266,7 +272,6 @@ def _key(i, S):
 # colouring gives None for the singleton one, so that a class built key by
 # key pays one test of None for its colouring.
 
-@functools.cache
 def _singletons(n):
     """The blocks of the singleton colouring of the labels 1..n."""
     return tuple((k,) for k in range(1, n + 1))
@@ -583,37 +588,29 @@ def _check_size(base):
     return count
 
 
-@functools.lru_cache(maxsize=64)
-def _orbit_keys(base, colours=None):
-    """The representative keys of the orbits under colours, by default every
-    key, in output order: the pairs (i, S) with i in the span of S, over the
-    sets of ``_own_sets``.  They are built without canonicalizing a raw
-    pair: the sets are sorted once by their members, and the loop over i
-    goes outside.  Catalog builds repeat a few colourings, so the keys of
-    the last 64 are kept, and no more, as a process may meet any number of
-    colourings of one base; every key of a base is kept by
-    ``_boundary_keys``, and no refinement reads these keys (``_split``)."""
+@functools.lru_cache(maxsize=128)
+def _orbit_keys(base, colours):
+    """The representative keys of the orbits under colours, every key for the
+    singleton colouring None, in output order: the pairs (i, S) with i in the
+    span of S, over the sets of ``_own_sets``.  They are built without
+    canonicalizing a raw pair: the sets are sorted once by their members, and
+    the loop over i goes outside.  This is the one source of the keys of a
+    base.  Catalog builds repeat a few bases and colourings, so the keys of
+    the last 128 pairs are kept, and no more, as a process may meet any
+    number of colourings of one base; ``run_suite(12, n_max=10)`` meets 99.
+    colours is passed by position, so that each pair has one entry.  No
+    refinement reads these keys (``_split``)."""
     _check_size(base)
     sides = sorted((sorted(S), S, lo, hi) for S, lo, hi in _own_sets(base, colours))
     return tuple(_key(i, S) for i in range(base.g + 1)
                  for _, S, lo, hi in sides if lo <= i <= hi)
 
 
-@functools.cache
-def _boundary_keys(base):
-    # Every key of a base: the keys depend only on (g, n), and a process
-    # meets few bases.  Built by the function that _orbit_keys wraps, so
-    # that they take none of its 64 places.
-    return _orbit_keys.__wrapped__(base)
-
-
 def enumerate_boundary(base):
-    """All canonical boundary keys of the base, sorted.
-
-    The keys are computed once per base and cached; each call returns a fresh
-    list, so a caller may change it without affecting later calls."""
+    """All canonical boundary keys of the base, sorted, as a fresh list, so a
+    caller may change it without affecting later calls."""
     _check_base(base)
-    return list(_boundary_keys(base))
+    return list(_orbit_keys(base, None))
 
 
 def _frac(x):

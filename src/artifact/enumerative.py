@@ -119,6 +119,9 @@ class IntPolynomial(_Frozen):
         return len(self.coeffs) - 1
 
     def __call__(self, x):
+        if type(x) is not int and type(x) is not Fraction:
+            raise OutOfRange("a polynomial is evaluated at an int or a Fraction, "
+                             "got %r" % (x,))
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -139,22 +142,32 @@ class IntPolynomial(_Frozen):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+# The highest degree a residue polynomial may have: its coefficients are
+# stored one per degree, and a larger j is refused before any is built.
+_MAX_DEGREE = 1 << 22
+
+
 def residue_polynomial(j, k, m):
     """The degree-(j-1) integer polynomial
     sum_i C(j+k-m-2, i) C(m, j-i-1) t^i controlling which boundary
     configurations of a (j, k) collision carry an m-fold residue condition.
 
     Requires j, k >= 2 and 1 <= m <= j+k-3 so that both poles have order at
-    least two and both zero orders are positive.
+    least two and both zero orders are positive, and j - 1 <= 2**22.  The
+    second factor is 0 below i = j-1-m, so only the band of at most m + 1
+    terms above it is computed.
     """
     _check_ints(OutOfRange, j=j, k=k, m=m)
     if j < 2 or k < 2:
         raise OutOfRange("need pole orders j, k >= 2, got j=%d k=%d" % (j, k))
     if not 1 <= m <= j + k - 3:
         raise OutOfRange("need 1 <= m <= j+k-3, got m=%d" % m)
-    return IntPolynomial(
-        [math.comb(j + k - m - 2, i) * math.comb(m, j - i - 1) for i in range(j)]
-    )
+    if j - 1 > _MAX_DEGREE:
+        raise OutOfRange("a residue polynomial of degree past %d is refused, got j=%d"
+                         % (_MAX_DEGREE, j))
+    low = max(0, j - 1 - m)
+    return IntPolynomial([0] * low + [math.comb(j + k - m - 2, i) * math.comb(m, j - i - 1)
+                                      for i in range(low, j)])
 
 
 def _rem(a, b):
@@ -173,19 +186,15 @@ def _rem(a, b):
 
 def count_distinct_nonzero_roots(p):
     """Number of distinct nonzero complex roots of an integer polynomial,
-    computed exactly via a square-free reduction: the square-free part of p
-    has degree deg p - deg gcd(p, p')."""
+    computed exactly via a square-free reduction: p = t^v q with q(0) != 0,
+    and the square-free part of q has degree deg q - deg gcd(q, q')."""
     if not isinstance(p, IntPolynomial):
         raise OutOfRange("%r is not an IntPolynomial" % (p,))
     if p.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial is undefined")
-    if p.degree == 0:
-        return 0
-    a = [Fraction(c) for c in p.coeffs]
+    v = next(e for e, c in enumerate(p.coeffs) if c)
+    q = a = [Fraction(c) for c in p.coeffs[v:]]
     b = [e * c for e, c in enumerate(a)][1:]
-    while b:  # Euclid: a ends as gcd(p, p')
+    while b:  # Euclid: a ends as gcd(q, q')
         a, b = b, _rem(a, b)
-    count = p.degree - (len(a) - 1)
-    if p.coeffs[0] == 0:
-        count -= 1
-    return count
+    return len(q) - len(a)

@@ -240,6 +240,11 @@ class TestValueVerbs:
             "distinct_nonzero_roots": 2,
         }
 
+    def test_residue_of_a_huge_degree_is_refused(self, capsys):
+        code, out, err = run(capsys, "residue", "--j", "100000000000000000000",
+                             "--k", "3", "--m", "2")
+        assert code == 2 and out == "" and "error:" in err
+
     def test_pair(self, capsys):
         code, out, _ = run(
             capsys, "pair", "--name", "residual", "--g", "4", "--curve", "E"

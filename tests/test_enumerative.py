@@ -194,6 +194,24 @@ class TestResiduePolynomial:
             residue_polynomial(4, 5, 7)
         residue_polynomial(4, 5, 6)  # boundary m = j+k-3 is allowed
 
+    def test_the_band_equals_the_dense_formula(self):
+        # the formula term by term over every i < j, most terms 0
+        for j in range(2, 13):
+            for k in range(2, 13):
+                for m in range(1, j + k - 2):
+                    dense = [math.comb(j + k - m - 2, i) * math.comb(m, j - i - 1)
+                             for i in range(j)]
+                    assert residue_polynomial(j, k, m) == IntPolynomial(dense), (j, k, m)
+
+    def test_only_the_nonzero_band_is_computed(self, monkeypatch):
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+        p = residue_polynomial(10 ** 4, 3, 2)
+        assert len(calls) <= 2 * (2 + 1)
+        assert p.degree == 10 ** 4 - 1 and sum(1 for c in p.coeffs if c) == 3
+        assert count_distinct_nonzero_roots(p) == 2
+
     def test_degree_and_positivity(self):
         for j in range(2, 7):
             for k in range(2, 7):

@@ -141,6 +141,13 @@ def huge_theta():
     ('IntPolynomial([1, True])', OutOfRange),
     ('IntPolynomial(5)', OutOfRange),
     ('count_distinct_nonzero_roots(5)', OutOfRange),
+    # a degree past the limit is refused before a coefficient is built
+    ('residue_polynomial(10 ** 20, 3, 2)', OutOfRange),
+    # a polynomial is evaluated only at an exact point
+    ('IntPolynomial([1, 2])(0.5)', OutOfRange),
+    ('IntPolynomial([1, 2])("1")', OutOfRange),
+    ('IntPolynomial([1, 2])(None)', OutOfRange),
+    ('IntPolynomial([1, 2])(True)', OutOfRange),
     # arguments that are not classes
     ('pair(builtin_test_curve("A", B21), "x")', BaseMismatch),
     ('pair("x", weierstrass(2))', UnknownCurve),

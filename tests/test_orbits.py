@@ -305,7 +305,7 @@ class TestNoExpansion:
             raise AssertionError("a serializer read the keys of the base")
 
         monkeypatch.setattr(core, "_own_sets", refuse)
-        monkeypatch.setattr(core, "_boundary_keys", refuse)
+        monkeypatch.setattr(core, "_orbit_keys", refuse)
         a = relabel(x, [1, *range(18, 1, -1)])
         assert a._colours == colours and len(a._orbits) == 1
         rows = [{"i": 3, "S": [1, k], "c": "2"} for k in range(2, 19)]
@@ -315,32 +315,50 @@ class TestNoExpansion:
         assert expansions == []
 
 
-def test_new_colourings_grow_no_cache():
-    # relabels by new permutations give new colourings, and sums and
-    # comparisons refine to their meets; a cache that keys on a colouring or
-    # a weight vector has a bound, and no other cache keeps anything per
-    # colouring, so after a first round they keep their sizes
+def _caches():
     import artifact.catalog
     import artifact.maps
-    cached = {f.__name__: f for m in (core, artifact.catalog, artifact.maps)
-              for f in vars(m).values() if hasattr(f, "cache_info")}
+    return {f.__name__: f for m in (core, artifact.catalog, artifact.maps)
+            for f in vars(m).values() if hasattr(f, "cache_info")}
+
+
+def test_new_colourings_grow_no_cache():
+    # relabels by new permutations give new colourings, and sums and
+    # comparisons refine to their meets; every cache has a bound, and the
+    # one that keys on neither a colouring, a weight vector nor a base keeps
+    # its size after a first round
+    cached = _caches()
     unbounded = {name for name, f in cached.items() if f.cache_info().maxsize is None}
-    assert unbounded == {"_label_set", "_singletons", "_boundary_keys"}
-    cached = [cached[name] for name in sorted(unbounded)]
+    assert cached and not unbounded, unbounded
+    label_sets = cached["_label_set"]
     rng = random.Random(5)
     g, n = 8, 6
     a = logan_class(g, (1, 1, 1, 2, 2, 1))
     b = theta_pullback_class(g, (1, 1, 2, 2, -1, 2))
     tail = glue_tail(ModuliBase(g - 1, n - 1), 1, 1, attach=n - 1)
-    sizes = None
+    size = None
     for _ in range(20):
         p, q = rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)
         x, y = relabel(a, p), relabel(b, q)
         assert equals(x + y - y, x) and diff_first(x, y) is not None
         assert equals(pullback(tail, x - y), pullback(tail, x) - pullback(tail, y))
-        now = [f.cache_info().currsize for f in cached]
-        assert sizes is None or now == sizes
-        sizes = now
+        now = label_sets.cache_info().currsize
+        assert size is None or now == size
+        size = now
+
+
+def test_the_cache_bounds_fit_the_registry_suite():
+    # the bounds are sized from the traffic of the registry suite at genus 12
+    # and up to 10 points: from empty caches, no entry is evicted, so every
+    # miss is still held
+    from artifact.verify import run_suite
+    cached = _caches()
+    for f in cached.values():
+        f.cache_clear()
+    assert run_suite(12, n_max=10).ok
+    for name, f in cached.items():
+        info = f.cache_info()
+        assert info.misses == info.currsize < info.maxsize, (name, info)
 
 
 def _pow2(e):
