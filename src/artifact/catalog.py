@@ -40,9 +40,23 @@ raises ParamOutOfRange.
 Each public constructor runs as a whole with the cyclic collector paused
 (core._nogc), not only its audit: the class it returns, its psi list and
 its boundary dict are built without a collection walking them part-way.
+
+The public constructors share one memo, ``_built``, a ``functools.lru_cache``
+that keeps the last 1024 classes: the registry suite rebuilds a few hundred
+classes thousands of times.  It sits inside the pause (``_memo``), so its
+keys and entries are allocated with the collector off.  A key is the
+constructor and its arguments as one positional tuple, the defaults filled
+in and lists made tuples, so ``logan_class(3, [1, 1, 1])`` and
+``logan_class(3, (1, 1, 1))`` share one class.  Only exact ints, strs and
+tuples of exact ints enter a key: 3.0, True and (1, 1.0) equal 3 and (1, 1)
+as dict keys, but the constructor refuses them, so a call with any other
+argument runs the constructor as is.  A refusal raises through the cache
+and is never kept, so it raises again on every call.  Classes are immutable
+(``core._Frozen``), so every caller can share one.
 """
 
 from fractions import Fraction
+import functools
 
 from .core import (
     BaseMismatch,
@@ -203,11 +217,63 @@ def _class(base, lam, psi, delta0, regimes, view=len, d=None):
     return DivisorClass._from_canonical(base, lam, psi, delta0, bnd, colours)
 
 
+def _memo_key(names, defaults, args, kw):
+    """args and kw as one positional tuple of exact ints, strs and tuples of
+    exact ints: the unset parameters take their defaults and lists become
+    tuples.  None when an argument is anything else, or when args and kw do
+    not fill the parameters names once each."""
+    if kw or len(args) != len(names):
+        rest = names[len(args):]
+        if len(args) > len(names) or not set(kw).issubset(rest):
+            return None
+        try:
+            args += tuple(kw[w] if w in kw else defaults[w] for w in rest)
+        except KeyError:
+            return None
+    key = []
+    for x in args:
+        t = type(x)
+        if t is int or t is str:
+            key.append(x)
+        elif (t is tuple or t is list) and {int}.issuperset(map(type, x)):
+            key.append(tuple(x))
+        else:
+            return None
+    return tuple(key)
+
+
+@functools.lru_cache(maxsize=1024)
+def _built(fn, key):
+    """fn(*key), kept: the one memo of the public constructors (``_memo``).
+    The registry suite at genus 12 and up to 10 points builds 733 distinct
+    classes, at most 231 of them with one constructor; the last 1024 are
+    kept, and no more, as a caller may name any class."""
+    return fn(*key)
+
+
+def _memo(fn):
+    """fn with its classes kept in ``_built`` under fn and the key that
+    ``_memo_key`` makes of its arguments; a call that makes no key runs fn as
+    is."""
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount]
+    given = fn.__defaults__ or ()
+    defaults = dict(zip(names[len(names) - len(given):], given))
+
+    @functools.wraps(fn)
+    def memo(*args, **kw):
+        key = _memo_key(names, defaults, args, kw)
+        return fn(*args, **kw) if key is None else _built(fn, key)
+
+    return memo
+
+
 def _dsum(d, S):
     return sum(d[s - 1] for s in S)
 
 
 @_nogc
+@_memo
 def weierstrass(g):
     """Closure of the locus where the marked point is a Weierstrass point."""
     _check_genus(g, 2)
@@ -216,6 +282,7 @@ def weierstrass(g):
 
 
 @_nogc
+@_memo
 def diaz(g):
     """Closure of the locus of curves with an exceptional Weierstrass point,
     the pushforward to the unpointed space of the residual construction one
@@ -232,6 +299,7 @@ def diaz(g):
 
 
 @_nogc
+@_memo
 def residual(g):
     """Closure of the locus of 1-pointed curves carrying a differential with
     a zero of maximal order away from the marked point."""
@@ -247,6 +315,7 @@ def residual(g):
 
 
 @_nogc
+@_memo
 def d1_holo(g, k):
     """Closure of the stratum of 1-pointed curves with a differential
     vanishing to order k at the marked point and to maximal order elsewhere."""
@@ -297,6 +366,7 @@ def d1_holo(g, k):
 
 
 @_nogc
+@_memo
 def d1_mero(g, h):
     """Closure of the stratum of 1-pointed curves with a differential having
     a pole of order h at the marked point and a zero of maximal order."""
@@ -332,6 +402,7 @@ def d1_mero(g, h):
 
 
 @_nogc
+@_memo
 def logan_class(g, d):
     """Closure of the locus of pointed curves whose weighted marked points
     move in the canonical series: weights positive, summing to g."""
@@ -347,6 +418,7 @@ def logan_class(g, d):
 
 
 @_nogc
+@_memo
 def theta_pullback_class(g, d):
     """Pullback of the theta divisor along the weighted section of the
     universal Jacobian: weights nonzero, at least one negative, summing
@@ -381,6 +453,7 @@ def theta_pullback_class(g, d):
 
 
 @_nogc
+@_memo
 def theta_characteristic_locus(g, parity="total"):
     """Divisor of 1-pointed curves with a theta characteristic vanishing at
     the marked point, split by the parity of the characteristic;
@@ -399,6 +472,7 @@ def theta_characteristic_locus(g, parity="total"):
 
 
 @_nogc
+@_memo
 def anti_ramification(g):
     """Closure of the locus of (g-1)-pointed curves whose marked points
     support a differential with a double zero elsewhere; the weight-one
@@ -519,6 +593,7 @@ def _coupled_general(g, d, parity):
 
 
 @_nogc
+@_memo
 def coupled_partition(g, d, parity="total"):
     """Divisor class of curves carrying a differential whose zeros and poles
     at the marked points are coupled through a spin structure; ``d`` is the
@@ -556,6 +631,7 @@ def coupled_partition(g, d, parity="total"):
 
 
 @_nogc
+@_memo
 def d_infinity(g, parity="total"):
     """The boundary-at-infinity class of the coupled family: the limit
     divisor supported where the two marked points collide;
@@ -654,6 +730,7 @@ def _pinch_mero(g, d, j):
 
 
 @_nogc
+@_memo
 def pinch_partition(g, d):
     """Divisor class of pointed curves carrying a differential with the given
     weights at the marked points and one extra double zero; holomorphic
@@ -676,6 +753,7 @@ def pinch_partition(g, d):
 
 
 @_nogc
+@_memo
 def brill_noether(g):
     """The pulled-back Brill-Noether divisor class on the 1-pointed space."""
     _check_genus(g, 3)

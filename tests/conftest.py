@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from artifact import catalog
 from artifact.core import DivisorClass, ModuliBase, enumerate_boundary
 
 
@@ -30,3 +31,10 @@ def collector_left_on():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic garbage collector disabled")
+
+
+@pytest.fixture(autouse=True)
+def fresh_catalog_memo():
+    """Empty the memo of the catalog constructors before each test, so that a
+    test that patches what a constructor calls sees a fresh build."""
+    catalog._built.cache_clear()

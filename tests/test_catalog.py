@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -416,6 +417,101 @@ class TestRegistry:
             assert isinstance(a, DivisorClass)
             assert len(args) == len(wants)
             json.loads(to_json(a))
+
+
+class TestMemo:
+    """The constructors share one bounded memo (``catalog._built``), keyed on
+    their checked arguments: a near miss of a valid argument is refused
+    whether the memo is cold or warm, and a refusal is never kept."""
+
+    # a constructor, arguments it builds from (or the error they raise), and
+    # a near miss of them that equals them as a dict key
+    NEAR_MISSES = [
+        (weierstrass, (3,), None, (3.0,)),
+        (weierstrass, (1,), GenusTooSmall, (True,)),
+        (d1_holo, (5, 2), None, (Fraction(5), 2)),
+        (logan_class, (2, (1, 1)), None, (2, (1, 1.0))),
+        (logan_class, (2, (1, 1)), None, (2, (True, 1))),
+    ]
+
+    @pytest.mark.parametrize("fn,first,error,near", NEAR_MISSES, ids=[
+        ("%s%r" % (fn.__name__, near)).replace(" ", "") for fn, _, _, near in NEAR_MISSES])
+    def test_a_near_miss_is_refused_cold_and_warm(self, fn, first, error, near):
+        with pytest.raises(ParamOutOfRange):
+            fn(*near)
+        if error is None:
+            fn(*first)
+        else:
+            with pytest.raises(error):
+                fn(*first)
+        held = catalog._built.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ParamOutOfRange):
+                fn(*near)
+        assert catalog._built.cache_info().currsize == held
+
+    @pytest.mark.parametrize("fn,first,second", [
+        (logan_class, ((3, [1, 1, 1]), {}), ((3, (1, 1, 1)), {})),
+        (theta_characteristic_locus, ((3,), {}), ((3, "total"), {})),
+        (theta_characteristic_locus, ((3,), {}), ((), {"g": 3, "parity": "total"})),
+        (coupled_partition, ((4, [2, -2]), {}), ((), {"d": (2, -2), "g": 4})),
+    ])
+    def test_equal_checked_arguments_share_one_entry(self, fn, first, second):
+        a = fn(*first[0], **first[1])
+        before = catalog._built.cache_info()
+        assert fn(*second[0], **second[1]) is a
+        after = catalog._built.cache_info()
+        assert after.hits == before.hits + 1
+        assert (after.misses, after.currsize) == (before.misses, before.currsize) == (1, 1)
+
+    def test_a_refusal_raises_on_every_call_and_is_not_kept(self):
+        for _ in range(3):
+            with pytest.raises(BadWeights):
+                logan_class(3, (1, 1))
+            with pytest.raises(GenusTooSmall):
+                weierstrass(1)
+            with pytest.raises(TypeError):
+                weierstrass(3, 4)
+            with pytest.raises(TypeError):
+                weierstrass(h=3)
+        info = catalog._built.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 6, 0)
+
+    def test_the_memo_runs_with_the_collector_paused(self, monkeypatch):
+        seen = []
+        built = catalog._built
+        monkeypatch.setattr(catalog, "_built",
+                            lambda fn, key: seen.append(gc.isenabled()) or built(fn, key))
+        for fn, args in [(weierstrass, (3,)), (weierstrass, (3,)), (logan_class, (3, [1, 2]))]:
+            fn(*args)
+        assert seen == [False] * 3
+        assert gc.isenabled()
+
+
+def test_a_warm_memo_answers_the_suite_unchanged(monkeypatch):
+    # a second pass builds no class, every identity still holds, and no class
+    # the memo shares changed in the first pass or the second
+    from artifact.verify import run_suite
+    built = catalog._built
+    held = {}
+
+    def keep(fn, key):
+        a = built(fn, key)
+        return held.setdefault(id(a), a)
+
+    monkeypatch.setattr(catalog, "_built", keep)
+    first = run_suite(8)
+    monkeypatch.setattr(catalog, "_built", built)
+    assert first.ok and held
+    texts = [(to_json(a), hash(a)) for a in held.values()]
+    assembled = []
+    assemble = catalog._assemble
+    monkeypatch.setattr(catalog, "_assemble",
+                        lambda *args: assembled.append(args[0]) or assemble(*args))
+    second = run_suite(8)
+    assert second.ok and len(second.entries) == len(first.entries)
+    assert assembled == []
+    assert [(to_json(a), hash(a)) for a in held.values()] == texts
 
 
 def _golden_weights(rng, n, total, lo, hi, ok):
