@@ -217,12 +217,20 @@ def _class(base, lam, psi, delta0, regimes, view=len, d=None):
     return DivisorClass._from_canonical(base, lam, psi, delta0, bnd, colours)
 
 
-def _memo_key(names, defaults, args, kw):
+def _memo_key(names, defaults, tails, args, kw):
     """args and kw as one positional tuple of exact ints, strs and tuples of
     exact ints: the unset parameters take their defaults and lists become
     tuples.  None when an argument is anything else, or when args and kw do
-    not fill the parameters names once each."""
-    if kw or len(args) != len(names):
+    not fill the parameters names once each.  A call with no keyword takes
+    its unset parameters from tails, the defaults after the first k
+    parameters for each k they may be left from, so it makes no set and no
+    generator."""
+    if not kw:
+        tail = tails.get(len(args))
+        if tail is None:
+            return None
+        args += tail
+    else:
         rest = names[len(args):]
         if len(args) > len(names) or not set(kw).issubset(rest):
             return None
@@ -258,11 +266,13 @@ def _memo(fn):
     code = fn.__code__
     names = code.co_varnames[:code.co_argcount]
     given = fn.__defaults__ or ()
-    defaults = dict(zip(names[len(names) - len(given):], given))
+    first = len(names) - len(given)
+    defaults = dict(zip(names[first:], given))
+    tails = {k: given[k - first:] for k in range(first, len(names) + 1)}
 
     @functools.wraps(fn)
     def memo(*args, **kw):
-        key = _memo_key(names, defaults, args, kw)
+        key = _memo_key(names, defaults, tails, args, kw)
         return fn(*args, **kw) if key is None else _built(fn, key)
 
     return memo

@@ -53,7 +53,8 @@ colouring (``_expand``): ``boundary`` expands on its first read and keeps
 the result, which ``hash``, copies and a comparison with a class built key
 by key read.  The serializers expand nothing: ``_boundary_rows`` writes the
 rows of every key from the orbits and the member sets of their
-representatives.
+representatives, a row as the text of its label set between the two ends
+its writer makes once per orbit.
 
 Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
@@ -63,11 +64,14 @@ one test of when two classes may be combined, and ``_lift_psi`` the one rule
 for where psi_k goes when the labels are moved.
 
 Boundary coefficients enter a class through two doors: a catalog formula
-(``catalog._assemble``), or key by key through the constructor, whose
-reader ``_read_boundary`` spans each distinct label set once; ``from_json``
-parses a document and hands its entries to that reader.  ``_items`` is the
-one reading of a raw collection of (key, c) entries, which ``TestCurve``
-shares for its pairing.  ``_check_size`` refuses a base with more than
+(``catalog._assemble``), or key by key through ``_read_boundary``, the one
+reader of (i, S, c) entries, which spans each distinct label set once and
+visits each entry once.  The constructor hands it its ((i, S), c) pairs,
+and ``from_json`` the entries of a parsed document, each with its own
+coefficient reader and error class; a pair that is not its own key is read
+after every entry is checked, so a malformed entry anywhere is reported
+before a bad base or pair.  ``_items`` is the one reading of a raw
+collection of (key, c) entries, which ``TestCurve`` shares for its pairing.  ``_check_size`` refuses a base with more than
 2**22 boundary keys before any key is built.  The text serializers share
 ``_writer``, which refuses a coefficient past Python's int-to-str digit
 limit with ParamOutOfRange.
@@ -216,7 +220,8 @@ class BoundaryIndex(namedtuple("BoundaryIndex", "i S")):
         return sorted(self.S)
 
     def __str__(self):
-        return _delta_name(self.i, ",".join(map(str, self.sorted_S())))
+        head, tail = _delta_ends(self.S)
+        return head % self.i + ",".join(map(str, self.sorted_S())) + tail
 
     # lexicographic on (i, sorted members); used for deterministic output
     def sort_key(self):
@@ -235,10 +240,14 @@ class BoundaryIndex(namedtuple("BoundaryIndex", "i S")):
         return self.sort_key() >= other.sort_key()
 
 
-def _delta_name(i, text):
-    """The name of the key (i, S) whose sorted labels, joined by commas, are
-    text: delta_{i:{1,3}}, or delta_i for an empty S."""
-    return "delta_{%d:{%s}}" % (i, text) if text else "delta_%d" % i
+def _delta_ends(pointed, latex=False):
+    r"""(head, tail): the name of a key (i, S) is head % i, the sorted labels of
+    S joined by commas, and tail: delta_{i:{1,3}}, or delta_i for the empty
+    S, the one set of the keys of an unpointed base; in LaTeX
+    \delta_{i:\{1,3\}} and \delta_{i}.  pointed is true for a nonempty S."""
+    if latex:
+        return (r"\delta_{%d:\{", r"\}}") if pointed else (r"\delta_{%d}", "")
+    return ("delta_{%d:{", "}}") if pointed else ("delta_%d", "")
 
 
 @functools.lru_cache(maxsize=32)
@@ -658,36 +667,87 @@ def _items(entries, error, what):
         raise error("%s %r is not a collection of (key, c) pairs" % (what, entries)) from None
 
 
-def _read_boundary(base, entries):
-    """The sparse coefficient dict on base of entries, a mapping or a
-    collection of ((i, S), c) pairs; repeated keys add up, and an entry must
-    name a class even when its coefficient is 0.  Each distinct frozenset S
-    is checked (``_labels``) and spanned once, the first time it is met, and
-    any other S each time: a pair whose genus lies in the span of S is its
-    own key, and any other pair (a mirror form, a bad label or genus) is
-    ``canonical_index``'s, which keys it or raises.  A set met again is
-    reused only when it is the same object, as a set holding a bool equals
-    one holding an int.  An entry of a new key with an int coefficient makes
-    no Python call, as it is the one ``from_json`` and a copy of a class
-    give: the key is made as ``_key`` makes it and stored as ``_acc`` stores
-    it."""
-    acc, sides, new = {}, {}, tuple.__new__
+def _pairs(entries):
+    """(i, S, c) for each ((i, S), c) entry of a mapping or a collection of
+    pairs, the boundary that the constructor is given; anything else raises
+    InvalidBoundary."""
     for entry in _items(entries, InvalidBoundary, "boundary"):
         try:
             (i, S), c = entry
         except (TypeError, ValueError):
             raise InvalidBoundary("boundary entry %r is not a (key, c) pair" % (entry,)) from None
-        side = sides.get(S) if type(S) is frozenset else None
-        if side is None or side[0] is not S:
-            S = _labels(i, S)
-            side = sides[S] = (S, *_span(base, S))
-        S, lo, hi = side
-        k = new(BoundaryIndex, (i, S)) if type(i) is int and lo <= i <= hi \
-            else canonical_index(base, i, S)
-        if type(c) is int and c and k not in acc:
-            acc[k] = c
+        yield i, S, c
+
+
+def _psi(base, psi):
+    """The psi coefficients of a class on base, one per marked point, as a
+    tuple in the form of ``_frac``; all 0 when psi is None."""
+    if psi is None:
+        return (0,) * base.n
+    try:
+        psi = tuple(_frac(c) for c in psi)
+    except TypeError:  # _frac raises none, so psi is not iterable
+        raise ParamOutOfRange("psi coefficients %r are not a sequence" % (psi,)) from None
+    if len(psi) != base.n:
+        raise BaseMismatch("expected %d psi coefficients, got %d" % (base.n, len(psi)))
+    return psi
+
+
+def _read_boundary(base, entries, coeff, error, held=None):
+    """The sparse coefficient dict on base = (g, n) of entries, (i, S, c)
+    triples of a genus, a collection of labels and a coefficient; repeated
+    keys add up, and an entry must name a class even when its coefficient is
+    0.  This is the one key-by-key reader, of the constructor and of
+    ``from_json``.  coeff reads a coefficient into the form of ``_frac``,
+    once per distinct string, and error is raised for an entry whose genus
+    is not an int or whose labels are not a collection of ints (never a bool
+    or a float, which equal an int as dict keys, so each entry is checked).
+
+    Every entry is checked and read in one loop.  Each distinct label
+    collection is made a frozenset and spanned once, the first time it is
+    met; a pair whose genus lies in the span is its own key, and is stored
+    at once, as ``_key`` makes a key and ``_acc`` stores it.  Any other pair
+    (a mirror form, or a pair that names no class) is read after the loop by
+    ``canonical_index``, which keys it or raises InvalidBoundary.  held is an
+    error that the caller met before reading, as ``from_json`` does for a bad
+    base or psi: base is then None, no set is spanned, and held is raised
+    after the loop.  So an error of an entry anywhere comes before one of
+    the caller's, and both before a pair that names no class."""
+    acc, sides, coeffs, later, ints, new = {}, {}, {}, [], {int}, tuple.__new__
+    for i, S, c in entries:
+        try:
+            t = S if type(S) is frozenset else tuple(S)
+            ok = type(i) is int and ints.issuperset(map(type, t))
+        except TypeError:  # S is not a collection
+            ok = False
+        if not ok:
+            raise error("bad boundary entry %r: the genus and labels must be integers"
+                        % ((i, S, c),))
+        side = sides.get(t)
+        if side is None:
+            T = frozenset(t)
+            side = sides[t] = (T, *_span(base, T)) if base else (T, 1, 0)
+        T, lo, hi = side
+        if type(c) is int:
+            v = c
+        elif type(c) is str:
+            v = coeffs.get(c)
+            if v is None:
+                v = coeffs[c] = coeff(c)
         else:
-            _acc(acc, k, _frac(c))
+            v = coeff(c)
+        if lo <= i <= hi:
+            k = new(BoundaryIndex, (i, T))
+            if type(v) is int and v and k not in acc:
+                acc[k] = v
+            else:
+                _acc(acc, k, v)
+        else:
+            later.append((i, T, v))
+    if held is not None:
+        raise held
+    for i, S, v in later:
+        _acc(acc, canonical_index(base, i, S), v)
     return acc
 
 
@@ -711,19 +771,10 @@ class DivisorClass(_Frozen):
         _check_base(base)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "lam", _frac(lam))
-        if psi is None:
-            psi = [0] * base.n
-        try:
-            psi = tuple(_frac(c) for c in psi)
-        except TypeError:  # _frac raises none, so psi is not iterable
-            raise ParamOutOfRange("psi coefficients %r are not a sequence" % (psi,)) from None
-        if len(psi) != base.n:
-            raise BaseMismatch(
-                "expected %d psi coefficients, got %d" % (base.n, len(psi))
-            )
-        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "psi", _psi(base, psi))
         object.__setattr__(self, "delta0", _frac(delta0))
-        object.__setattr__(self, "_orbits", _read_boundary(base, boundary or ()))
+        object.__setattr__(self, "_orbits", _read_boundary(
+            base, _pairs(boundary), _frac, InvalidBoundary) if boundary else {})
         object.__setattr__(self, "_colours", None)
 
     @classmethod
@@ -1102,26 +1153,38 @@ def builtin_test_curve(name, base, i=None, n=None):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _boundary_rows(a):
-    """(i, label text, c) for each boundary key (i, S) of a, with coefficient
-    c, in output order: the order of ``BoundaryIndex.__lt__``, (i, sorted(S)).
-    The label text is the sorted members of S joined by commas, "" for an
-    empty S.  The rows are read from the orbits, whose sets are the members
-    of their representatives (``_members``): each distinct set is sorted,
-    ranked and joined once, each row is numbered by (i, rank of S) as one
-    int, and the numbers are sorted, so no key is built and no two keys are
-    compared."""
+def _boundary_rows(a, ends):
+    """The row of each boundary key (i, S) of a, in output order: the order
+    of ``BoundaryIndex.__lt__``, (i, sorted(S)).  The row of a key with
+    coefficient c is head + text + tail, where (head, tail) = ends(i, c) and
+    text is the sorted members of S joined by commas, "" for an empty S.
+    The rows are read from the orbits, whose sets are the members of their
+    representatives (``_members``): each distinct set is sorted, ranked and
+    joined once, into one list of texts by rank; ends is called once per
+    orbit; and each row keeps only the ends of its orbit, under the one int
+    i*m + r for the set of rank r of m, so that sorting the ints sorts the
+    rows.  No key is built, no two keys are compared, and what is allocated
+    is one entry per distinct set and per row."""
     sets = _members(a, None)
     labels = {S: sorted(S) for Ss in sets.values() for S in Ss}
     order = sorted(labels, key=labels.__getitem__)
     m = len(order)
-    rank = {S: (r, ",".join(map(str, labels[S]))) for r, S in enumerate(order)}
+    texts = [",".join(map(str, labels[S])) for S in order]
+    rank = {S: r for r, S in enumerate(order)}
     ranked = {R: [rank[S] for S in Ss] for R, Ss in sets.items()}
-    rows = {}
+    rows, made = {}, {}
     for (i, R), c in a._orbits.items():
-        for r, text in ranked[R]:
-            rows[i * m + r] = (i, text, c)
-    return map(rows.__getitem__, sorted(rows))
+        e = made.get((i, c))
+        if e is None:
+            e = made[i, c] = ends(i, c)
+        k = i * m
+        for r in ranked[R]:
+            rows[k + r] = e
+    out = []
+    for k in sorted(rows):
+        head, tail = rows[k]
+        out.append(head + texts[k % m] + tail)
+    return out
 
 
 @_writer
@@ -1132,9 +1195,9 @@ def to_json(a):
     or a Fraction, so nothing needs escaping, and the bytes are those of
     ``json.dumps`` with separators (",", ":")."""
     _check_class(a)
-    rows = ",".join(['{"i":%d,"S":[%s],"c":"%s"}' % row for row in _boundary_rows(a)])
     return '{"g":%d,"n":%d,"lambda":"%s","psi":[%s],"delta0":"%s","boundary":[%s]}' % (
-        a.base.g, a.base.n, a.lam, ",".join('"%s"' % c for c in a.psi), a.delta0, rows)
+        a.base.g, a.base.n, a.lam, ",".join('"%s"' % c for c in a.psi), a.delta0,
+        ",".join(_boundary_rows(a, lambda i, c: ('{"i":%d,"S":[' % i, '],"c":"%s"}' % c))))
 
 
 def _json_coeff(x):
@@ -1162,14 +1225,29 @@ def _json_fields(d, names):
         raise MalformedJSON("missing field %s" % e) from None
 
 
+def _json_entries(boundary):
+    """(i, S, c) for each object {"i", "S", "c"} of a JSON boundary list, S
+    a list; anything else raises MalformedJSON."""
+    for e in boundary:
+        try:
+            i, S, c = e["i"], e["S"], e["c"]
+        except (TypeError, KeyError):  # not an object, or a field missing
+            i, S, c = _json_fields(e, ("i", "S", "c"))
+        if type(S) is not list:
+            raise MalformedJSON("bad boundary entry %r: S is not a list" % (e,))
+        yield i, S, c
+
+
 @_nogc
 def from_json(s):
     """Inverse of ``to_json``.  The text must be JSON, g, n, i and the
     members of S integers and every coefficient an integer or a rational
     string; anything else raises MalformedJSON (or the PicError of the class
-    it would name).  The checked entries are read by the constructor, so
-    every boundary entry must name a class, one with a zero coefficient
-    too."""
+    it would name).  The entries are read in one pass by the constructor's
+    reader, ``_read_boundary``, so every boundary entry must name a class,
+    one with a zero coefficient too.  An error of the base or of psi is held
+    until every entry is checked: a malformed entry anywhere in the document
+    is reported first, and a pair that names no class last."""
     try:
         d = json.loads(s)
     except (TypeError, ValueError, RecursionError) as e:  # TypeError: s is not text
@@ -1181,50 +1259,33 @@ def from_json(s):
         raise MalformedJSON("g and n must be integers, got %r and %r" % (g, n))
     if type(psi) is not list or type(boundary) is not list:
         raise MalformedJSON("psi and boundary must be lists")
-    entries, labels, coeffs = [], {}, {}
-    for e in boundary:
-        try:
-            i, S, c = e["i"], e["S"], e["c"]
-        except (TypeError, KeyError):  # not an object, or a field missing
-            i, S, c = _json_fields(e, ("i", "S", "c"))
-        if type(i) is not int or type(S) is not list or not {int}.issuperset(map(type, S)):
-            raise MalformedJSON("bad boundary entry %r" % (e,))
-        # one frozenset per distinct label list, so that the constructor meets
-        # each set as one object
-        t = tuple(S)
-        T = labels.get(t)
-        if T is None:
-            T = labels[t] = frozenset(t)
-        # only a string coefficient is memoized, as True, 1.0 and 1 hash alike
-        if type(c) is str:
-            v = coeffs.get(c)
-            if v is None:
-                v = coeffs[c] = _json_coeff(c)
-        else:
-            v = _json_coeff(c)
-        entries.append(((i, T), v))
-    return DivisorClass(ModuliBase(g, n), _json_coeff(lam), [_json_coeff(c) for c in psi],
-                        _json_coeff(delta0), entries)
+    lam, psi, delta0 = _json_coeff(lam), [_json_coeff(c) for c in psi], _json_coeff(delta0)
+    held = None
+    try:
+        base = ModuliBase(g, n)
+        _psi(base, psi)
+    except (ParamOutOfRange, BaseMismatch) as e:
+        base, held = None, e
+    boundary = _read_boundary(base, _json_entries(boundary), _json_coeff, MalformedJSON, held)
+    return DivisorClass._from_canonical(base, lam, psi, delta0, boundary)
 
 
-def _rows(a):
-    """(name, boundary, coefficient) per generator in output order; boundary
-    is (i, label text) for the row of a key (i, S), as ``_boundary_rows``
-    gives it, and None otherwise."""
+def _generators(a):
+    """(name, LaTeX symbol, c) for lambda, psi_1..psi_n and delta_0 of a, in
+    output order; the boundary keys follow them (``_boundary_rows``)."""
     _check_class(a)
-    yield ("lambda", None, a.lam)
-    for j in a.base.labels():
-        yield ("psi_%d" % j, None, a.psi[j - 1])
-    yield ("delta_0", None, a.delta0)
-    for i, text, c in _boundary_rows(a):
-        yield (_delta_name(i, text), (i, text), c)
+    return [("lambda", r"\lambda", a.lam),
+            *[("psi_%d" % j, r"\psi_{%d}" % j, c) for j, c in enumerate(a.psi, 1)],
+            ("delta_0", r"\delta_{0}", a.delta0)]
 
 
 @_writer
 def to_csv(a):
-    lines = ["generator,coefficient"]
-    for name, _, c in _rows(a):
-        lines.append('%s,%s' % (name, c))
+    """The class as CSV: a header line, then one "generator,coefficient" line
+    per generator in output order."""
+    lines = ["generator,coefficient", *["%s,%s" % (name, c) for name, _, c in _generators(a)]]
+    head, tail = _delta_ends(a.base.n)
+    lines += _boundary_rows(a, lambda i, c: (head % i, "%s,%s" % (tail, c)))
     return "\n".join(lines) + "\n"
 
 
@@ -1235,41 +1296,33 @@ def _latex_frac(c):
     return r"%s\tfrac{%d}{%d}" % (s, abs(c.numerator), c.denominator)
 
 
-def _latex_gen(name, boundary):
-    if boundary is not None:
-        i, text = boundary
-        return r"\delta_{%d:\{%s\}}" % (i, text) if text else r"\delta_{%d}" % i
-    if name == "lambda":
-        return r"\lambda"
-    if name == "delta_0":
-        return r"\delta_{0}"
-    return r"\psi_{%s}" % name[4:]
+def _latex_term(c):
+    """What opens the term of c in a LaTeX sum: its sign, "+ " or "- ", and
+    |c| unless it is 1."""
+    mag = abs(c)
+    return ("- " if c < 0 else "+ ") + ("" if mag == 1 else _latex_frac(mag))
 
 
 @_writer
 def to_latex_expr(a):
     """The class as a one-line LaTeX linear combination."""
-    terms = []
-    for name, boundary, c in _rows(a):
-        if c == 0:
-            continue
-        sym = _latex_gen(name, boundary)
-        mag = abs(c)
-        body = sym if mag == 1 else _latex_frac(mag) + sym
-        if not terms:
-            terms.append(("-" if c < 0 else "") + body)
-        else:
-            terms.append(("- " if c < 0 else "+ ") + body)
+    terms = [_latex_term(c) + sym for _, sym, c in _generators(a) if c]
+    head, tail = _delta_ends(a.base.n, latex=True)
+    terms += _boundary_rows(a, lambda i, c: (_latex_term(c) + head % i, tail))
     if not terms:
         return "0"
+    first = terms[0]  # the first term keeps a minus sign only, with no space
+    terms[0] = first[2:] if first[0] == "+" else "-" + first[2:]
     return " ".join(terms)
 
 
 @_writer
 def to_latex(a):
     """The class as a LaTeX coefficient table, one row per generator."""
-    lines = [r"\begin{tabular}{ll}", r"generator & coefficient \\"]
-    for name, boundary, c in _rows(a):
-        lines.append(r"$%s$ & $%s$ \\" % (_latex_gen(name, boundary), _latex_frac(c)))
+    lines = [r"\begin{tabular}{ll}", r"generator & coefficient \\",
+             *[r"$%s$ & $%s$ \\" % (sym, _latex_frac(c)) for _, sym, c in _generators(a)]]
+    head, tail = _delta_ends(a.base.n, latex=True)
+    lines += _boundary_rows(
+        a, lambda i, c: ("$" + head % i, r"%s$ & $%s$ \\" % (tail, _latex_frac(c))))
     lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"

@@ -455,6 +455,8 @@ class TestMemo:
         (theta_characteristic_locus, ((3,), {}), ((3, "total"), {})),
         (theta_characteristic_locus, ((3,), {}), ((), {"g": 3, "parity": "total"})),
         (coupled_partition, ((4, [2, -2]), {}), ((), {"d": (2, -2), "g": 4})),
+        (coupled_partition, ((5, (2, -2)), {}), ((5, (2, -2), "total"), {})),
+        (coupled_partition, ((5, (2, -2), "total"), {}), ((5, [2, -2]), {})),
     ])
     def test_equal_checked_arguments_share_one_entry(self, fn, first, second):
         a = fn(*first[0], **first[1])

@@ -1,9 +1,10 @@
 import gc
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from artifact import core
 from artifact.catalog import (
@@ -11,7 +12,10 @@ from artifact.catalog import (
     BadWeights,
     GenusTooSmall,
     _assemble,
+    coupled_partition,
+    diaz,
     logan_class,
+    theta_pullback_class,
     weierstrass,
 )
 from artifact.core import (
@@ -561,6 +565,59 @@ class TestSerializerBytes:
                 assert not equals(a, c)
 
 
+_COEFFS = st.sampled_from([0, 1, -1, 2, -7, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)])
+
+
+@st.composite
+def written_classes(draw):
+    """A catalog class in orbit form (weights that repeat, in a drawn order,
+    or the unpointed diaz class), a sparse class built key by key, or the
+    sum of the two on one base."""
+    g = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(["logan", "theta", "coupled", "diaz"]))
+    if kind == "diaz":
+        a = diaz(g)
+    else:
+        d = {"logan": [2] + [1] * (g - 2), "theta": [-1] + [1] * g,
+             "coupled": [2, -1, -1]}[kind]
+        build = {"logan": logan_class, "theta": theta_pullback_class,
+                 "coupled": coupled_partition}[kind]
+        a = build(g, tuple(draw(st.permutations(d))))
+    base = a.base
+    keys = draw(st.lists(st.sampled_from(enumerate_boundary(base)), max_size=12))
+    sparse = DivisorClass(base, draw(_COEFFS), [draw(_COEFFS) for _ in range(base.n)],
+                          draw(_COEFFS), [(k, draw(_COEFFS)) for k in keys])
+    return draw(st.sampled_from([a, sparse, a + sparse, sparse - a]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(written_classes())
+def test_writers_give_the_bytes_of_the_per_key_rows(a):
+    # reference_rows reads every key of the expanded class, one at a time
+    assert to_json(a) == reference_to_json(a)
+    assert to_csv(a) == reference_to_csv(a)
+    assert to_latex(a) == reference_to_latex(a)
+    assert to_latex_expr(a) == reference_to_latex_expr(a)
+    assert equals(from_json(to_json(a)), a)
+
+
+def test_a_one_key_class_on_a_huge_genus_is_written_and_read_in_little_memory():
+    # no writer or reader allocates per genus or per label set of the base,
+    # only per row of the class: a slot list over (g + 1) * m rows would
+    # hold a million entries here
+    a = DivisorClass(ModuliBase(10**6, 1), 2, [3], 0, [((5, {1}), Fraction(1, 2))])
+    tracemalloc.start()
+    try:
+        texts = [to_json(a), to_csv(a), to_latex(a), to_latex_expr(a)]
+        b = from_json(texts[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert b.boundary == {(5, frozenset({1})): Fraction(1, 2)}
+    assert texts[1].endswith("delta_{5:{1}},1/2\n")
+
+
 class TestSerializerWork:
     """The serializers sort, rank and join each distinct label set once: the
     work is counted, not timed."""
@@ -903,6 +960,33 @@ class TestFromJsonEntries:
                 from_json(doc % entry(i, [], "1"))
         with pytest.raises(InvalidBoundary):
             from_json(doc % entry(1, [1], "1"))
+
+    @pytest.mark.parametrize("bad", [[True, 2], [1, 2.0], [1.0], [False, 1]])
+    def test_a_bad_label_after_many_good_entries_is_refused(self, bad):
+        # the [1, 2] entries come first, and a label that only equals an int
+        # must not reuse their checked set
+        text = to_json(logan_class(10, (1,) * 10))
+        assert text.count('"S":[1,2]') and text.count('"i":') >= 2048
+        with pytest.raises(MalformedJSON, match="bad boundary entry"):
+            from_json(text[:-2] + "," + entry(1, bad, "1") + "]}")
+
+    def test_a_bad_label_after_a_mirror_form_is_refused(self):
+        # the mirror form (2, {2}) of (1, {1}) is read after the loop, and the
+        # bad label must be reported first
+        for bad in ([True, 2], [1.0]):
+            with pytest.raises(MalformedJSON, match="bad boundary entry"):
+                from_json(_DOC_32 % ",".join([entry(2, [2], "1"), entry(1, bad, "1")]))
+        with pytest.raises(MalformedJSON):
+            from_json(_DOC_32 % ",".join([entry(1, [9], "1"), entry(1, [1], 1.5)]))
+
+    def test_a_bad_entry_comes_before_a_bad_base_or_psi(self):
+        doc = '{"g":%d,"n":2,"lambda":"0","psi":%s,"delta0":"0","boundary":[%s]}'
+        bad = ",".join([entry(2, [2], "1"), entry(1, [1, 9], "1"), entry(1, [True], "1")])
+        for g, psi in [(1, '["0","0"]'), (3, '["0"]'), (1, '["0"]')]:
+            with pytest.raises(MalformedJSON):
+                from_json(doc % (g, psi, bad))
+        with pytest.raises(ParamOutOfRange):
+            from_json(doc % (1, '["0"]', entry(1, [1, 9], "1")))
 
     def test_header_errors_come_before_boundary_errors(self):
         bad_pair = entry(1, [9], "1")
