@@ -694,8 +694,8 @@ def _psi(base, psi):
 
 
 def _read_boundary(base, entries, coeff, error, held=None):
-    """The sparse coefficient dict on base = (g, n) of entries, (i, S, c)
-    triples of a genus, a collection of labels and a coefficient; repeated
+    """The sparse coefficient dict on base of entries, (i, S, c) triples of
+    a genus, a collection of labels and a coefficient; repeated
     keys add up, and an entry must name a class even when its coefficient is
     0.  This is the one key-by-key reader, of the constructor and of
     ``from_json``.  coeff reads a coefficient into the form of ``_frac``,
