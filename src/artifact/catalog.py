@@ -37,22 +37,25 @@ decides whether the side without the pole has genus i or g - i
 Genera, orders and weights must be ints (a bool is refused): anything else
 raises ParamOutOfRange.
 
-Each public constructor runs as a whole with the cyclic collector paused
-(core._nogc), not only its audit: the class it returns, its psi list and
-its boundary dict are built without a collection walking them part-way.
+Each public constructor is declared once, by ``_constructor(name)``, which
+enters it in ``CONSTRUCTORS`` under that name with the parameter names of
+its signature, keeps its classes in the one memo and runs each call as a
+whole with the cyclic collector paused (core._nogc), not only its audit:
+the class it returns, its psi list and its boundary dict are built without
+a collection walking them part-way.
 
 The public constructors share one memo, ``_built``, a ``functools.lru_cache``
 that keeps the last 1024 classes: the registry suite rebuilds a few hundred
-classes thousands of times.  It sits inside the pause (``_memo``), so its
-keys and entries are allocated with the collector off.  A key is the
-constructor and its arguments as one positional tuple, the defaults filled
-in and lists made tuples, so ``logan_class(3, [1, 1, 1])`` and
-``logan_class(3, (1, 1, 1))`` share one class.  Only exact ints, strs and
-tuples of exact ints enter a key: 3.0, True and (1, 1.0) equal 3 and (1, 1)
-as dict keys, but the constructor refuses them, so a call with any other
-argument runs the constructor as is.  A refusal raises through the cache
-and is never kept, so it raises again on every call.  Classes are immutable
-(``core._Frozen``), so every caller can share one.
+classes thousands of times.  It sits inside the pause, so its keys and
+entries are allocated with the collector off.  A key is the constructor and
+its arguments as one positional tuple, the defaults filled in and lists made
+tuples, so ``logan_class(3, [1, 1, 1])`` and ``logan_class(3, (1, 1, 1))``
+share one class.  Only exact ints, strs and tuples of exact ints enter a
+key: 3.0, True and (1, 1.0) equal 3 and (1, 1) as dict keys, but the
+constructor refuses them, so a call with any other argument runs the
+constructor as is.  A refusal raises through the cache and is never kept,
+so it raises again on every call.  Classes are immutable (``core._Frozen``),
+so every caller can share one.
 """
 
 from fractions import Fraction
@@ -252,38 +255,47 @@ def _memo_key(names, defaults, tails, args, kw):
 
 @functools.lru_cache(maxsize=1024)
 def _built(fn, key):
-    """fn(*key), kept: the one memo of the public constructors (``_memo``).
-    The registry suite at genus 12 and up to 10 points builds 733 distinct
-    classes, at most 231 of them with one constructor; the last 1024 are
-    kept, and no more, as a caller may name any class."""
+    """fn(*key), kept: the one memo of the public constructors
+    (``_constructor``).  The registry suite at genus 12 and up to 10 points
+    builds 733 distinct classes, at most 231 of them with one constructor;
+    the last 1024 are kept, and no more, as a caller may name any class."""
     return fn(*key)
 
 
-def _memo(fn):
-    """fn with its classes kept in ``_built`` under fn and the key that
-    ``_memo_key`` makes of its arguments; a call that makes no key runs fn as
-    is."""
-    code = fn.__code__
-    names = code.co_varnames[:code.co_argcount]
-    given = fn.__defaults__ or ()
-    first = len(names) - len(given)
-    defaults = dict(zip(names[first:], given))
-    tails = {k: given[k - first:] for k in range(first, len(names) + 1)}
+CONSTRUCTORS = {}  # name -> (constructor, its parameter names), in definition order
 
-    @functools.wraps(fn)
-    def memo(*args, **kw):
-        key = _memo_key(names, defaults, tails, args, kw)
-        return fn(*args, **kw) if key is None else _built(fn, key)
 
-    return memo
+def _constructor(name):
+    """Declare fn as the public constructor ``name``: enter it in
+    ``CONSTRUCTORS`` with the parameter names of its signature, keep its
+    classes in ``_built`` under fn and the key that ``_memo_key`` makes of
+    its arguments (a call that makes no key runs fn as is), and pause the
+    collector for the whole call."""
+    def declare(fn):
+        code = fn.__code__
+        names = code.co_varnames[:code.co_argcount]
+        given = fn.__defaults__ or ()
+        first = len(names) - len(given)
+        defaults = dict(zip(names[first:], given))
+        tails = {k: given[k - first:] for k in range(first, len(names) + 1)}
+
+        @_nogc
+        @functools.wraps(fn)
+        def memo(*args, **kw):
+            key = _memo_key(names, defaults, tails, args, kw)
+            return fn(*args, **kw) if key is None else _built(fn, key)
+
+        CONSTRUCTORS[name] = (memo, names)
+        return memo
+
+    return declare
 
 
 def _dsum(d, S):
     return sum(d[s - 1] for s in S)
 
 
-@_nogc
-@_memo
+@_constructor("weierstrass")
 def weierstrass(g):
     """Closure of the locus where the marked point is a Weierstrass point."""
     _check_genus(g, 2)
@@ -291,8 +303,22 @@ def weierstrass(g):
                   [(lambda i, s: True, lambda i, s: -_tri(g - i))])
 
 
-@_nogc
-@_memo
+@_constructor("residual")
+def residual(g):
+    """Closure of the locus of 1-pointed curves carrying a differential with
+    a zero of maximal order away from the marked point."""
+    _check_genus(g, 3)
+    psi = _div(g * (g + 1) * (g - 2), 2)
+    lam = _div(g * (3 * g**3 - 3 * g + 2), 2)
+    delta0 = _div(g**2 - g**4, 6)
+
+    def c(i, s):
+        return _div(g * (i - g) * (g * g * i + g * i - g + i - 1), 2)
+
+    return _class(ModuliBase(g, 1), lam, [psi], delta0, [(lambda i, s: True, c)])
+
+
+@_constructor("diaz")
 def diaz(g):
     """Closure of the locus of curves with an exceptional Weierstrass point,
     the pushforward to the unpointed space of the residual construction one
@@ -308,24 +334,7 @@ def diaz(g):
     return _class(ModuliBase(g, 0), lam, [], delta0, [(lambda i, s: True, c)])
 
 
-@_nogc
-@_memo
-def residual(g):
-    """Closure of the locus of 1-pointed curves carrying a differential with
-    a zero of maximal order away from the marked point."""
-    _check_genus(g, 3)
-    psi = _div(g * (g + 1) * (g - 2), 2)
-    lam = _div(g * (3 * g**3 - 3 * g + 2), 2)
-    delta0 = _div(g**2 - g**4, 6)
-
-    def c(i, s):
-        return _div(g * (i - g) * (g * g * i + g * i - g + i - 1), 2)
-
-    return _class(ModuliBase(g, 1), lam, [psi], delta0, [(lambda i, s: True, c)])
-
-
-@_nogc
-@_memo
+@_constructor("d1-holo")
 def d1_holo(g, k):
     """Closure of the stratum of 1-pointed curves with a differential
     vanishing to order k at the marked point and to maximal order elsewhere."""
@@ -375,8 +384,7 @@ def d1_holo(g, k):
     )
 
 
-@_nogc
-@_memo
+@_constructor("d1-mero")
 def d1_mero(g, h):
     """Closure of the stratum of 1-pointed curves with a differential having
     a pole of order h at the marked point and a zero of maximal order."""
@@ -411,8 +419,7 @@ def d1_mero(g, h):
     return _class(ModuliBase(g, 1), lam, [psi], delta0, [(lambda i, s: True, c)])
 
 
-@_nogc
-@_memo
+@_constructor("logan")
 def logan_class(g, d):
     """Closure of the locus of pointed curves whose weighted marked points
     move in the canonical series: weights positive, summing to g."""
@@ -427,8 +434,7 @@ def logan_class(g, d):
     )
 
 
-@_nogc
-@_memo
+@_constructor("theta-pullback")
 def theta_pullback_class(g, d):
     """Pullback of the theta divisor along the weighted section of the
     universal Jacobian: weights nonzero, at least one negative, summing
@@ -462,8 +468,7 @@ def theta_pullback_class(g, d):
     )
 
 
-@_nogc
-@_memo
+@_constructor("theta-char")
 def theta_characteristic_locus(g, parity="total"):
     """Divisor of 1-pointed curves with a theta characteristic vanishing at
     the marked point, split by the parity of the characteristic;
@@ -481,8 +486,7 @@ def theta_characteristic_locus(g, parity="total"):
     return _class(base, lam, [psi], delta0, [(lambda i, s: True, c)])
 
 
-@_nogc
-@_memo
+@_constructor("antiram")
 def anti_ramification(g):
     """Closure of the locus of (g-1)-pointed curves whose marked points
     support a differential with a double zero elsewhere; the weight-one
@@ -602,8 +606,7 @@ def _coupled_general(g, d, parity):
     )
 
 
-@_nogc
-@_memo
+@_constructor("coupled")
 def coupled_partition(g, d, parity="total"):
     """Divisor class of curves carrying a differential whose zeros and poles
     at the marked points are coupled through a spin structure; ``d`` is the
@@ -638,19 +641,6 @@ def coupled_partition(g, d, parity="total"):
     if parity != "total" and any(x % 2 for x in d):
         raise ParityUnavailable("spin refinement needs all weights even")
     return _coupled_general(g, d, parity)
-
-
-@_nogc
-@_memo
-def d_infinity(g, parity="total"):
-    """The boundary-at-infinity class of the coupled family: the limit
-    divisor supported where the two marked points collide;
-    ``parity="total"`` is the sum of the odd and even classes."""
-    _check_genus(g, 2)
-    base = ModuliBase(g, 2)
-    _check_size(base)
-    q = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 4)
-    return _class(base, 0, [q, q], 0, [(lambda i, s: True, lambda i, s: -q if s == 1 else 0)])
 
 
 def _pinch_holo(g, d):
@@ -739,8 +729,7 @@ def _pinch_mero(g, d, j):
     )
 
 
-@_nogc
-@_memo
+@_constructor("pinch")
 def pinch_partition(g, d):
     """Divisor class of pointed curves carrying a differential with the given
     weights at the marked points and one extra double zero; holomorphic
@@ -762,13 +751,24 @@ def pinch_partition(g, d):
     )
 
 
-@_nogc
-@_memo
+@_constructor("bn")
 def brill_noether(g):
     """The pulled-back Brill-Noether divisor class on the 1-pointed space."""
     _check_genus(g, 3)
     return _class(ModuliBase(g, 1), g + 3, [0], -_div(g + 1, 6),
                   [(lambda i, s: True, lambda i, s: -i * (g - i))])
+
+
+@_constructor("dinf")
+def d_infinity(g, parity="total"):
+    """The boundary-at-infinity class of the coupled family: the limit
+    divisor supported where the two marked points collide;
+    ``parity="total"`` is the sum of the odd and even classes."""
+    _check_genus(g, 2)
+    base = ModuliBase(g, 2)
+    _check_size(base)
+    q = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 4)
+    return _class(base, 0, [q, q], 0, [(lambda i, s: True, lambda i, s: -q if s == 1 else 0)])
 
 
 def bn_coefficient_check(a):
@@ -781,19 +781,3 @@ def bn_coefficient_check(a):
     g = a.base.g
     return 2 * a.psi[0] + 6 * (g + 3) * g * a.delta0 + g * (g + 1) * a.lam == 0
 
-
-CONSTRUCTORS = {
-    "weierstrass": (weierstrass, ("g",)),
-    "residual": (residual, ("g",)),
-    "diaz": (diaz, ("g",)),
-    "d1-holo": (d1_holo, ("g", "k")),
-    "d1-mero": (d1_mero, ("g", "h")),
-    "logan": (logan_class, ("g", "d")),
-    "theta-pullback": (theta_pullback_class, ("g", "d")),
-    "theta-char": (theta_characteristic_locus, ("g", "parity")),
-    "antiram": (anti_ramification, ("g",)),
-    "coupled": (coupled_partition, ("g", "d", "parity")),
-    "pinch": (pinch_partition, ("g", "d")),
-    "bn": (brill_noether, ("g",)),
-    "dinf": (d_infinity, ("g", "parity")),
-}

@@ -71,8 +71,9 @@ and ``from_json`` the entries of a parsed document, each with its own
 coefficient reader and error class; a pair that is not its own key is read
 after every entry is checked, so a malformed entry anywhere is reported
 before a bad base or pair.  ``_items`` is the one reading of a raw
-collection of (key, c) entries, which ``TestCurve`` shares for its pairing.  ``_check_size`` refuses a base with more than
-2**22 boundary keys before any key is built.  The text serializers share
+collection of (key, c) entries, which ``TestCurve`` shares for its
+pairing.  ``_check_size`` refuses a base with more than 2**22 boundary
+keys before any key is built.  The text serializers share
 ``_writer``, which refuses a coefficient past Python's int-to-str digit
 limit with ParamOutOfRange.
 """

@@ -4,7 +4,9 @@ point-forgetting maps between moduli spaces of stable pointed curves.
 
 Each map is a ``GluingMap``: its variant, its domain and the variant's
 parameters, checked once when it is built, with the codomain derived from
-them.  The four named constructors are calls to it.  ``pullback`` applies the
+them.  A variant is its check (``_VARIANTS``), and the check's signature
+names the variant's parameters, after the domain.  The four named
+constructors are calls to it.  ``pullback`` applies the
 generator-by-generator substitution table to the canonical representative of
 every class in the input.  Each handler is a ``core._walk`` over the orbits
 of the class (``core``), one representative key each: it names the image
@@ -73,7 +75,8 @@ class GluingMap(_Frozen):
             raise InvalidMap("domain %r is not a ModuliBase" % (domain,))
         if type(variant) is not str or variant not in _VARIANTS:
             raise InvalidMap("unknown map variant %r" % (variant,))
-        names, check = _VARIANTS[variant]
+        check = _VARIANTS[variant]
+        names = check.__code__.co_varnames[1:check.__code__.co_argcount]
         if set(params) != set(names):
             raise InvalidMap("%s takes parameters (%s), got (%s)" % (
                 variant, ", ".join(names), ", ".join(sorted(params))))
@@ -100,7 +103,8 @@ def _check_label(domain, what, k):
 
 
 # Each variant's check refuses the parameter values the variant cannot take
-# and returns the codomain's shift (dg, dn) from the domain.
+# and returns the codomain's shift (dg, dn) from the domain; its signature
+# names the variant's parameters, after the domain.
 
 def _tail_shift(domain, h, j, attach):
     if h < 0 or j < 0 or (h == 0 and j == 0):
@@ -127,11 +131,11 @@ def _forget_shift(domain, j):
     return 0, -1
 
 
-_VARIANTS = {  # variant -> (parameter names, check)
-    "glue-tail": (("h", "j", "attach"), _tail_shift),
-    "glue-closed-tail": (("h", "attach"), _closed_tail_shift),
-    "identify-points": ((), _identify_shift),
-    "forget": (("j",), _forget_shift),
+_VARIANTS = {  # variant -> check
+    "glue-tail": _tail_shift,
+    "glue-closed-tail": _closed_tail_shift,
+    "identify-points": _identify_shift,
+    "forget": _forget_shift,
 }
 
 

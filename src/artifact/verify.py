@@ -554,6 +554,9 @@ _register("R16", ["coupled", "theta-char", "dinf"],
 # -- coefficient obstruction and test-curve pairings -------------------------
 
 def _r17(g, cls, expect):
+    # a case expects the check to hold or to fail; 1 == True would pass
+    if type(expect) is not bool:
+        _refuse("R17", expect=expect)
     builders = {
         "weierstrass": lambda: weierstrass(g),
         "double-zero-0": lambda: d1_holo(g, 0),

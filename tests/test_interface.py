@@ -5,6 +5,7 @@ the immutability rule of the value types."""
 import ast
 import functools
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -441,3 +442,22 @@ def test_no_cli_table_holds_a_package_function():
              for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
              if isinstance(t, ast.Name)}
     assert names and not [n for n in names if _holds_package_function(getattr(cli, n))]
+
+
+def test_each_parameter_list_is_written_once():
+    # a catalog class is declared by its signature under _constructor, which
+    # also pauses the collector and keeps the class; a map variant is its
+    # check, whose signature names the variant's parameters
+    from artifact import catalog, maps
+    tree = dict(_package_trees())["catalog"]
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "CONSTRUCTORS" for t in n.targets)
+                and isinstance(n.value, ast.Dict) and n.value.keys]
+    decorators = {ast.unparse(d) for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                  for d in fn.decorator_list}
+    assert decorators and all(d.startswith("_constructor(") for d in decorators), decorators
+    assert not [v for v in maps._VARIANTS.values() if isinstance(v, tuple)]
+    for fn, names in catalog.CONSTRUCTORS.values():
+        assert names == tuple(inspect.signature(fn).parameters)
+        assert fn is getattr(catalog, fn.__name__)

@@ -130,6 +130,13 @@ class TestSuite:
         with pytest.raises(ParamOutOfRange, match="has no case"):
             run_relation(name, params)
 
+    @pytest.mark.parametrize("expect", [1, "yes"])
+    def test_r17_refuses_an_expect_that_is_not_a_bool(self, expect):
+        # 1 == True, so a check that holds would pass under expect=1, which
+        # names no case of R17
+        with pytest.raises(ParamOutOfRange, match="has no case"):
+            run_relation("R17", {"g": 4, "cls": "weierstrass", "expect": expect})
+
     def test_param_names_come_from_the_run_function(self):
         assert RELATIONS["R1"].params == {"g"}
         assert RELATIONS["R17"].params == {"g", "cls", "expect"}
