@@ -33,9 +33,11 @@ under the colour-preserving permutations, the keys (i, S) with one i and one
 count of each colour in S.  The coefficient is stored at the orbit's
 representative, which takes the first labels of each colour and is the
 orbit's first key in output order.  A catalog class colours its labels by
-weight; a class built key by key (the constructor, ``from_json``, a copy)
-has the singleton colouring, None, where every key is its own orbit, and
-stores what it was given.  Builds, ``relabel`` and the pullbacks cost
+weight, and ``from_json`` by psi when the entries of the document fill the
+orbits of that colouring; a class built key by key (the constructor, a
+copy, or ``from_json`` of a document that breaks that symmetry) has the
+singleton colouring, None, where every key is its own orbit, and stores
+what it was given.  Builds, ``relabel`` and the pullbacks cost
 orbits, not keys: ``_walk`` runs over the representatives, and keys each
 image by the representatives of the colouring it carries along.  Only this
 module makes, cuts and moves a colouring: the catalog names the weights it
@@ -50,8 +52,8 @@ finer than both (``_meet``), and ``hash`` reads every key, so that it does
 not depend on the colouring; ``delta`` and ``pair`` read one key at its
 representative.  Full expansion is the refinement to the singleton
 colouring (``_expand``): ``boundary`` expands on its first read and keeps
-the result, which ``hash``, copies and a comparison with a class built key
-by key read.  The serializers expand nothing: ``_boundary_rows`` writes the
+the result, which ``hash``, copies and a comparison with a class stored
+key by key read.  The serializers expand nothing: ``_boundary_rows`` writes the
 rows of every key from the orbits and the member sets of their
 representatives, a row as the text of its label set between the two ends
 its writer makes once per orbit.
@@ -64,13 +66,16 @@ one test of when two classes may be combined, and ``_lift_psi`` the one rule
 for where psi_k goes when the labels are moved.
 
 Boundary coefficients enter a class through two doors: a catalog formula
-(``catalog._assemble``), or key by key through ``_read_boundary``, the one
+(``catalog._assemble``), or entry by entry through ``_read_boundary``, the one
 reader of (i, S, c) entries, which spans each distinct label set once and
 visits each entry once.  The constructor hands it its ((i, S), c) pairs,
 and ``from_json`` the entries of a parsed document, each with its own
 coefficient reader and error class; a pair that is not its own key is read
 after every entry is checked, so a malformed entry anywhere is reported
-before a bad base or pair.  ``_items`` is the one reading of a raw
+before a bad base or pair.  ``from_json`` also proposes the colouring of
+its psi, under which the reader keeps one coefficient per orbit while the
+entries fill whole orbits, and otherwise turns what it read into keys and
+goes on key by key in the same pass.  ``_items`` is the one reading of a raw
 collection of (key, c) entries, which ``TestCurve`` shares for its
 pairing.  ``_check_size`` refuses a base with more than 2**22 boundary
 keys before any key is built.  The text serializers share
@@ -83,7 +88,7 @@ from fractions import Fraction
 import functools
 import gc
 import json
-from math import comb
+from math import comb, prod
 import sys
 from types import MappingProxyType
 
@@ -694,15 +699,16 @@ def _psi(base, psi):
     return psi
 
 
-def _read_boundary(base, entries, coeff, error, held=None):
-    """The sparse coefficient dict on base of entries, (i, S, c) triples of
-    a genus, a collection of labels and a coefficient; repeated
-    keys add up, and an entry must name a class even when its coefficient is
-    0.  This is the one key-by-key reader, of the constructor and of
-    ``from_json``.  coeff reads a coefficient into the form of ``_frac``,
-    once per distinct string, and error is raised for an entry whose genus
-    is not an int or whose labels are not a collection of ints (never a bool
-    or a float, which equal an int as dict keys, so each entry is checked).
+def _read_boundary(base, entries, coeff, error, held=None, colours=None):
+    """(bnd, colours): the sparse coefficient dict on base of entries, (i, S,
+    c) triples of a genus, a collection of labels and a coefficient, and its
+    colouring.  Repeated keys add up, and an entry must name a class even
+    when its coefficient is 0.  This is the one reader of entries, of the
+    constructor and of ``from_json``.  coeff reads a coefficient into the
+    form of ``_frac``, once per distinct string, and error is raised for an
+    entry whose genus is not an int or whose labels are not a collection of
+    ints (never a bool or a float, which equal an int as dict keys, so each
+    entry is checked).
 
     Every entry is checked and read in one loop.  Each distinct label
     collection is made a frozenset and spanned once, the first time it is
@@ -713,8 +719,25 @@ def _read_boundary(base, entries, coeff, error, held=None):
     error that the caller met before reading, as ``from_json`` does for a bad
     base or psi: base is then None, no set is spanned, and held is raised
     after the loop.  So an error of an entry anywhere comes before one of
-    the caller's, and both before a pair that names no class."""
+    the caller's, and both before a pair that names no class.
+
+    colours is a colouring that the caller proposes, or None.  While it
+    holds, each entry must be an own key with a nonzero coefficient, not
+    read before; the coefficients are kept per distinct set, by genus, in an
+    int-keyed dict, so no key is made.  At the end, the sets read are grouped
+    by orbit, which a set's count of labels of each colour names, at a cost
+    per label: the keys read fill their orbits, with one coefficient on
+    each, exactly when every group holds all the sets of its orbit, the
+    product of C(|b|, k) over the colours b with k of their labels in a set,
+    and every set of a group has the same genera and coefficients.  bnd then
+    holds one coefficient per orbit, at its representative (``_rep``).  The
+    first entry that breaks this (a zero, a repeat, a mirror form or a pair
+    that names no class), or a group that breaks it at the end (a
+    coefficient that differs within an orbit, or a missing key), turns the
+    keys read so far into key-by-key entries, and the reading goes on key by
+    key in the same pass, with colours None."""
     acc, sides, coeffs, later, ints, new = {}, {}, {}, [], {int}, tuple.__new__
+    own = {}  # T -> {i: c}, the entries read while colours holds
     for i, S, c in entries:
         try:
             t = S if type(S) is frozenset else tuple(S)
@@ -727,8 +750,10 @@ def _read_boundary(base, entries, coeff, error, held=None):
         side = sides.get(t)
         if side is None:
             T = frozenset(t)
-            side = sides[t] = (T, *_span(base, T)) if base else (T, 1, 0)
-        T, lo, hi = side
+            lo, hi = _span(base, T) if base else (1, 0)
+            read = own.setdefault(T, {}) if colours is not None and lo <= hi else None
+            side = sides[t] = (T, lo, hi, read)
+        T, lo, hi, read = side
         if type(c) is int:
             v = c
         elif type(c) is str:
@@ -737,6 +762,11 @@ def _read_boundary(base, entries, coeff, error, held=None):
                 v = coeffs[c] = coeff(c)
         else:
             v = coeff(c)
+        if colours is not None:
+            if lo <= i <= hi and v and i not in read:
+                read[i] = v
+                continue
+            colours, acc = None, _keys_read(own)
         if lo <= i <= hi:
             k = new(BoundaryIndex, (i, T))
             if type(v) is int and v and k not in acc:
@@ -747,9 +777,28 @@ def _read_boundary(base, entries, coeff, error, held=None):
             later.append((i, T, v))
     if held is not None:
         raise held
+    if colours is not None:
+        # a set's orbit is named by the colours of its labels, sorted
+        where, orbits = {x: k for k, b in enumerate(colours) for x in b}, {}
+        for T, read in own.items():
+            orbits.setdefault(tuple(sorted(map(where.__getitem__, T))), []).append((T, read))
+        if all(len(sets) == prod([comb(len(colours[k]), ks.count(k)) for k in set(ks)])
+               and all(read == sets[0][1] for _, read in sets)
+               for ks, sets in orbits.items()):
+            firsts = [sets[0] for sets in orbits.values()]
+            return {new(BoundaryIndex, (i, _rep(colours, T))): c
+                    for T, read in firsts for i, c in read.items()}, colours
+        acc = _keys_read(own)
     for i, S, v in later:
         _acc(acc, canonical_index(base, i, S), v)
-    return acc
+    return acc, None
+
+
+def _keys_read(own):
+    """The coefficient of each key that ``_read_boundary`` has read while a
+    colouring held, from the coefficients it read per set."""
+    new = tuple.__new__
+    return {new(BoundaryIndex, (i, T)): c for T, read in own.items() for i, c in read.items()}
 
 
 class DivisorClass(_Frozen):
@@ -775,7 +824,7 @@ class DivisorClass(_Frozen):
         object.__setattr__(self, "psi", _psi(base, psi))
         object.__setattr__(self, "delta0", _frac(delta0))
         object.__setattr__(self, "_orbits", _read_boundary(
-            base, _pairs(boundary), _frac, InvalidBoundary) if boundary else {})
+            base, _pairs(boundary), _frac, InvalidBoundary)[0] if boundary else {})
         object.__setattr__(self, "_colours", None)
 
     @classmethod
@@ -1248,7 +1297,10 @@ def from_json(s):
     reader, ``_read_boundary``, so every boundary entry must name a class,
     one with a zero coefficient too.  An error of the base or of psi is held
     until every entry is checked: a malformed entry anywhere in the document
-    is reported first, and a pair that names no class last."""
+    is reported first, and a pair that names no class last.  The reader is
+    handed the colouring of psi (``_colouring``), and the class is in orbit
+    form under it when the entries fill its orbits, each with one
+    coefficient; it is stored key by key otherwise."""
     try:
         d = json.loads(s)
     except (TypeError, ValueError, RecursionError) as e:  # TypeError: s is not text
@@ -1261,14 +1313,15 @@ def from_json(s):
     if type(psi) is not list or type(boundary) is not list:
         raise MalformedJSON("psi and boundary must be lists")
     lam, psi, delta0 = _json_coeff(lam), [_json_coeff(c) for c in psi], _json_coeff(delta0)
-    held = None
+    held = colours = None
     try:
         base = ModuliBase(g, n)
-        _psi(base, psi)
+        colours = _colouring(_psi(base, psi))
     except (ParamOutOfRange, BaseMismatch) as e:
         base, held = None, e
-    boundary = _read_boundary(base, _json_entries(boundary), _json_coeff, MalformedJSON, held)
-    return DivisorClass._from_canonical(base, lam, psi, delta0, boundary)
+    boundary, colours = _read_boundary(base, _json_entries(boundary), _json_coeff,
+                                       MalformedJSON, held, colours)
+    return DivisorClass._from_canonical(base, lam, psi, delta0, boundary, colours)
 
 
 def _generators(a):

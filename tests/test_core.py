@@ -1001,17 +1001,40 @@ class TestFromJsonEntries:
                       % ",".join([bad_pair, entry(1, ["x"], "1")]))
 
 
+_ENTRY_COEFFS = st.sampled_from(["0", "1", "-2", "1/2", "-1/3"]) | st.integers(-2, 2)
+
+
+@st.composite
+def symmetric_pairs(draw, base):
+    """The entries of a class on base that is symmetric in the labels other
+    than 1, as psi = 0 proposes: every key of some orbits of that colouring,
+    one coefficient per orbit, in a drawn order, with the labels of a set
+    listed in a drawn order."""
+    colours = core._colouring((0,) * base.n)
+    reps = draw(st.lists(st.sampled_from(core._orbit_keys(base, colours)), unique=True,
+                         max_size=4))
+    coeff = {rep: draw(_ENTRY_COEFFS) for rep in reps}
+    pairs = [(k.i, draw(st.permutations(sorted(k.S))), coeff[rep])
+             for k in enumerate_boundary(base) for rep in reps
+             if (k.i, core._rep(colours, k.S)) == rep]
+    return draw(st.permutations(pairs))
+
+
 @given(st.integers(2, 5), st.integers(0, 4), st.data())
 def test_from_json_entries_agree_with_the_constructor(g, n, data):
     # arbitrary pairs, valid or not, canonical or mirror, against DivisorClass,
     # which reads the same entries, and both against the definitions, one
-    # entry at a time
+    # entry at a time; on a base of three or more points the pairs may fill
+    # orbits of the colouring that psi = 0 proposes, so that from_json reads
+    # them in orbit form, or break it in a few more pairs, so that it falls back
     base = ModuliBase(g, n)
     pairs = data.draw(st.lists(st.tuples(
         st.integers(-1, g + 1),
         st.lists(st.integers(0, n + 1), max_size=n + 1),
-        st.sampled_from(["0", "1", "-2", "1/2", "-1/3"]) | st.integers(-2, 2),
+        _ENTRY_COEFFS,
     ), max_size=8))
+    if n >= 3 and data.draw(st.booleans()):
+        pairs = data.draw(symmetric_pairs(base)) + pairs[:data.draw(st.integers(0, 2))]
     doc = '{"g":%d,"n":%d,"lambda":"0","psi":[%s],"delta0":"0","boundary":[%s]}' % (
         g, n, ",".join(['"0"'] * n), ",".join(entry(*p) for p in pairs))
     keys = [reference_canonical_index(base, i, S) for i, S, _ in pairs]
@@ -1030,6 +1053,8 @@ def test_from_json_entries_agree_with_the_constructor(g, n, data):
     got = from_json(doc)
     assert got.boundary == want.boundary
     assert to_json(got) == to_json(want)
+    # the colouring read is the one psi = 0 proposes, or the singleton one
+    assert got._colours in (None, core._colouring((0,) * n))
 
 
 class TestPairings:

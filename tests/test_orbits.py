@@ -287,9 +287,27 @@ class TestNoExpansion:
         assert expansions == []
         # a comparison with a class built key by key refines a to every key,
         # once: the expansion is kept, and the read-only view reads it
-        assert equals(from_json(text), a)
+        keyed = DivisorClass(a.base, a.lam, a.psi, a.delta0,
+                             [((e["i"], e["S"]), int(e["c"]))
+                              for e in json.loads(text)["boundary"]])
+        assert keyed._colours is None and equals(keyed, a)
         assert len(a.boundary) == len(a.boundary) == 24564
         assert expansions == [a.base]
+
+    def test_a_read_back_class_keeps_its_orbits(self, expansions):
+        # from_json finds the colouring of a symmetric document, so comparing
+        # and writing the class it reads cost orbits, not keys
+        g = self.g
+        logan = logan_class(g, (1,) * g)
+        theta = theta_pullback_class(g, (3, 2, *[1] * (g - 4), -1, -1))
+        for a in (logan, theta):
+            text = to_json(a)
+            b = from_json(text)
+            assert b._colours == a._colours and b._orbits == a._orbits
+            assert equals(b, a) and equals(a, b) and diff_first(b, a) is None
+            assert [to_json(b), to_csv(b), to_latex(b)] == [text, to_csv(a), to_latex(a)]
+        assert expansions == []
+        assert len(from_json(to_json(logan))._orbits) == len(logan._orbits) == 142
 
     def test_writing_a_coloured_class_reads_its_orbits_not_its_base(self, expansions,
                                                                      monkeypatch):
@@ -392,3 +410,105 @@ def test_spin_coefficients_by_shifts_equal_the_products(parity):
                 assert c.delta(i, S) == want, (g, i, S)
         q = _by_parity(parity, lambda e: _pow2(g - 4) * (2**g + e))
         assert d_infinity(g, parity).psi == (q, q)
+
+
+def _cases_moved():
+    """Every class of CASES, a relabel of it that moves label 1, and its
+    pullbacks along the forgetful maps onto the next base."""
+    for fn, args in CASES:
+        a = fn(*args)
+        g, n = a.base
+        yield _id((fn, args)), a
+        if n >= 2:
+            yield _id((fn, args)) + "-relabeled", relabel(a, [*range(2, n + 1), 1])
+        for j in (1, n + 1):
+            yield _id((fn, args)) + "-forget%d" % j, pullback(
+                forget_point(ModuliBase(g, n + 1), j), a)
+
+
+def test_a_read_back_class_is_the_class_it_was_written_from():
+    coloured = 0
+    for name, a in _cases_moved():
+        b = from_json(to_json(a))
+        assert equals(b, a) and equals(a, b) and hash(b) == hash(a), name
+        assert written(b) == texts(a), name
+        coloured += b._colours is not None
+        # psi proposes the colouring, so a read-back class is never coarser
+        # than its psi allows, and its colouring is that of its psi or None
+        assert b._colours in (None, core._colouring(a.psi)), name
+    assert coloured >= 60, coloured
+
+
+def _symmetric_document(g=5):
+    """The JSON document of logan_class(g, (1,)*g), parsed, and the class."""
+    a = logan_class(g, (1,) * g)
+    return json.loads(to_json(a)), a
+
+
+def _read_as_the_constructor(doc):
+    """from_json of doc, after checking that it reads to exactly what the
+    constructor gives for the same entries."""
+    base = ModuliBase(doc["g"], doc["n"])
+    want = DivisorClass(base, Fraction(doc["lambda"]), [Fraction(c) for c in doc["psi"]],
+                        Fraction(doc["delta0"]),
+                        [((e["i"], e["S"]), Fraction(e["c"])) for e in doc["boundary"]])
+    got = from_json(json.dumps(doc))
+    assert got._colours is None and got._orbits == want._orbits
+    assert equals(got, want) and to_json(got) == to_json(want)
+    return got
+
+
+def _changed(e, c):
+    return {**e, "c": str(c)}
+
+
+class TestReadBackFallsBack:
+    """A document that breaks the symmetry its psi proposes, anywhere in it,
+    reads key by key, to what the constructor reads."""
+
+    @pytest.fixture(params=[0, 37, -1], ids=["first", "middle", "last"])
+    def at(self, request):
+        return request.param
+
+    def test_the_symmetric_document_reads_in_orbit_form(self):
+        doc, a = _symmetric_document()
+        b = from_json(json.dumps(doc))
+        assert b._colours == a._colours and b._orbits == a._orbits
+
+    def test_one_coefficient_changed(self, at):
+        doc, a = _symmetric_document()
+        e = doc["boundary"][at]
+        doc["boundary"][at] = _changed(e, Fraction(e["c"]) + 1)
+        assert not equals(_read_as_the_constructor(doc), a)
+
+    def test_one_key_dropped(self, at):
+        doc, a = _symmetric_document()
+        del doc["boundary"][at]
+        assert not equals(_read_as_the_constructor(doc), a)
+
+    def test_one_key_written_twice_with_its_coefficient_split(self, at):
+        doc, a = _symmetric_document()
+        e = doc["boundary"][at]
+        c = Fraction(e["c"])
+        doc["boundary"][at:at + 1 or None] = [_changed(e, c / 3), _changed(e, c - c / 3)]
+        assert equals(_read_as_the_constructor(doc), a)
+
+    def test_one_mirror_form_added(self, at):
+        doc, a = _symmetric_document()
+        e = doc["boundary"][at]
+        mirror = {"i": doc["g"] - e["i"], "S": sorted(set(range(1, doc["n"] + 1)) - set(e["S"])),
+                  "c": "1"}
+        doc["boundary"].insert(at if at >= 0 else len(doc["boundary"]), mirror)
+        assert not equals(_read_as_the_constructor(doc), a)
+
+    def test_one_zero_coefficient_added(self, at):
+        doc, a = _symmetric_document()
+        e = doc["boundary"][at]
+        doc["boundary"].insert(at if at >= 0 else len(doc["boundary"]), _changed(e, 0))
+        assert equals(_read_as_the_constructor(doc), a)
+
+    def test_distinct_psi_proposes_no_colouring(self):
+        doc, a = _symmetric_document()
+        doc["psi"] = [str(Fraction(c) + k) for k, c in enumerate(doc["psi"])]
+        b = _read_as_the_constructor(doc)
+        assert diff_first(b, a)[0] == "psi_2"
