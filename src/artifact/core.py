@@ -54,9 +54,13 @@ representative.  Full expansion is the refinement to the singleton
 colouring (``_expand``): ``boundary`` expands on its first read and keeps
 the result, which ``hash``, copies and a comparison with a class stored
 key by key read.  The serializers expand nothing: ``_boundary_rows`` writes the
-rows of every key from the orbits and the member sets of their
-representatives, a row as the text of its label set between the two ends
-its writer makes once per orbit.
+rows of every key from the orbits and a rank table that the class makes on
+its first write and keeps (``_table``, beside the kept expansion): the
+member sets of its orbits in output order, the text of each and the orbit
+that owns it.  The rows of one genus are one pass over the table, a row as
+the text of its label set between the two ends its writer makes once per
+genus and coefficient; no row is sorted.  Like the expansion, copies do not carry
+the table, and ``hash`` and ``equals`` never read it.
 
 Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
@@ -639,10 +643,35 @@ def _frac(x):
         raise ParamOutOfRange("coefficient %r is a float, not an exact number" % (x,))
     if not isinstance(x, Fraction):
         try:
-            x = Fraction(x)
+            x = _from_text(x) if type(x) is str else Fraction(x)
         except (TypeError, ValueError, ZeroDivisionError):
             raise ParamOutOfRange("coefficient %r is not an exact number" % (x,)) from None
     return x.numerator if x.denominator == 1 else x
+
+
+def _from_text(s):
+    """The Fraction that the text s names, read as Fraction reads it; text
+    that Fraction refuses raises ValueError.  This is the one parse of a
+    coefficient string.  A value with more digits than Python writes as text
+    (``sys.get_int_max_str_digits()``, where 0 sets no limit), which the
+    writers would refuse, raises ParamOutOfRange.  When the exponent alone
+    reaches the limit, s is refused before its power of ten is computed, as
+    Fraction would compute it at any size; any other s once it is read."""
+    limit = sys.get_int_max_str_digits()
+    _, e, power = s.lower().rpartition("e")
+    try:
+        too_long = limit and e and abs(int(power)) >= limit
+    except ValueError:  # no exponent that Fraction reads, so it refuses s
+        too_long = False
+    if not too_long:
+        x = Fraction(s)
+        try:
+            str(x)  # what the writers write, which raises ValueError past the limit
+            return x
+        except ValueError:
+            pass
+    raise ParamOutOfRange("coefficient %r has more than the %d digits Python writes as text"
+                          % (s, limit))
 
 
 def _acc(acc, key, c):
@@ -812,10 +841,13 @@ class DivisorClass(_Frozen):
     colour.  A class built key by key has the singleton colouring, None,
     where every key is its own orbit.  ``boundary`` is a read-only view of the
     coefficient of every key, expanded from the orbits on the first read and
-    kept.
+    kept (``_keys``).  The first write keeps the rank table of the rows
+    (``_table``, made by ``_boundary_rows``), so a later write in any format
+    costs only its rows.  Neither is an argument of the constructor, so a
+    copy or a pickle carries neither.
     """
 
-    __slots__ = ("base", "lam", "psi", "delta0", "_orbits", "_colours", "_keys")
+    __slots__ = ("base", "lam", "psi", "delta0", "_orbits", "_colours", "_keys", "_table")
 
     def __init__(self, base, lam=0, psi=None, delta0=0, boundary=None):
         _check_base(base)
@@ -1208,32 +1240,36 @@ def _boundary_rows(a, ends):
     of ``BoundaryIndex.__lt__``, (i, sorted(S)).  The row of a key with
     coefficient c is head + text + tail, where (head, tail) = ends(i, c) and
     text is the sorted members of S joined by commas, "" for an empty S.
-    The rows are read from the orbits, whose sets are the members of their
-    representatives (``_members``): each distinct set is sorted, ranked and
-    joined once, into one list of texts by rank; ends is called once per
-    orbit; and each row keeps only the ends of its orbit, under the one int
-    i*m + r for the set of rank r of m, so that sorting the ints sorts the
-    rows.  No key is built, no two keys are compared, and what is allocated
-    is one entry per distinct set and per row."""
-    sets = _members(a, None)
-    labels = {S: sorted(S) for Ss in sets.values() for S in Ss}
-    order = sorted(labels, key=labels.__getitem__)
-    m = len(order)
-    texts = [",".join(map(str, labels[S])) for S in order]
-    rank = {S: r for r, S in enumerate(order)}
-    ranked = {R: [rank[S] for S in Ss] for R, Ss in sets.items()}
-    rows, made = {}, {}
+    The rows are read from the orbits and a rank table that the class makes
+    on its first write and keeps (``_table``): the member sets of its orbits
+    (``_members``), sorted once into output order, as the text of each and
+    the orbit that owns it.  ends is called once per distinct genus and
+    coefficient, and the rows of one genus are one pass over the table,
+    which keeps the sets whose orbit the class holds at that genus.  No key
+    is built, no two keys are compared and no row is sorted; what is
+    allocated is the table, once, and one string per row."""
+    try:
+        owners, texts = a._table
+    except AttributeError:
+        labels, owners = [], []
+        for R, Ss in _members(a, None).items():
+            labels += map(sorted, Ss)
+            owners += [R] * len(Ss)
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        owners = [owners[r] for r in order]
+        names = [str(x) for x in range(a.base.n + 1)]  # each label's text, once
+        texts = [",".join([names[x] for x in labels[r]]) for r in order]
+        object.__setattr__(a, "_table", (owners, texts))
+    genera, made = {}, {}
     for (i, R), c in a._orbits.items():
         e = made.get((i, c))
         if e is None:
             e = made[i, c] = ends(i, c)
-        k = i * m
-        for r in ranked[R]:
-            rows[k + r] = e
+        genera.setdefault(i, {})[R] = e
     out = []
-    for k in sorted(rows):
-        head, tail = rows[k]
-        out.append(head + texts[k % m] + tail)
+    for i in sorted(genera):
+        # a row is its text between the two ends of its orbit: text.join(ends)
+        out += [t.join(e) for e, t in zip(map(genera[i].get, owners), texts) if e]
     return out
 
 
@@ -1260,9 +1296,11 @@ def _json_coeff(x):
             # int() and Fraction agree on it, and both refuse too many digits
             if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
                 return int(x)
-            return _frac(Fraction(x))
+            return _frac(_from_text(x))
         except (ValueError, ZeroDivisionError):
             pass
+        except ParamOutOfRange as e:
+            raise MalformedJSON(str(e)) from None
     raise MalformedJSON("coefficient %r is not an integer or a rational string" % (x,))
 
 

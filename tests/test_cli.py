@@ -346,9 +346,18 @@ _README_CALLS = {
 }
 
 
-def _readme_examples():
+def _readme_section(title):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return readme.split("## %s" % title, 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_block(title, lang):
+    """The first ```lang block of the README section with this title."""
+    return _readme_section(title).split("```%s\n" % lang, 1)[1].split("```", 1)[0]
+
+
+def _readme_examples():
+    section = _readme_section("Command line")
     return [line.split("#")[0].split()[1:] for line in section.splitlines()
             if line.startswith("artifact ")]
 
@@ -363,6 +372,19 @@ class TestReadmeExamples:
         want = _README_CALLS[" ".join(argv)]()
         assert code == 0
         assert out == want if want.endswith("\n") else out == want + "\n"
+
+    def test_the_library_example_prints_its_comments(self, capsys):
+        # the comment on each print line is the line it prints
+        block = _readme_block("Library example", "python")
+        want = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == want and len(want) == 2
+
+    def test_the_json_example_is_the_odd_theta_class(self):
+        # the example is broken over two lines; the writer writes one
+        block = _readme_block("JSON format", "json")
+        assert "".join(block.split()) == to_json(theta_characteristic_locus(3, "odd"))
 
 
 class TestOutput:

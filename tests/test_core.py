@@ -1,7 +1,14 @@
+import copy
 import gc
 import json
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -568,21 +575,56 @@ class TestSerializerBytes:
 _COEFFS = st.sampled_from([0, 1, -1, 2, -7, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)])
 
 
+@lru_cache(maxsize=1)
+def _genera_of_each_set():
+    spans = {}
+    for k in enumerate_boundary(ModuliBase(12, 12)):
+        spans.setdefault(k.S, []).append(k.i)
+    return tuple(spans.items())
+
+
+def spread_class(coeffs, shift=0):
+    """A class on (12, 12) built key by key with one key per label set, 2048
+    keys whose genera step through all 13 genera; the coefficients cycle
+    through coeffs."""
+    entries = [((gs[(r + shift) % len(gs)], S), coeffs[r % len(coeffs)])
+               for r, (S, gs) in enumerate(_genera_of_each_set())]
+    assert len(entries) == 2048 and {i for (i, _), _ in entries} == set(range(13))
+    return DivisorClass(ModuliBase(12, 12), 1, None, 0, entries)
+
+
 @st.composite
 def written_classes(draw):
     """A catalog class in orbit form (weights that repeat, in a drawn order,
-    or the unpointed diaz class), a sparse class built key by key, or the
-    sum of the two on one base."""
+    the unpointed diaz class up to g = 6, or the one-point weierstrass class),
+    a theta class relabeled by a drawn permutation, a coloured class with the
+    orbits of some genera dropped, the key-by-key class of ``spread_class``,
+    a sparse class built key by key, or the sum of the two on one base."""
     g = draw(st.integers(3, 5))
-    kind = draw(st.sampled_from(["logan", "theta", "coupled", "diaz"]))
+    kind = draw(st.sampled_from(["logan", "theta", "coupled", "diaz", "weierstrass",
+                                 "relabeled", "missing", "spread"]))
     if kind == "diaz":
-        a = diaz(g)
+        a = diaz(draw(st.integers(3, 6)))
+    elif kind == "weierstrass":
+        a = weierstrass(g)
+    elif kind == "spread":
+        a = spread_class(draw(st.lists(_COEFFS.filter(bool), min_size=1, max_size=5)),
+                         draw(st.integers(0, 12)))
     else:
-        d = {"logan": [2] + [1] * (g - 2), "theta": [-1] + [1] * g,
-             "coupled": [2, -1, -1]}[kind]
+        d = {"logan": [2] + [1] * (g - 2), "theta": [-1] + [1] * g, "relabeled": [-1] + [1] * g,
+             "missing": [1] * g, "coupled": [2, -1, -1]}[kind]
         build = {"logan": logan_class, "theta": theta_pullback_class,
+                 "relabeled": theta_pullback_class, "missing": logan_class,
                  "coupled": coupled_partition}[kind]
         a = build(g, tuple(draw(st.permutations(d))))
+        if kind == "relabeled":
+            a = relabel(a, draw(st.permutations(list(a.base.labels()))))
+        elif kind == "missing":
+            gone = draw(st.sets(st.integers(0, g), min_size=1, max_size=g))
+            a = DivisorClass._from_canonical(
+                a.base, a.lam, a.psi, a.delta0,
+                {k: c for k, c in a._orbits.items() if k.i not in gone}, a._colours)
+            assert a._colours is not None
     base = a.base
     keys = draw(st.lists(st.sampled_from(enumerate_boundary(base)), max_size=12))
     sparse = DivisorClass(base, draw(_COEFFS), [draw(_COEFFS) for _ in range(base.n)],
@@ -590,10 +632,11 @@ def written_classes(draw):
     return draw(st.sampled_from([a, sparse, a + sparse, sparse - a]))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(written_classes())
 def test_writers_give_the_bytes_of_the_per_key_rows(a):
-    # reference_rows reads every key of the expanded class, one at a time
+    # reference_rows reads every key of the expanded class, one at a time;
+    # the first writer makes the class's rank table, and the others reuse it
     assert to_json(a) == reference_to_json(a)
     assert to_csv(a) == reference_to_csv(a)
     assert to_latex(a) == reference_to_latex(a)
@@ -638,6 +681,35 @@ class TestSerializerWork:
             count[0] = 0
             assert f(a) == text
             assert 0 < count[0] <= distinct + 2, f.__name__
+
+    @pytest.mark.parametrize("make", [
+        lambda: logan_class(12, (1,) * 12),
+        lambda: relabel(logan_class(6, (2, 1, 1, 1, 1)), [5, 1, 2, 3, 4]),
+        lambda: spread_class([1, -2, Fraction(1, 3)]), lambda: diaz(6), lambda: weierstrass(4)],
+        ids=["logan", "relabeled", "spread", "diaz", "weierstrass"])
+    def test_a_class_makes_its_rank_table_once(self, monkeypatch, make):
+        # every writer after the first reads the table the class keeps
+        a = make()
+        calls = []
+        members = core._members
+        monkeypatch.setattr(core, "_members", lambda *args: calls.append(args) or members(*args))
+        texts = [to_json(a), to_csv(a), to_latex(a), to_latex_expr(a), repr(a)]
+        assert len(calls) == 1
+        assert texts == [to_json(a), to_csv(a), to_latex(a), to_latex_expr(a), repr(a)]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                         lambda a: pickle.loads(pickle.dumps(a))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_of_a_written_class_writes_the_same_bytes(self, copy_of):
+        # a copy is rebuilt through the constructor and makes its own table;
+        # neither hash nor equals reads one
+        for a in (logan_class(6, (1,) * 6), spread_class([3, -1])):
+            texts = [to_json(a), to_csv(a), to_latex(a), repr(a)]
+            b = copy_of(a)
+            assert not hasattr(b, "_table") and hasattr(a, "_table")
+            assert equals(a, b) and hash(a) == hash(b)
+            assert [to_json(b), to_csv(b), to_latex(b), repr(b)] == texts
 
     def test_from_json_of_canonical_input_canonicalizes_nothing(self, monkeypatch):
         a = logan_class(8, (1,) * 8)
@@ -870,6 +942,45 @@ class TestFromJsonRejects:
         else:
             lam = from_json(doc % json.dumps(text)).lam
             assert lam == value and type(lam) is int
+
+    # Python writes an int of at most this many digits as text
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_an_exponent_inside_the_digit_limit_reads_and_writes(self, sign):
+        text = "1e%s%d" % (sign, self.LIMIT - 1)
+        doc = '{"g":3,"n":0,"lambda":%s,"psi":[],"delta0":"0","boundary":[]}'
+        a = from_json(doc % json.dumps(text))
+        assert a.lam == Fraction(text) and equals(from_json(to_json(a)), a)
+        assert DivisorClass(ModuliBase(3, 0), text).lam == a.lam
+        assert (DivisorClass(ModuliBase(3, 0), 1) * text).lam == a.lam
+
+    @pytest.mark.parametrize("form", ["1e{0}", "1e-{0}", "1E+{0}", "10e{1}"])
+    def test_a_value_past_the_digit_limit_is_refused_by_both_doors(self, form):
+        # the writers would refuse it: "10e4299" once it is read, the others
+        # by their exponent, before their power of ten is computed
+        text = form.format(self.LIMIT, self.LIMIT - 1)
+        doc = '{"g":3,"n":0,"lambda":%s,"psi":[],"delta0":"0","boundary":[]}'
+        with pytest.raises(MalformedJSON, match="digits"):
+            from_json(doc % json.dumps(text))
+        with pytest.raises(ParamOutOfRange, match="digits"):
+            DivisorClass(ModuliBase(3, 0), text)
+        with pytest.raises(ParamOutOfRange, match="digits"):
+            DivisorClass(ModuliBase(3, 0), 1) * text
+
+    def test_a_huge_exponent_is_refused_before_it_is_computed(self):
+        # computed, 10**1000000000 is an int of about 415 MB and takes
+        # minutes: the child has a capped address space and a time limit
+        probe = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+                 "from artifact import MalformedJSON, from_json\n"
+                 "try:\n    from_json(sys.argv[1])\n"
+                 "except MalformedJSON:\n    print('refused')\n")
+        doc = '{"g":2,"n":2,"lambda":"1e1000000000","psi":[0,0],"delta0":0,"boundary":[]}'
+        env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).parent.parent))
+        out = subprocess.run([sys.executable, "-c", probe, doc], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert out.stdout == "refused\n", out.stderr
 
     def test_integer_and_rational_string_coefficients_accepted(self):
         a = from_json('{"g":3,"n":1,"lambda":-1,"psi":["6"],"delta0":0,"boundary":'

@@ -4,6 +4,7 @@ since a general member of the family is not in the divisor (Harris-Morrison,
 Invent. Math. 99, 1990).  The check shares no formula with the catalog, so it
 can see an error that every identity of the registry repeats."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -50,16 +51,20 @@ def moving_point_curve(base, j):
     return core.TestCurve(base, "B_%d" % j, vec)
 
 
+@lru_cache(maxsize=1)
 def catalog_classes():
     """(name, args, class) for every class the catalog builds over the
-    genera, weights and parities above; refused parameters are skipped."""
+    genera, weights and parities above; refused parameters are skipped.
+    Built once and shared by the tests below."""
+    out = []
     for name, (build, names) in CONSTRUCTORS.items():
         for g in GENERA:
             for rest in product(*(DOMAINS[p] for p in names[1:])):
                 try:
-                    yield name, (g, *rest), build(g, *rest)
+                    out.append((name, (g, *rest), build(g, *rest)))
                 except PicError:
                     pass
+    return tuple(out)
 
 
 def pairings(a):
@@ -88,3 +93,20 @@ def test_catalog_classes_pair_non_negatively_with_moving_points():
         # every moving point of the class itself pairs to the same value
         g, d, _ = case[1]
         assert values[:len(d)] == [KNOWN_NEGATIVE[case]] * len(d), (case, values)
+
+
+# The slope a/b_0 of an effective divisor a*lambda - b_0*delta_0 - ... on the
+# moduli space of unpointed genus-g curves is at least 6 + 12/(g + 1) for
+# g <= 5 (Harris-Morrison, Invent. Math. 99, 1990).  Over the genera, weights
+# and parities above, the unpointed catalog classes at g <= 5 are exactly
+# diaz at g = 3, 4 and 5, so these are the three slopes checked.
+SLOPES = {("diaz", (3,)): Fraction(19, 2), ("diaz", (4,)): Fraction(93, 10),
+          ("diaz", (5,)): Fraction(46, 5)}
+
+
+def test_unpointed_classes_keep_the_harris_morrison_slope_bound():
+    slopes = {(name, args): Fraction(a.lam) / -a.delta0 for name, args, a in catalog_classes()
+              if a.base.n == 0 and a.base.g <= 5}
+    assert slopes == SLOPES
+    for (_, (g,)), slope in slopes.items():
+        assert slope >= 6 + Fraction(12, g + 1)
