@@ -74,7 +74,10 @@ Boundary coefficients enter a class through two doors: a catalog formula
 reader of (i, S, c) entries, which spans each distinct label set once and
 visits each entry once.  The constructor hands it its ((i, S), c) pairs,
 and ``from_json`` the entries of a parsed document, each with its own
-coefficient reader and error class; a pair that is not its own key is read
+coefficient reader and error class.  The labels of a constructor's entry
+are checked every time; those of a document once per distinct label list,
+when one proof per document shows that none of its values equals an int
+without being one.  A pair that is not its own key is read
 after every entry is checked, so a malformed entry anywhere is reported
 before a bad base or pair.  ``from_json`` also proposes the colouring of
 its psi, under which the reader keeps one coefficient per orbit while the
@@ -93,6 +96,7 @@ import functools
 import gc
 import json
 from math import comb, prod
+import operator
 import sys
 from types import MappingProxyType
 
@@ -728,16 +732,25 @@ def _psi(base, psi):
     return psi
 
 
-def _read_boundary(base, entries, coeff, error, held=None, colours=None):
-    """(bnd, colours): the sparse coefficient dict on base of entries, (i, S,
-    c) triples of a genus, a collection of labels and a coefficient, and its
-    colouring.  Repeated keys add up, and an entry must name a class even
-    when its coefficient is 0.  This is the one reader of entries, of the
-    constructor and of ``from_json``.  coeff reads a coefficient into the
-    form of ``_frac``, once per distinct string, and error is raised for an
-    entry whose genus is not an int or whose labels are not a collection of
-    ints (never a bool or a float, which equal an int as dict keys, so each
-    entry is checked).
+def _read_boundary(base, entries, coeff, error, held=None, colours=None, fields=None,
+                   proved=False):
+    """(bnd, colours): the sparse coefficient dict on base of entries, each
+    of a genus i, a collection of labels S and a coefficient c, and its
+    colouring.  The constructor's entries are (i, S, c) triples.  The
+    entries of ``from_json`` are the objects of its boundary list, and
+    fields (``_ENTRY``) reads (i, S, c) out of each; one that is not an
+    object, lacks a field or has an S that is not a list raises
+    MalformedJSON.  Repeated keys add up, and an entry must name a class
+    even when its coefficient is 0.  This is the one reader of entries, of
+    the constructor and of ``from_json``.  coeff reads a coefficient into
+    the form of ``_frac``, once per distinct string, and error is raised for
+    an entry whose genus is not an int or whose labels are not a collection
+    of ints: never a bool or a float, which equal an int as dict keys.  So
+    the genus of every entry is checked, and so are the labels, unless
+    proved says that no label of the entries can be a bool or a float, as
+    ``from_json`` proves once per document.  A label tuple that equals one
+    already checked then has the same types, and the labels are checked
+    once per distinct tuple, when it is first met.
 
     Every entry is checked and read in one loop.  Each distinct label
     collection is made a frozenset and spanned once, the first time it is
@@ -767,16 +780,26 @@ def _read_boundary(base, entries, coeff, error, held=None, colours=None):
     key in the same pass, with colours None."""
     acc, sides, coeffs, later, ints, new = {}, {}, {}, [], {int}, tuple.__new__
     own = {}  # T -> {i: c}, the entries read while colours holds
-    for i, S, c in entries:
+    for e in entries:
+        if fields is None:
+            i, S, c = e
+        else:
+            try:
+                i, S, c = fields(e)
+            except (TypeError, KeyError):  # not an object, or a field missing
+                i, S, c = _json_fields(e, fields)
+            if type(S) is not list:
+                raise MalformedJSON("bad boundary entry %r: S is not a list" % (e,))
         try:
             t = S if type(S) is frozenset else tuple(S)
-            ok = type(i) is int and ints.issuperset(map(type, t))
-        except TypeError:  # S is not a collection
+            side = sides.get(t)
+            ok = type(i) is int and (proved and side is not None
+                                     or ints.issuperset(map(type, t)))
+        except TypeError:  # S is not a collection, or holds a list or an object
             ok = False
         if not ok:
             raise error("bad boundary entry %r: the genus and labels must be integers"
                         % ((i, S, c),))
-        side = sides.get(t)
         if side is None:
             T = frozenset(t)
             lo, hi = _span(base, T) if base else (1, 0)
@@ -1304,48 +1327,60 @@ def _json_coeff(x):
     raise MalformedJSON("coefficient %r is not an integer or a rational string" % (x,))
 
 
-def _json_fields(d, names):
+def _json_fields(d, fields):
+    """fields(d): the values of a JSON object's fields that the itemgetter
+    fields names, in its order; anything but an object with every field
+    raises MalformedJSON."""
     if type(d) is not dict:
         raise MalformedJSON("expected a JSON object, got %s" % type(d).__name__)
     try:
-        return [d[k] for k in names]
+        return fields(d)
     except KeyError as e:
         raise MalformedJSON("missing field %s" % e) from None
 
 
-def _json_entries(boundary):
-    """(i, S, c) for each object {"i", "S", "c"} of a JSON boundary list, S
-    a list; anything else raises MalformedJSON."""
-    for e in boundary:
-        try:
-            i, S, c = e["i"], e["S"], e["c"]
-        except (TypeError, KeyError):  # not an object, or a field missing
-            i, S, c = _json_fields(e, ("i", "S", "c"))
-        if type(S) is not list:
-            raise MalformedJSON("bad boundary entry %r: S is not a list" % (e,))
-        yield i, S, c
+# a shorter document holds a few entries, on which the proof of ``from_json``
+# saves less than the decoder costs that its hook makes ``json.loads`` build
+_PROOF_MIN = 1024
+
+# the fields of a document, and of each boundary entry (``_read_boundary``)
+_HEAD = operator.itemgetter("g", "n", "lambda", "psi", "delta0", "boundary")
+_ENTRY = operator.itemgetter("i", "S", "c")
 
 
 @_nogc
 def from_json(s):
-    """Inverse of ``to_json``.  The text must be JSON, g, n, i and the
-    members of S integers and every coefficient an integer or a rational
-    string; anything else raises MalformedJSON (or the PicError of the class
-    it would name).  The entries are read in one pass by the constructor's
-    reader, ``_read_boundary``, so every boundary entry must name a class,
-    one with a zero coefficient too.  An error of the base or of psi is held
-    until every entry is checked: a malformed entry anywhere in the document
-    is reported first, and a pair that names no class last.  The reader is
-    handed the colouring of psi (``_colouring``), and the class is in orbit
-    form under it when the entries fill its orbits, each with one
-    coefficient; it is stored key by key otherwise."""
+    """Inverse of ``to_json``.  s is text: a str, or bytes or a bytearray
+    in UTF-8, UTF-16 or UTF-32, decoded as ``json.loads`` decodes it.  The
+    text must be JSON, g, n, i and the members of S integers and every
+    coefficient an integer or a rational string; anything else raises
+    MalformedJSON (or the PicError of the class it would name).  The
+    entries are read in one pass by the constructor's reader,
+    ``_read_boundary``, so every boundary entry must name a class, one with
+    a zero coefficient too.  The genus, the list S and the coefficient of
+    every entry are checked there.  The labels are checked once per distinct
+    label list when one proof holds for the whole document: it has no
+    ``true`` or ``false`` in its text and no number with a fraction or an
+    exponent, which a ``parse_float`` hook of ``json.loads`` records, so no
+    label can equal an int without being one.  Without the proof, and in a
+    document shorter than ``_PROOF_MIN``, where the hook costs more than it
+    saves, the labels of every entry are checked.  An error of the base or
+    of psi is held until every entry is checked: a malformed entry anywhere
+    in the document is reported first, and a pair that names no class last.
+    The reader is handed the colouring of psi (``_colouring``), and the
+    class is in orbit form under it when the entries fill its orbits, each
+    with one coefficient; it is stored key by key otherwise."""
+    floats = []  # the float tokens of a document long enough to prove
     try:
-        d = json.loads(s)
+        # the text that json.loads reads, bytes decoded as it decodes them
+        text = (s.decode(json.detect_encoding(s), "surrogatepass")
+                if isinstance(s, (bytes, bytearray)) else s)
+        prove = isinstance(text, str) and len(text) >= _PROOF_MIN
+        d = (json.loads(s, parse_float=lambda x: floats.append(x) or float(x)) if prove
+             else json.loads(s))
     except (TypeError, ValueError, RecursionError) as e:  # TypeError: s is not text
         raise MalformedJSON("not JSON: %s" % e) from None
-    g, n, lam, psi, delta0, boundary = _json_fields(
-        d, ("g", "n", "lambda", "psi", "delta0", "boundary")
-    )
+    g, n, lam, psi, delta0, boundary = _json_fields(d, _HEAD)
     if type(g) is not int or type(n) is not int:
         raise MalformedJSON("g and n must be integers, got %r and %r" % (g, n))
     if type(psi) is not list or type(boundary) is not list:
@@ -1357,8 +1392,11 @@ def from_json(s):
         colours = _colouring(_psi(base, psi))
     except (ParamOutOfRange, BaseMismatch) as e:
         base, held = None, e
-    boundary, colours = _read_boundary(base, _json_entries(boundary), _json_coeff,
-                                       MalformedJSON, held, colours)
+    # only the tokens true and false and a number with a fraction or an
+    # exponent give a value that equals an int without being one
+    proved = prove and not floats and "true" not in text and "false" not in text
+    boundary, colours = _read_boundary(base, boundary, _json_coeff, MalformedJSON, held,
+                                       colours, _ENTRY, proved)
     return DivisorClass._from_canonical(base, lam, psi, delta0, boundary, colours)
 
 

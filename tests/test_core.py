@@ -840,7 +840,8 @@ class TestCollectorPause:
     def test_collector_is_paused_while_parsing_json(self, monkeypatch):
         seen = []
         loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda s: seen.append(gc.isenabled()) or loads(s))
+        monkeypatch.setattr(json, "loads",
+                            lambda s, **kw: seen.append(gc.isenabled()) or loads(s, **kw))
         assert equals(from_json(to_json(weierstrass(3))), weierstrass(3))
         assert seen == [False]
         assert gc.isenabled()
@@ -1089,6 +1090,86 @@ class TestFromJsonEntries:
                 from_json(_DOC_32 % ",".join([entry(2, [2], "1"), entry(1, bad, "1")]))
         with pytest.raises(MalformedJSON):
             from_json(_DOC_32 % ",".join([entry(1, [9], "1"), entry(1, [1], 1.5)]))
+
+    # a document long enough for from_json to prove it once, with the
+    # [1, 2] and [1] entries of many orbits
+    LONG = to_json(logan_class(10, (1,) * 10))
+
+    @staticmethod
+    def same_class(a, b):
+        return (to_json(a), a._orbits, a._colours) == (to_json(b), b._orbits, b._colours)
+
+    @pytest.mark.parametrize("first,second", [("[1]", "[1e0]"), ("[1]", "[1E0]"),
+                                              ("[2]", "[2.0e0]"), ("[0,1]", "[false,1]")])
+    def test_an_exponent_or_false_label_is_refused(self, first, second):
+        # json.dumps writes neither form; both equal the int list before them
+        raw = '{"i":1,"S":%s,"c":"1"}'
+        with pytest.raises(MalformedJSON, match="bad boundary entry"):
+            from_json(_DOC_32 % ",".join([raw % first, raw % second]))
+        with pytest.raises(MalformedJSON, match="bad boundary entry"):
+            from_json(self.LONG[:-2] + "," + raw % first + "," + raw % second + "]}")
+
+    @pytest.mark.parametrize("extra", ['"note":"true"', '"x":1.5', '"flag":false', '"y":2E0'])
+    def test_true_false_or_a_float_in_an_ignored_field_reads_the_same_class(self, extra):
+        # the document is then not proved, and every entry is checked instead
+        want = from_json(self.LONG)
+        assert self.same_class(from_json(self.LONG[:-1] + "," + extra + "}"), want)
+        at = self.LONG.index('{"i":')
+        assert self.same_class(from_json(self.LONG[:at + 1] + extra + "," + self.LONG[at + 1:]),
+                               want)
+
+    @pytest.mark.parametrize("bad", ["[[1],2]", '[{"a":1}]', "[null]", "[1,[2]]"])
+    @pytest.mark.parametrize("note", ["", ',"note":true'])
+    def test_a_label_that_is_a_list_an_object_or_null_is_refused(self, bad, note):
+        # unhashable labels too: the reader looks the label list up before
+        # it checks it, and the lookup must not leak a TypeError
+        raw = '{"i":1,"S":%s,"c":"1"}' % bad
+        for doc in (_DOC_32 % raw, self.LONG[:-2] + "," + raw + "]}"):
+            with pytest.raises(MalformedJSON, match="bad boundary entry"):
+                from_json(doc[:-1] + note + "}")
+
+    def test_a_pretty_printed_or_reordered_document_reads_the_same_class(self):
+        want = from_json(self.LONG)
+        d = json.loads(self.LONG)
+        pretty = json.dumps(d, indent=2)
+        d["boundary"] = [{"c": e["c"], "S": e["S"], "i": e["i"]} for e in d["boundary"]]
+        reordered = json.dumps(dict(reversed(d.items())), separators=(",", ":"))
+        for text in (pretty, reordered):
+            got = from_json(text)
+            assert self.same_class(got, want) and to_json(got) == self.LONG
+
+    def test_the_document_is_proved_once(self, monkeypatch):
+        # the reader is told the proof holds only for a long document with
+        # no true, false or float token anywhere in its text
+        seen = []
+        real = core._read_boundary
+        monkeypatch.setattr(core, "_read_boundary",
+                            lambda *args: seen.append(args[-1]) or real(*args))
+        from_json(self.LONG)
+        from_json(self.LONG.encode("utf-16"))
+        from_json(self.LONG[:-1] + ',"x":"true"}')
+        from_json(self.LONG[:-1] + ',"x":0.5}')
+        from_json(to_json(weierstrass(3)))
+        assert seen == [True, True, False, False, False]
+        assert len(to_json(weierstrass(3))) < core._PROOF_MIN <= len(self.LONG)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-16-le", "utf-16-be",
+                                          "utf-32", "utf-32-le", "utf-32-be"])
+    def test_a_bytes_document_reads_the_same_class_as_its_text(self, encoding):
+        want = from_json(self.LONG)
+        for data in (self.LONG.encode(encoding), bytearray(self.LONG.encode(encoding))):
+            assert self.same_class(from_json(data), want)
+        small = to_json(weierstrass(3))
+        assert equals(from_json(small.encode(encoding)), weierstrass(3))
+
+    def test_a_bool_label_in_a_utf16_document_is_refused(self):
+        # the proof scans the decoded text: the bytes b"true" are not in it
+        bad = ",".join([entry(1, [1, 2], "1"), '{"i":1,"S":[true,2],"c":"1"}'])
+        for doc in (_DOC_32 % bad, self.LONG[:-2] + "," + bad + "]}"):
+            data = doc.encode("utf-16-le")
+            assert b"true" not in data
+            with pytest.raises(MalformedJSON, match="bad boundary entry"):
+                from_json(data)
 
     def test_a_bad_entry_comes_before_a_bad_base_or_psi(self):
         doc = '{"g":%d,"n":2,"lambda":"0","psi":%s,"delta0":"0","boundary":[%s]}'
