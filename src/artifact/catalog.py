@@ -24,8 +24,8 @@ function here makes a colouring or stores a class.  The spin-refined
 coefficients are 2**(g - 3) times products of numbers of about g bits,
 written out as shifts and adds (``_spin``), so that a class costs about its
 output length; as ``_class`` evaluates them before ``_assemble`` counts the
-keys, the constructors with such coefficients refuse a base with too many
-keys first (``core._check_size``).
+keys, the constructors with such coefficients refuse a class of too many
+bits first, about g times the keys of its base (``_check_spin_size``).
 
 Every class is assembled on the caller's label order; none is built in a
 standard order and relabeled.  A class with one pole reads the view
@@ -152,6 +152,21 @@ def _spin(g, i, s, e):
     times such products, of numbers of about g bits, and a product of two of
     them would cost more than the coefficient's length."""
     return -(1 << g) - s * (1 << i) - e * (1 << (g - i)) - s * e
+
+
+# the most bits a spin-refined class may hold, about g bits a key:
+# theta_characteristic_locus(15000) holds about 2.25 * 10**8 and is admitted
+_MAX_SPIN_BITS = 1 << 28
+
+
+def _check_spin_size(base):
+    """Refuse with ParamOutOfRange a spin-refined class on base of more
+    than _MAX_SPIN_BITS: about g bits for each key of the base, as
+    ``core._check_size`` counts them (and refuses too many).  A constructor
+    calls it before it computes a coefficient."""
+    if base.g * _check_size(base) > _MAX_SPIN_BITS:
+        raise ParamOutOfRange("a spin-refined class of more than %d bits is refused"
+                              % _MAX_SPIN_BITS)
 
 
 @_nogc
@@ -475,7 +490,7 @@ def theta_characteristic_locus(g, parity="total"):
     ``parity="total"`` is the sum of the odd and even classes."""
     _check_genus(g, 2)
     base = ModuliBase(g, 1)
-    _check_size(base)
+    _check_spin_size(base)
     lam = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 3)
     psi = _scaled(_by_parity(parity, lambda e: (1 - e) * ((1 << g) + e)), g - 3)
     delta0 = _scaled(_by_parity(parity, lambda e: -1), 2 * g - 6)
@@ -619,7 +634,7 @@ def coupled_partition(g, d, parity="total"):
         raise UnsupportedWeights("weights must be nonzero")
     # every branch builds on (g, len(d)) and computes numbers of about g bits
     _check_genus(g, 2)
-    _check_size(ModuliBase(g, len(d)))
+    _check_spin_size(ModuliBase(g, len(d)))
     if sorted(d) == [1, 1]:
         if parity != "total":
             raise ParityUnavailable("odd weights admit no spin refinement")
@@ -766,7 +781,7 @@ def d_infinity(g, parity="total"):
     ``parity="total"`` is the sum of the odd and even classes."""
     _check_genus(g, 2)
     base = ModuliBase(g, 2)
-    _check_size(base)
+    _check_spin_size(base)
     q = _scaled(_by_parity(parity, lambda e: (1 << g) + e), g - 4)
     return _class(base, 0, [q, q], 0, [(lambda i, s: True, lambda i, s: -q if s == 1 else 0)])
 

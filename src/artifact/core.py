@@ -33,13 +33,13 @@ under the colour-preserving permutations, the keys (i, S) with one i and one
 count of each colour in S.  The coefficient is stored at the orbit's
 representative, which takes the first labels of each colour and is the
 orbit's first key in output order.  A catalog class colours its labels by
-weight, and ``from_json`` by psi when the entries of the document fill the
-orbits of that colouring; a class built key by key (the constructor, a
-copy, or ``from_json`` of a document that breaks that symmetry) has the
-singleton colouring, None, where every key is its own orbit, and stores
-what it was given.  Builds, ``relabel`` and the pullbacks cost
-orbits, not keys: ``_walk`` runs over the representatives, and keys each
-image by the representatives of the colouring it carries along.  Only this
+weight.  A class given entry by entry (the constructor, a copy, which the
+constructor rebuilds, or ``from_json``) is coloured by its psi when the sums
+of its entries fill the orbits of that colouring, and otherwise has the
+singleton colouring, None, where every key is its own orbit.  Builds,
+``relabel`` and the pullbacks cost orbits, not keys: ``_walk`` runs over the
+representatives, and keys each image by the representatives of the
+colouring it carries along.  Only this
 module makes, cuts and moves a colouring: the catalog names the weights it
 colours by, which ``catalog._class`` hands to ``_colouring``, and a map
 names its label rule and its image rule; ``_walk`` cuts the colouring of
@@ -79,10 +79,11 @@ are checked every time; those of a document once per distinct label list,
 when one proof per document shows that none of its values equals an int
 without being one.  A pair that is not its own key is read
 after every entry is checked, so a malformed entry anywhere is reported
-before a bad base or pair.  ``from_json`` also proposes the colouring of
-its psi, under which the reader keeps one coefficient per orbit while the
-entries fill whole orbits, and otherwise turns what it read into keys and
-goes on key by key in the same pass.  ``_items`` is the one reading of a raw
+before a bad base or pair.  The reader adds up the entries of each key in
+one representation, a dict per label set, and both doors propose the
+colouring of their psi: the sums decide once, at the end, whether the
+class is stored one coefficient per orbit or key by key, so that both
+doors store a class by one rule.  ``_items`` is the one reading of a raw
 collection of (key, c) entries, which ``TestCurve`` shares for its
 pairing.  ``_check_size`` refuses a base with more than 2**22 boundary
 keys before any key is built.  The text serializers share
@@ -740,46 +741,42 @@ def _read_boundary(base, entries, coeff, error, held=None, colours=None, fields=
     entries of ``from_json`` are the objects of its boundary list, and
     fields (``_ENTRY``) reads (i, S, c) out of each; one that is not an
     object, lacks a field or has an S that is not a list raises
-    MalformedJSON.  Repeated keys add up, and an entry must name a class
-    even when its coefficient is 0.  This is the one reader of entries, of
-    the constructor and of ``from_json``.  coeff reads a coefficient into
-    the form of ``_frac``, once per distinct string, and error is raised for
-    an entry whose genus is not an int or whose labels are not a collection
-    of ints: never a bool or a float, which equal an int as dict keys.  So
-    the genus of every entry is checked, and so are the labels, unless
-    proved says that no label of the entries can be a bool or a float, as
-    ``from_json`` proves once per document.  A label tuple that equals one
-    already checked then has the same types, and the labels are checked
-    once per distinct tuple, when it is first met.
+    MalformedJSON.  Repeated keys add up, a zero sum drops out, and an entry
+    must name a class even when its coefficient is 0.  This is the one
+    reader of entries, of the constructor and of ``from_json``.  coeff reads
+    a coefficient into the form of ``_frac``, once per distinct string, and
+    error is raised for an entry whose genus is not an int or whose labels
+    are not a collection of ints: never a bool or a float, which equal an
+    int as dict keys.  So the genus of every entry is checked, and so are
+    the labels, unless proved says that no label of the entries can be a
+    bool or a float, as ``from_json`` proves once per document.  A label
+    tuple that equals one already checked then has the same types, and the
+    labels are checked once per distinct tuple, when it is first met.
 
     Every entry is checked and read in one loop.  Each distinct label
     collection is made a frozenset and spanned once, the first time it is
-    met; a pair whose genus lies in the span is its own key, and is stored
-    at once, as ``_key`` makes a key and ``_acc`` stores it.  Any other pair
-    (a mirror form, or a pair that names no class) is read after the loop by
-    ``canonical_index``, which keys it or raises InvalidBoundary.  held is an
-    error that the caller met before reading, as ``from_json`` does for a bad
-    base or psi: base is then None, no set is spanned, and held is raised
-    after the loop.  So an error of an entry anywhere comes before one of
-    the caller's, and both before a pair that names no class.
+    met; a pair whose genus lies in the span is its own key, and its
+    coefficient is added (``_acc``) to those of its set, kept by genus in
+    an int-keyed dict, so no key is made in the loop.  Any other pair (a
+    mirror form, or a pair that names no class) is read after the loop by
+    ``canonical_index``, which keys it or raises InvalidBoundary, and is
+    added to the same dicts.  held is an error that the caller met before
+    reading, as ``from_json`` does for a bad base or psi: base is then None,
+    no set is spanned, and held is raised after the loop.  So an error of an
+    entry anywhere comes before one of the caller's, and both before a pair
+    that names no class.
 
-    colours is a colouring that the caller proposes, or None.  While it
-    holds, each entry must be an own key with a nonzero coefficient, not
-    read before; the coefficients are kept per distinct set, by genus, in an
-    int-keyed dict, so no key is made.  At the end, the sets read are grouped
-    by orbit, which a set's count of labels of each colour names, at a cost
-    per label: the keys read fill their orbits, with one coefficient on
-    each, exactly when every group holds all the sets of its orbit, the
-    product of C(|b|, k) over the colours b with k of their labels in a set,
-    and every set of a group has the same genera and coefficients.  bnd then
-    holds one coefficient per orbit, at its representative (``_rep``).  The
-    first entry that breaks this (a zero, a repeat, a mirror form or a pair
-    that names no class), or a group that breaks it at the end (a
-    coefficient that differs within an orbit, or a missing key), turns the
-    keys read so far into key-by-key entries, and the reading goes on key by
-    key in the same pass, with colours None."""
-    acc, sides, coeffs, later, ints, new = {}, {}, {}, [], {int}, tuple.__new__
-    own = {}  # T -> {i: c}, the entries read while colours holds
+    colours is the colouring that the caller proposes, that of its psi
+    (``_colouring``).  The sets that hold a key are grouped by orbit, which
+    a set's count of labels of each colour names, at a cost per label.  The
+    keys fill their orbits, with one coefficient on each, exactly when every
+    group holds all the sets of its orbit, the product of C(|b|, k) over the
+    colours b with k of their labels in a set, and every set of a group has
+    the same genera and coefficients.  bnd then holds one coefficient per
+    orbit, at its representative (``_rep``), under colours; otherwise it
+    holds every key, under the singleton colouring None."""
+    sides, coeffs, later, ints, new = {}, {}, [], {int}, tuple.__new__
+    own = {}  # T -> {i: c}, the coefficients of the own keys of each set T
     for e in entries:
         if fields is None:
             i, S, c = e
@@ -803,8 +800,7 @@ def _read_boundary(base, entries, coeff, error, held=None, colours=None, fields=
         if side is None:
             T = frozenset(t)
             lo, hi = _span(base, T) if base else (1, 0)
-            read = own.setdefault(T, {}) if colours is not None and lo <= hi else None
-            side = sides[t] = (T, lo, hi, read)
+            side = sides[t] = (T, lo, hi, own.setdefault(T, {}) if lo <= hi else None)
         T, lo, hi, read = side
         if type(c) is int:
             v = c
@@ -814,43 +810,34 @@ def _read_boundary(base, entries, coeff, error, held=None, colours=None, fields=
                 v = coeffs[c] = coeff(c)
         else:
             v = coeff(c)
-        if colours is not None:
-            if lo <= i <= hi and v and i not in read:
-                read[i] = v
-                continue
-            colours, acc = None, _keys_read(own)
         if lo <= i <= hi:
-            k = new(BoundaryIndex, (i, T))
-            if type(v) is int and v and k not in acc:
-                acc[k] = v
+            # a first nonzero entry of its key is stored as read: a call of
+            # _acc per entry costs a tenth of the reader on a large document
+            if v and i not in read:
+                read[i] = v
             else:
-                _acc(acc, k, v)
+                _acc(read, i, v)
         else:
             later.append((i, T, v))
     if held is not None:
         raise held
+    for i, S, v in later:
+        i, T = canonical_index(base, i, S)
+        _acc(own.setdefault(T, {}), i, v)
     if colours is not None:
         # a set's orbit is named by the colours of its labels, sorted
         where, orbits = {x: k for k, b in enumerate(colours) for x in b}, {}
         for T, read in own.items():
-            orbits.setdefault(tuple(sorted(map(where.__getitem__, T))), []).append((T, read))
+            if read:
+                orbits.setdefault(tuple(sorted(map(where.__getitem__, T))), []).append((T, read))
         if all(len(sets) == prod([comb(len(colours[k]), ks.count(k)) for k in set(ks)])
                and all(read == sets[0][1] for _, read in sets)
                for ks, sets in orbits.items()):
             firsts = [sets[0] for sets in orbits.values()]
             return {new(BoundaryIndex, (i, _rep(colours, T))): c
                     for T, read in firsts for i, c in read.items()}, colours
-        acc = _keys_read(own)
-    for i, S, v in later:
-        _acc(acc, canonical_index(base, i, S), v)
-    return acc, None
-
-
-def _keys_read(own):
-    """The coefficient of each key that ``_read_boundary`` has read while a
-    colouring held, from the coefficients it read per set."""
-    new = tuple.__new__
-    return {new(BoundaryIndex, (i, T)): c for T, read in own.items() for i, c in read.items()}
+    return {new(BoundaryIndex, (i, T)): c
+            for T, read in own.items() for i, c in read.items()}, None
 
 
 class DivisorClass(_Frozen):
@@ -861,13 +848,17 @@ class DivisorClass(_Frozen):
     keys under a colouring of the labels (``_colours``), at the orbit's
     representative key (``_orbits``): the class has the same coefficient on
     every key of an orbit, and its psi coefficients are constant on each
-    colour.  A class built key by key has the singleton colouring, None,
-    where every key is its own orbit.  ``boundary`` is a read-only view of the
-    coefficient of every key, expanded from the orbits on the first read and
-    kept (``_keys``).  The first write keeps the rank table of the rows
-    (``_table``, made by ``_boundary_rows``), so a later write in any format
-    costs only its rows.  Neither is an argument of the constructor, so a
-    copy or a pickle carries neither.
+    colour.  The constructor reads its boundary entries by the rule of
+    ``from_json`` (``_read_boundary``): they are stored in the orbit form of
+    the colouring of psi when their sums fill its orbits, and otherwise key
+    by key, under the singleton colouring None, where every key is its own
+    orbit.  A copy or a pickle, which the constructor rebuilds from the
+    expansion, is read by the same rule.  ``boundary`` is a read-only view
+    of the coefficient of every key, expanded from the orbits on the first
+    read and kept (``_keys``).  The first write keeps the rank table of the
+    rows (``_table``, made by ``_boundary_rows``), so a later write in any
+    format costs only its rows.  Neither is an argument of the constructor,
+    so a copy or a pickle carries neither.
     """
 
     __slots__ = ("base", "lam", "psi", "delta0", "_orbits", "_colours", "_keys", "_table")
@@ -878,9 +869,11 @@ class DivisorClass(_Frozen):
         object.__setattr__(self, "lam", _frac(lam))
         object.__setattr__(self, "psi", _psi(base, psi))
         object.__setattr__(self, "delta0", _frac(delta0))
-        object.__setattr__(self, "_orbits", _read_boundary(
-            base, _pairs(boundary), _frac, InvalidBoundary)[0] if boundary else {})
-        object.__setattr__(self, "_colours", None)
+        orbits, colours = _read_boundary(
+            base, _pairs(boundary), _frac, InvalidBoundary,
+            colours=_colouring(self.psi)) if boundary else ({}, None)
+        object.__setattr__(self, "_orbits", orbits)
+        object.__setattr__(self, "_colours", colours)
 
     @classmethod
     def _from_canonical(cls, base, lam, psi, delta0, boundary, colours=None):
@@ -1367,9 +1360,10 @@ def from_json(s):
     saves, the labels of every entry are checked.  An error of the base or
     of psi is held until every entry is checked: a malformed entry anywhere
     in the document is reported first, and a pair that names no class last.
-    The reader is handed the colouring of psi (``_colouring``), and the
-    class is in orbit form under it when the entries fill its orbits, each
-    with one coefficient; it is stored key by key otherwise."""
+    The reader is handed the colouring of psi (``_colouring``), as the
+    constructor hands it, and the class is in orbit form under it when the
+    sums of the entries fill its orbits, each with one coefficient; it is
+    stored key by key otherwise."""
     floats = []  # the float tokens of a document long enough to prove
     try:
         # the text that json.loads reads, bytes decoded as it decodes them
@@ -1386,17 +1380,17 @@ def from_json(s):
     if type(psi) is not list or type(boundary) is not list:
         raise MalformedJSON("psi and boundary must be lists")
     lam, psi, delta0 = _json_coeff(lam), [_json_coeff(c) for c in psi], _json_coeff(delta0)
-    held = colours = None
+    held = None
     try:
         base = ModuliBase(g, n)
-        colours = _colouring(_psi(base, psi))
+        psi = _psi(base, psi)
     except (ParamOutOfRange, BaseMismatch) as e:
-        base, held = None, e
+        base, held, psi = None, e, ()  # the reader raises held
     # only the tokens true and false and a number with a fraction or an
     # exponent give a value that equals an int without being one
     proved = prove and not floats and "true" not in text and "false" not in text
     boundary, colours = _read_boundary(base, boundary, _json_coeff, MalformedJSON, held,
-                                       colours, _ENTRY, proved)
+                                       _colouring(psi), _ENTRY, proved)
     return DivisorClass._from_canonical(base, lam, psi, delta0, boundary, colours)
 
 

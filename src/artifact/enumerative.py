@@ -33,11 +33,14 @@ def de_jonquieres(g, ks, ordered=True):
     curve with prescribed multiplicities k_1..k_rho at rho moving points.
 
     With ``ordered`` the zeros are labelled; otherwise the count is divided by
-    the orderings of equal multiplicities.  Requires g - rho >= 1.  The empty
-    profile gives 1.
+    the orderings of equal multiplicities.  ``ordered`` must be a bool, as
+    any nonempty string, "false" too, is true.  Requires g - rho >= 1.  The
+    empty profile gives 1.
     """
     _check_ints(OutOfRange, g=g)
     ks = _int_tuple(OutOfRange, "multiplicities", ks)
+    if type(ordered) is not bool:
+        raise OutOfRange("ordered must be a bool, got %r" % (ordered,))
     if not ordered:
         label = math.prod(math.factorial(ks.count(v)) for v in set(ks))
         return Fraction(de_jonquieres(g, ks), label)

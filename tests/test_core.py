@@ -590,7 +590,9 @@ def spread_class(coeffs, shift=0):
     entries = [((gs[(r + shift) % len(gs)], S), coeffs[r % len(coeffs)])
                for r, (S, gs) in enumerate(_genera_of_each_set())]
     assert len(entries) == 2048 and {i for (i, _), _ in entries} == set(range(13))
-    return DivisorClass(ModuliBase(12, 12), 1, None, 0, entries)
+    a = DivisorClass(ModuliBase(12, 12), 1, None, 0, entries)
+    assert a._colours is None
+    return a
 
 
 @st.composite
@@ -599,7 +601,8 @@ def written_classes(draw):
     the unpointed diaz class up to g = 6, or the one-point weierstrass class),
     a theta class relabeled by a drawn permutation, a coloured class with the
     orbits of some genera dropped, the key-by-key class of ``spread_class``,
-    a sparse class built key by key, or the sum of the two on one base."""
+    a sparse class given to the constructor entry by entry, or the sum of the
+    two on one base."""
     g = draw(st.integers(3, 5))
     kind = draw(st.sampled_from(["logan", "theta", "coupled", "diaz", "weierstrass",
                                  "relabeled", "missing", "spread"]))

@@ -6,7 +6,10 @@ import ast
 import functools
 import importlib
 import inspect
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -134,6 +137,9 @@ def huge_theta():
     ('de_jonquieres(5, [1, "2"])', OutOfRange),
     ('de_jonquieres(5.0, [1, 2])', OutOfRange),
     ('de_jonquieres(5, 3)', OutOfRange),
+    # "false" and 0 are not bools; "false" would count ordered zeros
+    ('de_jonquieres(5, (2, 2), ordered="false")', OutOfRange),
+    ('de_jonquieres(5, (2, 2), ordered=0)', OutOfRange),
     ('plucker(1.5, 2, 3)', OutOfRange),
     ('picard_degree([1, 2], "2")', OutOfRange),
     ('residue_polynomial(2, "3", 1)', OutOfRange),
@@ -212,6 +218,12 @@ def huge_theta():
     ('coupled_partition(10 ** 20, (-2, 1, 1))', ParamOutOfRange),
     ('coupled_partition(10 ** 20, (-4, 2, 2))', ParamOutOfRange),
     ('anti_ramification(10 ** 20)', ParamOutOfRange),
+    # spin-refined classes of more than 2**28 bits, about g bits a key, on
+    # bases that _check_size admits
+    ('theta_characteristic_locus(16385)', ParamOutOfRange),
+    ('d_infinity(11586)', ParamOutOfRange),
+    ('coupled_partition(11586, (1, 1))', ParamOutOfRange),
+    ('coupled_partition(11586, (-2, 2), "odd")', ParamOutOfRange),
     # a JSON document that is not text
     ('from_json(5)', MalformedJSON),
     ('from_json(None)', MalformedJSON),
@@ -238,6 +250,23 @@ def test_a_malformed_argument_raises_pic_error(call, error):
     with pytest.raises(error):
         eval(call)
     assert issubclass(error, PicError)
+
+
+def test_a_spin_class_of_too_many_bits_is_refused_before_it_is_computed():
+    # R9b at h = 10**6 builds coupled_partition(10**6 + 4, (1, 1)): about
+    # 2 * 10**6 keys, which _check_size admits, of about 10**6 bits each.
+    # Computed, it passes 1 GB, so the child has a capped address space and
+    # a time limit
+    probe = ("import resource\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from artifact import ParamOutOfRange\n"
+             "from artifact.verify import run_relation\n"
+             "try:\n    run_relation('R9b', {'g': 4, 'h': 10 ** 6})\n"
+             "except ParamOutOfRange:\n    print('refused')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.stdout == "refused\n", out.stderr
 
 
 @pytest.mark.parametrize("name", ["__init__", "core", "maps", "catalog",
@@ -296,6 +325,21 @@ def _callers(test, kind=ast.Name):
     for module, tree in _package_trees():
         visit(module, tree, "")
     return found
+
+
+def test_both_doors_read_entries_by_one_rule():
+    # the one reader of boundary entries has two callers, the constructor and
+    # from_json, and each proposes the colouring that _colouring makes of
+    # its psi, so that both store a class by one rule
+    found = _callers(lambda call: call.func.id == "_read_boundary")
+    assert sorted(found) == [("core", "DivisorClass.__init__"), ("core", "from_json")], found
+    calls = [n for n in ast.walk(dict(_package_trees())["core"]) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "_read_boundary"]
+    for call in calls:
+        colours = call.args[5] if len(call.args) > 5 else next(
+            (k.value for k in call.keywords if k.arg == "colours"), None)
+        assert isinstance(colours, ast.Call) and ast.unparse(colours.func) == "_colouring", \
+            ast.unparse(call)
 
 
 def test_the_genus2_normal_form_has_one_caller():

@@ -1,5 +1,5 @@
 """Classes in orbit form: one stored coefficient per orbit of the keys under a
-colouring of the labels, checked against the same classes built key by key."""
+colouring of the labels, checked against the same classes stored key by key."""
 
 import copy
 import json
@@ -72,8 +72,9 @@ def _id(case):
 
 
 def by_keys(a):
-    """a built key by key, with the singleton colouring."""
-    return DivisorClass(a.base, a.lam, a.psi, a.delta0, dict(a.boundary))
+    """a stored key by key, with the singleton colouring: built by the
+    trusted constructor, as the checked one would find a's colouring."""
+    return DivisorClass._from_canonical(a.base, a.lam, a.psi, a.delta0, dict(a.boundary))
 
 
 def texts(x):
@@ -199,6 +200,36 @@ def test_hash_agrees_with_equals_across_colourings(a):
         assert to_json(copied) == to_json(a)
 
 
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda a: pickle.loads(pickle.dumps(a))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copy_keeps_its_orbits(copier):
+    # a copy is rebuilt by the checked constructor, which finds the
+    # colouring of its psi again
+    a = logan_class(12, (1,) * 12)
+    b = copier(a)
+    assert b is not a and b._colours == a._colours and b._orbits == a._orbits
+    assert len(b._orbits) == 142
+    assert to_json(b) == to_json(a) and hash(b) == hash(a)
+
+
+def test_the_constructor_stores_symmetric_entries_in_orbit_form():
+    # the constructor reads its entries by the rule of from_json: keys in
+    # either mirror form, repeated or with a zero added, that fill the orbits
+    # of the colouring of psi give one coefficient per orbit
+    a = logan_class(5, (1,) * 5)
+    labels = set(a.base.labels())
+    entries = list(a.boundary.items())
+    mirrored = [((a.base.g - k.i, labels - k.S), c) for k, c in entries]
+    split = [(k, x) for k, c in entries for x in (c - 1, 1)]
+    for given in (a.boundary, entries, mirrored, split, entries + [(entries[0][0], 0)]):
+        b = DivisorClass(a.base, a.lam, a.psi, a.delta0, given)
+        assert b._colours == a._colours and b._orbits == a._orbits
+    # one key dropped breaks the symmetry
+    b = DivisorClass(a.base, a.lam, a.psi, a.delta0, entries[:-1])
+    assert b._colours is None and len(b._orbits) == len(entries) - 1
+
+
 @st.composite
 def repeated_weight_classes(draw):
     """A logan, theta-pullback or coupled class at g = 2..5 whose weights
@@ -285,12 +316,12 @@ class TestNoExpansion:
         text = to_json(a)
         assert to_csv(a) and to_latex(a) and to_latex_expr(a) and repr(a)
         assert expansions == []
-        # a comparison with a class built key by key refines a to every key,
-        # once: the expansion is kept, and the read-only view reads it
-        keyed = DivisorClass(a.base, a.lam, a.psi, a.delta0,
-                             [((e["i"], e["S"]), int(e["c"]))
-                              for e in json.loads(text)["boundary"]])
+        # a class stored key by key is made from a's expansion; a comparison
+        # with it refines a to every key, and reads the expansion a keeps, as
+        # the read-only view does
+        keyed = DivisorClass._from_canonical(a.base, a.lam, a.psi, a.delta0, dict(a.boundary))
         assert keyed._colours is None and equals(keyed, a)
+        assert to_json(keyed) == text
         assert len(a.boundary) == len(a.boundary) == 24564
         assert expansions == [a.base]
 
@@ -445,13 +476,18 @@ def _symmetric_document(g=5):
     return json.loads(to_json(a)), a
 
 
-def _read_as_the_constructor(doc):
-    """from_json of doc, after checking that it reads to exactly what the
-    constructor gives for the same entries."""
-    base = ModuliBase(doc["g"], doc["n"])
-    want = DivisorClass(base, Fraction(doc["lambda"]), [Fraction(c) for c in doc["psi"]],
-                        Fraction(doc["delta0"]),
+def _constructed(doc):
+    """The class that the constructor gives for the fields and entries of
+    the parsed document doc."""
+    return DivisorClass(ModuliBase(doc["g"], doc["n"]), Fraction(doc["lambda"]),
+                        [Fraction(c) for c in doc["psi"]], Fraction(doc["delta0"]),
                         [((e["i"], e["S"]), Fraction(e["c"])) for e in doc["boundary"]])
+
+
+def _read_as_the_constructor(doc):
+    """from_json of doc, after checking that it reads key by key, to exactly
+    what the constructor gives for the same entries."""
+    want = _constructed(doc)
     got = from_json(json.dumps(doc))
     assert got._colours is None and got._orbits == want._orbits
     assert equals(got, want) and to_json(got) == to_json(want)
@@ -462,9 +498,19 @@ def _changed(e, c):
     return {**e, "c": str(c)}
 
 
+def _read_in_orbit_form(doc, a):
+    """Check that from_json of doc and the constructor given its entries
+    both read the class a, in a's orbit form."""
+    for b in (from_json(json.dumps(doc)), _constructed(doc)):
+        assert b._colours == a._colours and b._orbits == a._orbits
+        assert equals(b, a) and to_json(b) == to_json(a)
+
+
 class TestReadBackFallsBack:
     """A document that breaks the symmetry its psi proposes, anywhere in it,
-    reads key by key, to what the constructor reads."""
+    reads key by key, to what the constructor reads.  Entries that only
+    split a key's coefficient or add a zero do not break it: what the reader
+    groups is the sum of the entries at each key."""
 
     @pytest.fixture(params=[0, 37, -1], ids=["first", "middle", "last"])
     def at(self, request):
@@ -491,7 +537,7 @@ class TestReadBackFallsBack:
         e = doc["boundary"][at]
         c = Fraction(e["c"])
         doc["boundary"][at:at + 1 or None] = [_changed(e, c / 3), _changed(e, c - c / 3)]
-        assert equals(_read_as_the_constructor(doc), a)
+        _read_in_orbit_form(doc, a)
 
     def test_one_mirror_form_added(self, at):
         doc, a = _symmetric_document()
@@ -505,7 +551,7 @@ class TestReadBackFallsBack:
         doc, a = _symmetric_document()
         e = doc["boundary"][at]
         doc["boundary"].insert(at if at >= 0 else len(doc["boundary"]), _changed(e, 0))
-        assert equals(_read_as_the_constructor(doc), a)
+        _read_in_orbit_form(doc, a)
 
     def test_distinct_psi_proposes_no_colouring(self):
         doc, a = _symmetric_document()
