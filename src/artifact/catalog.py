@@ -90,10 +90,6 @@ class UnsupportedWeights(PicError):
     pass
 
 
-class UnsupportedPole(PicError):
-    pass
-
-
 class ParityUnavailable(PicError):
     pass
 
@@ -643,16 +639,12 @@ def coupled_partition(g, d, parity="total"):
         raise UnsupportedWeights("weights must sum to zero")
     negs = sorted(-x for x in d if x < 0)
     if negs == [2]:
+        # the other weights are positive and sum to 2: (2) or (1, 1)
         if sorted(d) == [-2, 2]:
             return _coupled_m2_2(g, d, parity)
-        if sorted(d) == [-2, 1, 1]:
-            if parity != "total":
-                raise ParityUnavailable("odd weights admit no spin refinement")
-            return _coupled_m2_1_1(g, d)
-        raise UnsupportedPole(
-            "a single double pole is only supported with weights (-2,2) "
-            "or (-2,1,1)"
-        )
+        if parity != "total":
+            raise ParityUnavailable("odd weights admit no spin refinement")
+        return _coupled_m2_1_1(g, d)
     if parity != "total" and any(x % 2 for x in d):
         raise ParityUnavailable("spin refinement needs all weights even")
     return _coupled_general(g, d, parity)

@@ -73,11 +73,13 @@ Boundary coefficients enter a class through two doors: a catalog formula
 (``catalog._assemble``), or entry by entry through ``_read_boundary``, the one
 reader of (i, S, c) entries, which spans each distinct label set once and
 visits each entry once.  The constructor hands it its ((i, S), c) pairs,
-and ``from_json`` the entries of a parsed document, each with its own
-coefficient reader and error class.  The labels of a constructor's entry
-are checked every time; those of a document once per distinct label list,
-when one proof per document shows that none of its values equals an int
-without being one.  A pair that is not its own key is read
+and ``from_json`` the entries of a parsed document, each with its error
+class and its coefficient reader: ``_frac``, or ``_json_coeff``, which adds
+only JSON's type gate, and both read a string by the one parse,
+``_from_text``.  The labels of a constructor's entry are checked every
+time; those of every document once per distinct label list, when one proof
+per document shows that none of its values equals an int without being
+one.  A pair that is not its own key is read
 after every entry is checked, so a malformed entry anywhere is reported
 before a bad base or pair.  The reader adds up the entries of each key in
 one representation, a dict per label set, and both doors propose the
@@ -98,6 +100,7 @@ import gc
 import json
 from math import comb, prod
 import operator
+import re
 import sys
 from types import MappingProxyType
 
@@ -657,15 +660,20 @@ def _frac(x):
 def _from_text(s):
     """The Fraction that the text s names, read as Fraction reads it; text
     that Fraction refuses raises ValueError.  This is the one parse of a
-    coefficient string.  A value with more digits than Python writes as text
-    (``sys.get_int_max_str_digits()``, where 0 sets no limit), which the
-    writers would refuse, raises ParamOutOfRange.  When the exponent alone
-    reaches the limit, s is refused before its power of ten is computed, as
-    Fraction would compute it at any size; any other s once it is read."""
+    coefficient string, for the constructor (``_frac``) and for a JSON
+    document (``_json_coeff``).  A value with more digits than Python writes
+    as text (``sys.get_int_max_str_digits()``, where 0 sets no limit), which
+    the writers would refuse, raises ParamOutOfRange.  Text with a run of
+    more digits than the limit, which Fraction would refuse as no number,
+    and text whose exponent alone reaches it are refused before they are
+    read, the latter before its power of ten is computed, as Fraction would
+    compute it at any size; any other s once it is read."""
     limit = sys.get_int_max_str_digits()
     _, e, power = s.lower().rpartition("e")
+    # int() refuses a run of digits past the limit inside Fraction
+    longest = max(map(len, re.findall(r"\d+", s.replace("_", ""))), default=0)
     try:
-        too_long = limit and e and abs(int(power)) >= limit
+        too_long = limit and (longest > limit or e and abs(int(power)) >= limit)
     except ValueError:  # no exponent that Fraction reads, so it refuses s
         too_long = False
     if not too_long:
@@ -788,7 +796,7 @@ def _read_boundary(base, entries, coeff, error, held=None, colours=None, fields=
             if type(S) is not list:
                 raise MalformedJSON("bad boundary entry %r: S is not a list" % (e,))
         try:
-            t = S if type(S) is frozenset else tuple(S)
+            t = tuple(S)
             side = sides.get(t)
             ok = type(i) is int and (proved and side is not None
                                      or ints.issuperset(map(type, t)))
@@ -802,9 +810,7 @@ def _read_boundary(base, entries, coeff, error, held=None, colours=None, fields=
             lo, hi = _span(base, T) if base else (1, 0)
             side = sides[t] = (T, lo, hi, own.setdefault(T, {}) if lo <= hi else None)
         T, lo, hi, read = side
-        if type(c) is int:
-            v = c
-        elif type(c) is str:
+        if type(c) is str:
             v = coeffs.get(c)
             if v is None:
                 v = coeffs[c] = coeff(c)
@@ -1303,15 +1309,15 @@ def to_json(a):
 
 
 def _json_coeff(x):
-    # an int (not a bool) or a rational string; a JSON float is never exact
+    """The coefficient that a JSON value names, in the form of ``_frac``: an
+    int (not a bool), or a string read by ``_from_text``, the one parse of a
+    coefficient string.  Any other value (a float, a bool, null, a list or
+    an object) raises MalformedJSON, and so does text that is not a number
+    or that ``_from_text`` refuses past the digit limit."""
     if type(x) is int:
         return x
     if type(x) is str:
         try:
-            # the common case, an ASCII integer, skips the Fraction regex;
-            # int() and Fraction agree on it, and both refuse too many digits
-            if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
-                return int(x)
             return _frac(_from_text(x))
         except (ValueError, ZeroDivisionError):
             pass
@@ -1332,10 +1338,6 @@ def _json_fields(d, fields):
         raise MalformedJSON("missing field %s" % e) from None
 
 
-# a shorter document holds a few entries, on which the proof of ``from_json``
-# saves less than the decoder costs that its hook makes ``json.loads`` build
-_PROOF_MIN = 1024
-
 # the fields of a document, and of each boundary entry (``_read_boundary``)
 _HEAD = operator.itemgetter("g", "n", "lambda", "psi", "delta0", "boundary")
 _ENTRY = operator.itemgetter("i", "S", "c")
@@ -1355,23 +1357,20 @@ def from_json(s):
     label list when one proof holds for the whole document: it has no
     ``true`` or ``false`` in its text and no number with a fraction or an
     exponent, which a ``parse_float`` hook of ``json.loads`` records, so no
-    label can equal an int without being one.  Without the proof, and in a
-    document shorter than ``_PROOF_MIN``, where the hook costs more than it
-    saves, the labels of every entry are checked.  An error of the base or
+    label can equal an int without being one.  Without the proof, the
+    labels of every entry are checked.  An error of the base or
     of psi is held until every entry is checked: a malformed entry anywhere
     in the document is reported first, and a pair that names no class last.
     The reader is handed the colouring of psi (``_colouring``), as the
     constructor hands it, and the class is in orbit form under it when the
     sums of the entries fill its orbits, each with one coefficient; it is
     stored key by key otherwise."""
-    floats = []  # the float tokens of a document long enough to prove
+    floats = []  # the float tokens of the document
     try:
         # the text that json.loads reads, bytes decoded as it decodes them
         text = (s.decode(json.detect_encoding(s), "surrogatepass")
                 if isinstance(s, (bytes, bytearray)) else s)
-        prove = isinstance(text, str) and len(text) >= _PROOF_MIN
-        d = (json.loads(s, parse_float=lambda x: floats.append(x) or float(x)) if prove
-             else json.loads(s))
+        d = json.loads(s, parse_float=lambda x: floats.append(x) or float(x))
     except (TypeError, ValueError, RecursionError) as e:  # TypeError: s is not text
         raise MalformedJSON("not JSON: %s" % e) from None
     g, n, lam, psi, delta0, boundary = _json_fields(d, _HEAD)
@@ -1388,7 +1387,7 @@ def from_json(s):
         base, held, psi = None, e, ()  # the reader raises held
     # only the tokens true and false and a number with a fraction or an
     # exponent give a value that equals an int without being one
-    proved = prove and not floats and "true" not in text and "false" not in text
+    proved = not floats and "true" not in text and "false" not in text
     boundary, colours = _read_boundary(base, boundary, _json_coeff, MalformedJSON, held,
                                        _colouring(psi), _ENTRY, proved)
     return DivisorClass._from_canonical(base, lam, psi, delta0, boundary, colours)

@@ -148,6 +148,13 @@ class IntPolynomial(_Frozen):
 # The highest degree a residue polynomial may have: its coefficients are
 # stored one per degree, and a larger j is refused before any is built.
 _MAX_DEGREE = 1 << 22
+# The most bits that the terms of a residue polynomial may hold in all, by an
+# upper bound read from j, k and m before any is built: its band has at most
+# min(j, m + 1) terms, and each is at most C(j + k - 2, j - 1) (Vandermonde),
+# which is below both 2**(j + k - 2) and (j + k)**min(j, k).  A binomial near
+# the centre costs about the square of its bits, so the budget is small: the
+# dearest call it admits, two terms of 2**18 bits, takes seconds.
+_MAX_BITS = 1 << 19
 
 
 def residue_polynomial(j, k, m):
@@ -156,9 +163,10 @@ def residue_polynomial(j, k, m):
     configurations of a (j, k) collision carry an m-fold residue condition.
 
     Requires j, k >= 2 and 1 <= m <= j+k-3 so that both poles have order at
-    least two and both zero orders are positive, and j - 1 <= 2**22.  The
-    second factor is 0 below i = j-1-m, so only the band of at most m + 1
-    terms above it is computed.
+    least two and both zero orders are positive, j - 1 <= 2**22, and an
+    upper bound on the bits of its terms of at most 2**19 (``_MAX_BITS``).
+    The second factor is 0 below i = j-1-m, so only the band of at most
+    m + 1 terms above it is computed.
     """
     _check_ints(OutOfRange, j=j, k=k, m=m)
     if j < 2 or k < 2:
@@ -168,6 +176,9 @@ def residue_polynomial(j, k, m):
     if j - 1 > _MAX_DEGREE:
         raise OutOfRange("a residue polynomial of degree past %d is refused, got j=%d"
                          % (_MAX_DEGREE, j))
+    if min(j, m + 1) * min(j + k - 2, min(j, k) * (j + k).bit_length()) > _MAX_BITS:
+        raise OutOfRange("a residue polynomial whose terms may pass %d bits is refused, "
+                         "got j=%d k=%d m=%d" % (_MAX_BITS, j, k, m))
     low = max(0, j - 1 - m)
     return IntPolynomial([0] * low + [math.comb(j + k - m - 2, i) * math.comb(m, j - i - 1)
                                       for i in range(low, j)])

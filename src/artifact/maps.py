@@ -18,9 +18,11 @@ and moves: forgetting a point, gluing a closed tail and identifying two
 points move each label by the lift and give each point they add a colour of
 its own, and gluing a pointed tail cuts by whether a label is one of the
 tail's points or the attach point.  Forgetting a point, gluing a closed
-tail and identifying two points share one image rule, ``_pull_two_sided``;
-its comment and the one in the glue-tail handler say which images exist and
-why they are distinct.
+tail and identifying two points share one setup, ``_pull_two_sided``: it
+lifts the codomain labels onto the domain labels outside the points the map
+forgets or glues, moves psi by that lift and walks the boundary by one image
+rule.  Its comment and the one in the glue-tail handler say which images
+exist and why they are distinct.
 """
 
 from types import MappingProxyType
@@ -203,13 +205,15 @@ def _pull_glue_tail(m, a):
     return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, colours)
 
 
-def _pull_two_sided(dom, a, lift, h, A):
-    """The image keys of the boundary of a along a map that forgets the
-    domain points A (h = 0) or glues them into a genus-h piece, and the
-    domain's colouring: a key (i, S) pulls back to its far image (i, S') and
-    its near image (i - h, S' + A), with S' = lift(S), on the two sides of A.
-    (h, A) is (0, {j}) for forgetting j, (h, {at}) for a closed tail glued
-    at at and (1, {1, 2}) for identifying 1 and 2."""
+def _pull_two_sided(dom, a, h, A):
+    """(psi, bnd, colours): the psi coefficients of a on the domain, and the
+    image keys of the boundary of a and the domain's colouring, along a map
+    that forgets the domain points A (h = 0) or glues them into a genus-h
+    piece.  A key (i, S) pulls back to its far image (i, S') and its near
+    image (i - h, S' + A), with S' = lift(S), on the two sides of A, and
+    psi_k goes to psi_{lift(k)}.  (h, A) is (0, {j}) for forgetting j,
+    (h, {at}) for a closed tail glued at at and (1, {1, 2}) for identifying
+    1 and 2."""
     # lift is the order-preserving bijection of the codomain labels onto the
     # domain labels outside A.  The node of an image's generic member becomes
     # a node of the key's type under the map, so an image determines its key,
@@ -219,34 +223,29 @@ def _pull_two_sided(dom, a, lift, h, A):
     # 2i = g + h.  That symmetric class meets the image of the map in one
     # divisor, through the one separating node, transversally, so it is
     # counted once: the second store writes the same coefficient again.
-    same = lift == list(range(len(lift)))
+    lift = [0, *(x for x in dom.labels() if x not in A)]  # cod label k -> dom label
 
     def images(S):
-        # a lift that keeps every label keeps S, and the image shares it
-        F = S if same else frozenset(map(lift.__getitem__, S))
+        F = frozenset(map(lift.__getitem__, S))
         return _side(dom, F) + _side(dom, F | A, h)
 
     # The lift maps the orbits of a's colouring onto those of the lifted
     # colouring, in which each point of A has a colour of its own.
-    return _walk(a, lift.__getitem__, images, extra=A)
+    return (_lift_psi(dom, a, lift), *_walk(a, lift.__getitem__, images, extra=A))
 
 
 def _pull_glue_closed_tail(m, a):
     dom = m.domain
     h, at = m.params["h"], m.params["attach"]
-    lift = [0, *(x for x in dom.labels() if x != at)]  # cod label k -> dom label
-    psi = _lift_psi(dom, a, lift)
+    psi, bnd, colours = _pull_two_sided(dom, a, h, {at})
     # the class whose generic member is the tail itself (h >= 1) also meets psi
     psi[at - 1] = -a.delta(h, ())
-    bnd, colours = _pull_two_sided(dom, a, lift, h, {at})
     return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, colours)
 
 
 def _pull_identify_points(m, a):
     dom = m.domain
-    lift = [0, *range(3, dom.n + 1)]  # cod label k -> dom label
-    psi = _lift_psi(dom, a, lift)
-    bnd, colours = _pull_two_sided(dom, a, lift, 1, {1, 2})
+    psi, bnd, colours = _pull_two_sided(dom, a, 1, {1, 2})
     # every class separating the two glued points maps into the irreducible
     # boundary; each such class has exactly one representative (i, S) with 1
     # in S and 2 outside, and that is its key when it names a class, that is
@@ -266,19 +265,18 @@ def _pull_identify_points(m, a):
 def _pull_forget(m, a):
     dom = m.domain
     j = m.params["j"]
-    lift = [0, *range(1, j), *range(j + 1, dom.n + 1)]  # cod label k -> dom label
-    bnd, colours = _pull_two_sided(dom, a, lift, 0, {j})
+    psi, bnd, colours = _pull_two_sided(dom, a, 0, {j})
     # psi_k pulls back to psi_k less the class where k and j bubble off,
     # which is stable: the far side has genus g >= 2.  These classes for the
     # labels k of one colour make one orbit, and psi_k is the same on them,
-    # so only the one keyed by the orbit's representative is stored.
-    for k, c in enumerate(a.psi, 1):
+    # so only the one keyed by the orbit's representative is stored.  The
+    # domain's psi_j is 0, as no codomain label lifts to j.
+    for k, c in enumerate(psi, 1):
         if c:
-            key = canonical_index(dom, 0, (lift[k], j))
+            key = canonical_index(dom, 0, (k, j))
             if _rep(colours, key.S) == key.S:
                 _acc(bnd, key, -c)
-    return DivisorClass._from_canonical(dom, a.lam, _lift_psi(dom, a, lift), a.delta0, bnd,
-                                        colours)
+    return DivisorClass._from_canonical(dom, a.lam, psi, a.delta0, bnd, colours)
 
 
 _HANDLERS = {

@@ -972,6 +972,26 @@ class TestFromJsonRejects:
         with pytest.raises(ParamOutOfRange, match="digits"):
             DivisorClass(ModuliBase(3, 0), 1) * text
 
+    @pytest.mark.parametrize("form", ["{0}", "-{0}", "{0}/7", "1/{0}", "0.{0}", "1_{0}",
+                                      "1e{0}", " {0} "])
+    def test_a_run_of_digits_past_the_limit_is_refused_by_both_doors(self, form):
+        # int() refuses the run inside Fraction, which would name the text no
+        # number; both doors name the limit instead
+        text = form.format("9" * (self.LIMIT + 1))
+        doc = '{"g":3,"n":1,"lambda":%s,"psi":["0"],"delta0":"0","boundary":[]}'
+        with pytest.raises(MalformedJSON, match="digits"):
+            from_json(doc % json.dumps(text))
+        with pytest.raises(ParamOutOfRange, match="digits"):
+            DivisorClass(ModuliBase(3, 1), text)
+        with pytest.raises(ParamOutOfRange, match="digits"):
+            DivisorClass(ModuliBase(3, 1), 1) * text
+
+    def test_a_run_of_digits_at_the_limit_reads(self):
+        text = "9" * self.LIMIT
+        doc = '{"g":3,"n":0,"lambda":%s,"psi":[],"delta0":"0","boundary":[]}'
+        assert from_json(doc % json.dumps(text)).lam == int(text)
+        assert DivisorClass(ModuliBase(3, 0), text + "/7").lam == Fraction(int(text), 7)
+
     def test_a_huge_exponent_is_refused_before_it_is_computed(self):
         # computed, 10**1000000000 is an int of about 415 MB and takes
         # minutes: the child has a capped address space and a time limit
@@ -1142,8 +1162,8 @@ class TestFromJsonEntries:
             assert self.same_class(got, want) and to_json(got) == self.LONG
 
     def test_the_document_is_proved_once(self, monkeypatch):
-        # the reader is told the proof holds only for a long document with
-        # no true, false or float token anywhere in its text
+        # the reader is told the proof holds for a document, long or short,
+        # with no true, false or float token anywhere in its text
         seen = []
         real = core._read_boundary
         monkeypatch.setattr(core, "_read_boundary",
@@ -1153,8 +1173,19 @@ class TestFromJsonEntries:
         from_json(self.LONG[:-1] + ',"x":"true"}')
         from_json(self.LONG[:-1] + ',"x":0.5}')
         from_json(to_json(weierstrass(3)))
-        assert seen == [True, True, False, False, False]
-        assert len(to_json(weierstrass(3))) < core._PROOF_MIN <= len(self.LONG)
+        from_json(to_json(weierstrass(3))[:-1] + ',"x":false}')
+        assert seen == [True, True, False, False, True, False]
+
+    @pytest.mark.parametrize("S", ['""', "{}", '"1"'])
+    def test_an_entry_whose_S_is_not_a_list_is_refused(self, S):
+        # "" and {} hold no label, as the [] of an unpointed base does, so
+        # only the list check refuses them
+        doc = json.loads(to_json(diaz(4)))
+        assert doc["boundary"] and all(e["S"] == [] for e in doc["boundary"])
+        for e in doc["boundary"]:
+            e["S"] = json.loads(S)
+        with pytest.raises(MalformedJSON, match="S is not a list"):
+            from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-16-le", "utf-16-be",
                                           "utf-32", "utf-32-le", "utf-32-be"])

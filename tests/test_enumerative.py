@@ -1,13 +1,18 @@
 import copy
 import itertools
 import math
+import os
+from pathlib import Path
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from artifact import enumerative
 from artifact.enumerative import (
     ArityMismatch,
     IntPolynomial,
@@ -211,6 +216,19 @@ class TestResiduePolynomial:
         assert len(calls) <= 2 * (2 + 1)
         assert p.degree == 10 ** 4 - 1 and sum(1 for c in p.coeffs if c) == 3
         assert count_distinct_nonzero_roots(p) == 2
+
+    def test_terms_past_the_bits_budget_are_refused_before_they_are_computed(self):
+        # computed, the 20000 terms hold about 1.8 * 10**9 bits: the child has
+        # a capped address space and a time limit
+        probe = ("import resource\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from artifact.enumerative import OutOfRange, residue_polynomial\n"
+                 "try:\n    residue_polynomial(20000, 10 ** 6, 10 ** 6)\n"
+                 "except OutOfRange:\n    print('refused')\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(enumerative.__file__).parent.parent))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert out.stdout == "refused\n", out.stderr
 
     def test_degree_and_positivity(self):
         for j in range(2, 7):

@@ -4,7 +4,7 @@ the immutability rule of the value types."""
 
 import ast
 import functools
-import importlib
+import importlib.util
 import inspect
 import os
 from pathlib import Path
@@ -20,6 +20,7 @@ from artifact import (
     ParamOutOfRange,
     PicError,
     UnknownCurve,
+    UnsupportedWeights,
     bn_coefficient_check,
     IntPolynomial,
     anti_ramification,
@@ -92,6 +93,7 @@ def huge_theta():
     ('pinch_partition("4", (1, 2))', ParamOutOfRange),
     ('theta_pullback_class(4, (5, -2.0))', ParamOutOfRange),
     ('coupled_partition(3, (-2, 2.0))', ParamOutOfRange),
+    ('pinch_partition(3, ())', UnsupportedWeights),
     # map parameters
     ('glue_tail(B21, "1", 0, 1)', InvalidMap),
     ('glue_tail(B21, 1.0, 0, 1)', InvalidMap),
@@ -129,6 +131,9 @@ def huge_theta():
     ('builtin_test_curve("B", ModuliBase(4, 1), i=1, n=99)', ParamOutOfRange),
     ('builtin_test_curve("C", ModuliBase(4, 1), i=1, n=1)', ParamOutOfRange),
     ('builtin_test_curve(["A"], ModuliBase(4, 1))', UnknownCurve),
+    # a curve that the base cannot carry, and a pairing of an unknown generator
+    ('builtin_test_curve("Bin", ModuliBase(3, 2), i=1, n=1)', UnknownCurve),
+    ('core.TestCurve(ModuliBase(3, 1), "x", {"mu": 1})', UnknownCurve),
     # a test curve on a base past the key limit, as every other key-building
     # path refuses it
     ('builtin_test_curve("Bin", ModuliBase(19, 19), i=1, n=1)', ParamOutOfRange),
@@ -148,8 +153,11 @@ def huge_theta():
     ('IntPolynomial([1, True])', OutOfRange),
     ('IntPolynomial(5)', OutOfRange),
     ('count_distinct_nonzero_roots(5)', OutOfRange),
-    # a degree past the limit is refused before a coefficient is built
+    # a degree past the limit is refused before a coefficient is built, and
+    # so are terms that may pass the bits budget
     ('residue_polynomial(10 ** 20, 3, 2)', OutOfRange),
+    ('residue_polynomial(2000, 10 ** 6, 10 ** 6)', OutOfRange),
+    ('residue_polynomial(2 ** 22, 2 ** 22, 1)', OutOfRange),
     # a polynomial is evaluated only at an exact point
     ('IntPolynomial([1, 2])(0.5)', OutOfRange),
     ('IntPolynomial([1, 2])("1")', OutOfRange),
@@ -242,6 +250,9 @@ def huge_theta():
     ('run_suite(3, suite=["R1"])', UnknownRelation),
     ('run_relation(["R1"], {})', UnknownRelation),
     ('run_relation(("R1", "R2"), {})', UnknownRelation),
+    # a case parameter that names no case of the relation
+    ('run_relation("R13", {"g": 3, "case": "z"})', UnknownRelation),
+    ('run_relation("R18", {"g": 3, "curve": "Z", "i": 0})', UnknownRelation),
     # an R17 order with more digits than int() reads
     ('run_relation("R17", {"g": 4, "cls": "double-zero-k" + "1" * 5000, "expect": False})',
      UnknownRelation),
@@ -383,6 +394,31 @@ def test_the_pullbacks_walk_the_keys_through_core():
     names = [n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(maps)
              if isinstance(n, (ast.Attribute, ast.Name))]
     assert "_walk" in names and "_boundary" not in names
+
+
+def test_the_two_sided_lift_is_written_once():
+    # forgetting a point, gluing a closed tail and identifying two points
+    # lift the labels and psi in _pull_two_sided, and nowhere else in maps
+    found = _callers(lambda call: call.func.id == "_lift_psi")
+    assert [f for f in found if f[0] == "maps"] == [("maps", "_pull_two_sided")], found
+    labels = _callers(lambda call: call.func.attr == "labels", ast.Attribute)
+    handlers = {"_pull_glue_closed_tail", "_pull_identify_points", "_pull_forget"}
+    assert ("maps", "_pull_two_sided") in labels
+    assert not [f for f in labels if f[0] == "maps" and f[1] in handlers], labels
+
+
+def test_code_lines_counts_no_blank_comment_or_docstring_line(tmp_path):
+    # the rule of the line counts that ROADMAP reports for src/
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", Path(__file__).resolve().parent.parent / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = tmp_path / "m.py"
+    source.write_text('"""Module\ndocstring."""\n\n# a comment\nX = (1,\n     2)  # two\n\n\n'
+                      'class C:\n    """One line."""\n\n    def f(self):\n'
+                      '        """Two\n        lines."""\n        return """not a\n'
+                      '        docstring"""\n')
+    assert tool.code_lines(source) == 6
 
 
 def test_only_core_makes_cuts_and_carries_a_colouring():
