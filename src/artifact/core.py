@@ -51,16 +51,18 @@ holds it, and ``_members`` gives the sets it splits into.  A sum,
 finer than both (``_meet``), and ``hash`` reads every key, so that it does
 not depend on the colouring; ``delta`` and ``pair`` read one key at its
 representative.  Full expansion is the refinement to the singleton
-colouring (``_expand``): ``boundary`` expands on its first read and keeps
-the result, which ``hash``, copies and a comparison with a class stored
-key by key read.  The serializers expand nothing: ``_boundary_rows`` writes the
-rows of every key from the orbits and a rank table that the class makes on
-its first write and keeps (``_table``, beside the kept expansion): the
-member sets of its orbits in output order, the text of each and the orbit
-that owns it.  The rows of one genus are one pass over the table, a row as
-the text of its label set between the two ends its writer makes once per
-genus and coefficient; no row is sorted.  Like the expansion, copies do not carry
-the table, and ``hash`` and ``equals`` never read it.
+colouring (``_expand``), a dict made for the one call that needs it:
+``hash``, a copy, and a sum or comparison with a class stored key by key;
+no class keeps it.  ``boundary`` expands nothing: it is a view that reads
+the orbits (``_KeyView``), where a lookup costs one orbit and iteration
+yields the keys one at a time.  Nor do the serializers: ``_boundary_rows``
+writes the rows of every key from the orbits and a rank table that the
+class makes on its first write and keeps (``_table``): the member sets of
+its orbits in output order, the text of each and the orbit that owns it.
+The rows of one genus are one pass over the table, a row as the text of
+its label set between the two ends its writer makes once per genus and
+coefficient; no row is sorted.  Copies do not carry the table, and
+``hash`` and ``equals`` never read it.
 
 Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
@@ -94,6 +96,7 @@ limit with ParamOutOfRange.
 """
 
 from collections import namedtuple
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 import functools
 import gc
@@ -509,34 +512,103 @@ def _members(a, colours):
 
 
 def _split(a, colours):
-    """The coefficients of a by the orbits of colours, a refinement of a's
-    colouring, keyed by their representatives: each orbit of a splits into
+    """(key, c) for each orbit of colours, a refinement of a's colouring,
+    keyed by its representative, one at a time: each orbit of a splits into
     the orbits of colours that it holds (``_members``), which take its
-    coefficient.  ``_expand`` is the refinement to every key.  It reads only
-    the orbits that a holds."""
-    sets, out, new = _members(a, colours), {}, tuple.__new__
+    coefficient.  With colours None these are every key of a and its
+    coefficient, in the order of ``boundary``.  It reads only the orbits
+    that a holds."""
+    sets, new = _members(a, colours), tuple.__new__
     for (i, R), c in a._orbits.items():
         for S in sets[R]:
-            out[new(BoundaryIndex, (i, S))] = c
-    return out
+            yield new(BoundaryIndex, (i, S)), c
 
 
 @_nogc
 def _expand(a):
-    """The coefficient of every key of a: its orbits split into single keys.
-    ``DivisorClass._boundary`` calls it once per class, and keeps the
-    result."""
-    return _split(a, None)
+    """The coefficient of every key of a, as a new dict: its orbits split
+    into single keys.  It is made for the call that needs a dict (``hash``,
+    a copy, and a sum or comparison with a class stored key by key), and no
+    class keeps it."""
+    return dict(_split(a, None))
 
 
 def _refined(a, colours):
-    """The orbits of a under colours, a refinement of a's colouring; the
-    expansion that a keeps, for the singleton colouring."""
+    """The orbits of a under colours, a refinement of a's colouring, as a
+    dict; every key of a, for the singleton colouring."""
     if colours == a._colours:
         return a._orbits
     if colours is None:
-        return a._boundary
-    return _split(a, colours)
+        return _expand(a)
+    return dict(_split(a, colours))
+
+
+def _size(colours, S):
+    """The number of keys in the orbit of (i, S) under colours, a colouring
+    that is not None: the ways to choose, from each colour, as many labels
+    as S holds."""
+    return prod([comb(len(b), len(S.intersection(b))) for b in colours])
+
+
+class _KeyView(Mapping):
+    """The coefficient of every key of a class in orbit form, read from its
+    orbits and keeping nothing; ``boundary`` shows it read-only.  A lookup
+    costs one orbit: the key must be a pair (i, S) with a frozenset S that
+    ``_span`` admits, and its coefficient is the one stored at the
+    representative of S (``_rep``).  Iteration yields the keys one at a
+    time, in the order of ``_split``, and the length is the sum of the orbit
+    sizes.  What must see every key at once (a copy, ``|``, ``reversed`` and
+    ``repr``) gets a dict made for that call."""
+
+    __slots__ = ("_a",)
+
+    def __init__(self, a):
+        self._a = a
+
+    def __getitem__(self, key):
+        a = self._a
+        if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], frozenset):
+            i, S = key
+            lo, hi = _span(a.base, S)
+            if lo <= hi:
+                c = a._orbits.get((i, _rep(a._colours, S)))
+                if c is not None:
+                    return c
+        hash(key)  # an unhashable key raises TypeError, as a dict does
+        raise KeyError(key)
+
+    def __iter__(self):
+        for k, _ in _split(self._a, None):
+            yield k
+
+    def __len__(self):
+        a = self._a
+        return sum(_size(a._colours, R) for _, R in a._orbits)
+
+    def items(self):
+        return _KeyItems(self)
+
+    def copy(self):
+        return dict(self.items())
+
+    def __reversed__(self):
+        return reversed(self.copy())
+
+    def __or__(self, other):
+        return self.copy() | other
+
+    def __ror__(self, other):
+        return other | self.copy()
+
+    def __repr__(self):
+        return repr(self.copy())
+
+
+class _KeyItems(ItemsView):
+    """The (key, c) pairs of a ``_KeyView``, made one at a time by ``_split``."""
+
+    def __iter__(self):
+        return _split(self._mapping._a, None)
 
 
 def _coeff(a, key):
@@ -653,8 +725,18 @@ def _frac(x):
         try:
             x = _from_text(x) if type(x) is str else Fraction(x)
         except (TypeError, ValueError, ZeroDivisionError):
-            raise ParamOutOfRange("coefficient %r is not an exact number" % (x,)) from None
+            raise ParamOutOfRange("coefficient %s is not an exact number" % _shown(x)) from None
     return x.numerator if x.denominator == 1 else x
+
+
+def _shown(x):
+    """x as an error message quotes it: its repr, or, when its text (its
+    repr, unless x is a str) is longer than 40 characters, the first 40 and
+    the length, so that a refused value of any size makes a short message."""
+    text = x if type(x) is str else repr(x)
+    if len(text) <= 40:
+        return repr(x)
+    return "%r... (%d characters)" % (text[:40], len(text))
 
 
 def _from_text(s):
@@ -683,8 +765,8 @@ def _from_text(s):
             return x
         except ValueError:
             pass
-    raise ParamOutOfRange("coefficient %r has more than the %d digits Python writes as text"
-                          % (s, limit))
+    raise ParamOutOfRange("coefficient %s has more than the %d digits Python writes as text"
+                          % (_shown(s), limit))
 
 
 def _acc(acc, key, c):
@@ -836,9 +918,9 @@ def _read_boundary(base, entries, coeff, error, held=None, colours=None, fields=
         for T, read in own.items():
             if read:
                 orbits.setdefault(tuple(sorted(map(where.__getitem__, T))), []).append((T, read))
-        if all(len(sets) == prod([comb(len(colours[k]), ks.count(k)) for k in set(ks)])
+        if all(len(sets) == _size(colours, sets[0][0])
                and all(read == sets[0][1] for _, read in sets)
-               for ks, sets in orbits.items()):
+               for sets in orbits.values()):
             firsts = [sets[0] for sets in orbits.values()]
             return {new(BoundaryIndex, (i, _rep(colours, T))): c
                     for T, read in firsts for i, c in read.items()}, colours
@@ -859,15 +941,18 @@ class DivisorClass(_Frozen):
     the colouring of psi when their sums fill its orbits, and otherwise key
     by key, under the singleton colouring None, where every key is its own
     orbit.  A copy or a pickle, which the constructor rebuilds from the
-    expansion, is read by the same rule.  ``boundary`` is a read-only view
-    of the coefficient of every key, expanded from the orbits on the first
-    read and kept (``_keys``).  The first write keeps the rank table of the
-    rows (``_table``, made by ``_boundary_rows``), so a later write in any
-    format costs only its rows.  Neither is an argument of the constructor,
-    so a copy or a pickle carries neither.
+    expansion (``_expand``), is read by the same rule.  ``boundary`` is a
+    read-only view of the coefficient of every key, read from the orbits
+    (``_KeyView``): a lookup costs one orbit, iteration yields the keys one
+    at a time, and the class keeps no key.  ``hash``, a copy, and a sum or
+    comparison with a class stored key by key expand the class for that call
+    and keep nothing.  The first write keeps the rank table of the rows
+    (``_table``, made by ``_boundary_rows``), so a later write in any format
+    costs only its rows.  It is not an argument of the constructor, so a
+    copy or a pickle does not carry it.
     """
 
-    __slots__ = ("base", "lam", "psi", "delta0", "_orbits", "_colours", "_keys", "_table")
+    __slots__ = ("base", "lam", "psi", "delta0", "_orbits", "_colours", "_table")
 
     def __init__(self, base, lam=0, psi=None, delta0=0, boundary=None):
         _check_base(base)
@@ -894,24 +979,14 @@ class DivisorClass(_Frozen):
         return out
 
     def _init_args(self):
-        return (self.base, self.lam, self.psi, self.delta0, self._boundary), {}
-
-    @property
-    def _boundary(self):
-        """The coefficient of every key: the orbits themselves under the
-        singleton colouring, and otherwise their expansion, made on the first
-        read and kept."""
-        if self._colours is None:
-            return self._orbits
-        try:
-            return self._keys
-        except AttributeError:
-            object.__setattr__(self, "_keys", _expand(self))
-            return self._keys
+        return (self.base, self.lam, self.psi, self.delta0, _refined(self, None)), {}
 
     @property
     def boundary(self):
-        return MappingProxyType(self._boundary)
+        """The coefficient of every key, read-only: a view of the orbits
+        themselves under the singleton colouring, and otherwise of a
+        ``_KeyView``, which reads them and keeps nothing."""
+        return MappingProxyType(self._orbits if self._colours is None else _KeyView(self))
 
     def coeff(self, key):
         """Coefficient of the boundary class keyed by the pair key = (i, S),
@@ -981,7 +1056,7 @@ class DivisorClass(_Frozen):
         # hash the form that ``equals`` compares, so equal classes hash alike,
         # on every key, so that the hash does not depend on the colouring
         a = _normal(self)
-        return hash((a.base, a.lam, a.psi, a.delta0, frozenset(a._boundary.items())))
+        return hash((a.base, a.lam, a.psi, a.delta0, frozenset(_refined(a, None).items())))
 
     def __repr__(self):
         return "DivisorClass(%s, %s)" % (self.base, to_latex_expr(self))
@@ -1323,7 +1398,7 @@ def _json_coeff(x):
             pass
         except ParamOutOfRange as e:
             raise MalformedJSON(str(e)) from None
-    raise MalformedJSON("coefficient %r is not an integer or a rational string" % (x,))
+    raise MalformedJSON("coefficient %s is not an integer or a rational string" % _shown(x))
 
 
 def _json_fields(d, fields):

@@ -986,6 +986,18 @@ class TestFromJsonRejects:
         with pytest.raises(ParamOutOfRange, match="digits"):
             DivisorClass(ModuliBase(3, 1), 1) * text
 
+    @pytest.mark.parametrize("text,says", [("9" * 10**6, "digits"), ("x" * 10**6, "not an")],
+                             ids=["digits", "no-number"])
+    def test_a_refused_long_coefficient_is_quoted_short_by_both_doors(self, text, says):
+        # the message quotes a prefix of the text and its length
+        doc = '{"g":3,"n":1,"lambda":%s,"psi":["0"],"delta0":"0","boundary":[]}'
+        with pytest.raises(MalformedJSON, match=says) as read:
+            from_json(doc % json.dumps(text))
+        with pytest.raises(ParamOutOfRange, match=says) as built:
+            DivisorClass(ModuliBase(3, 1), text)
+        for e in (read, built):
+            assert len(str(e.value)) < 200 and "(1000000 characters)" in str(e.value)
+
     def test_a_run_of_digits_at_the_limit_reads(self):
         text = "9" * self.LIMIT
         doc = '{"g":3,"n":0,"lambda":%s,"psi":[],"delta0":"0","boundary":[]}'

@@ -5,7 +5,9 @@ import copy
 import json
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from artifact.core import (
     DivisorClass,
     ModuliBase,
     diff_first,
+    enumerate_boundary,
     equals,
     from_json,
     normalize_genus2,
@@ -205,8 +208,11 @@ def test_hash_agrees_with_equals_across_colourings(a):
                          ids=["copy", "deepcopy", "pickle"])
 def test_a_copy_keeps_its_orbits(copier):
     # a copy is rebuilt by the checked constructor, which finds the
-    # colouring of its psi again
+    # colouring of its psi again; a class whose boundary was read hands it a
+    # dict of every key, never the view
     a = logan_class(12, (1,) * 12)
+    assert len(a.boundary) == sum(1 for _ in a.boundary.items()) == 24564
+    assert type(a.__reduce__()[1][1][4]) is dict
     b = copier(a)
     assert b is not a and b._colours == a._colours and b._orbits == a._orbits
     assert len(b._orbits) == 142
@@ -228,6 +234,58 @@ def test_the_constructor_stores_symmetric_entries_in_orbit_form():
     # one key dropped breaks the symmetry
     b = DivisorClass(a.base, a.lam, a.psi, a.delta0, entries[:-1])
     assert b._colours is None and len(b._orbits) == len(entries) - 1
+
+
+# the coloured catalog classes, and the g = n = 12 logan class
+VIEWED = [case for case in CASES if case[0](*case[1])._colours is not None] + [
+    (logan_class, (12, (1,) * 12))]
+
+
+def _answer(read):
+    """What read() returns, or the type of the KeyError or TypeError it
+    raises."""
+    try:
+        return "value", read()
+    except (KeyError, TypeError) as e:
+        return type(e)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(VIEWED), st.data())
+def test_the_view_answers_as_the_expansion(case, data):
+    # boundary reads the orbits and keeps nothing, and answers every read
+    # as the dict of every key did, also for keys that are not canonical
+    fn, args = case
+    a = fn(*args)
+    view, keys = a.boundary, dict(core._expand(a))
+    assert a._colours is not None and type(view) is MappingProxyType
+    assert len(view) == len(keys) and list(view) == list(keys)
+    assert list(view.keys()) == list(keys.keys()) and list(view.values()) == list(keys.values())
+    assert list(view.items()) == list(keys.items()) and view.keys() == keys.keys()
+    assert view == keys and keys == view and view == a.boundary and not view != keys
+    assert repr(view) == repr(MappingProxyType(keys))
+    assert view.copy() == keys and list(reversed(view)) == list(reversed(keys))
+    assert view | {} == keys == {} | view
+    g, n = a.base
+    k = data.draw(st.sampled_from(enumerate_boundary(a.base)))
+    i, S = k
+    labels = frozenset(a.base.labels())
+    tried = [k, (i, S), (g - i, labels - S), (g + 1, S), (-1, S), (i, S | {n + 1})]
+    if 1 in S:
+        tried.append((i, S - {1} | {True}))
+    zero = [key for key in enumerate_boundary(a.base) if key not in keys]
+    if zero:
+        tried.append(data.draw(st.sampled_from(zero)))
+    for key in tried:
+        for read in (lambda m: m[key], lambda m: key in m, lambda m: m.get(key, "none")):
+            assert _answer(lambda: read(view)) == _answer(lambda: read(keys)), key
+    # a tuple S and a non-pair are no key; a set S cannot be hashed
+    for key, error in (((i, tuple(sorted(S))), KeyError), ((i, set(S)), TypeError),
+                       ((i,), KeyError), ((i, S, 0), KeyError), (5, KeyError),
+                       ("ab", KeyError)):
+        assert _answer(lambda: view[key]) is error is _answer(lambda: keys[key]), key
+        assert _answer(lambda: view.get(key)) == _answer(lambda: keys.get(key)), key
+        assert _answer(lambda: key in view) == _answer(lambda: key in keys), key
 
 
 @st.composite
@@ -298,11 +356,29 @@ class TestNoExpansion:
         assert expansions == []
         for a, out in steps:
             assert len(out._orbits) <= 4 * len(a._orbits), out.base
-        # the counts above are of orbits, far fewer than the keys
+        # the counts above are of orbits, far fewer than the keys, and the
+        # view counts the keys from the orbits
         assert len(logan.boundary) == 24564 > 100 * len(logan._orbits)
-        assert expansions == [logan.base]
+        assert expansions == []
         for _, out in steps:
             assert len(out.boundary) >= len(out._orbits)
+
+    def test_a_read_keeps_nothing(self, expansions):
+        # a lookup costs one orbit, and a walk makes the keys one at a time
+        a = logan_class(self.g, (1,) * self.g)
+        key = max(a._orbits)
+        view = a.boundary
+        assert len(view) == 24564 and view[key] == a.delta(*key)
+        assert key in view and view.get(key) == view[key] and view.get((self.g + 1, key.S)) is None
+        assert expansions == []
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert sum(1 for _ in a.boundary.items()) == 24564
+            grown = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert grown < 512 * 1024 and expansions == []
 
     def test_sums_and_comparisons_of_one_colouring_do_not_expand(self, expansions):
         a = logan_class(self.g, (1,) * self.g)
@@ -316,14 +392,15 @@ class TestNoExpansion:
         text = to_json(a)
         assert to_csv(a) and to_latex(a) and to_latex_expr(a) and repr(a)
         assert expansions == []
-        # a class stored key by key is made from a's expansion; a comparison
-        # with it refines a to every key, and reads the expansion a keeps, as
-        # the read-only view does
+        # a class stored key by key is made from a's view, which expands
+        # nothing; each comparison with it refines a to every key for that
+        # call, and a keeps none of them
         keyed = DivisorClass._from_canonical(a.base, a.lam, a.psi, a.delta0, dict(a.boundary))
-        assert keyed._colours is None and equals(keyed, a)
+        assert expansions == [] and keyed._colours is None
+        assert equals(keyed, a) and equals(a, keyed)
         assert to_json(keyed) == text
         assert len(a.boundary) == len(a.boundary) == 24564
-        assert expansions == [a.base]
+        assert expansions == [a.base, a.base]
 
     def test_a_read_back_class_keeps_its_orbits(self, expansions):
         # from_json finds the colouring of a symmetric document, so comparing
