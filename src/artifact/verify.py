@@ -5,11 +5,16 @@ coefficient checks.  Every identity is evaluated in exact rational arithmetic
 as a list of (lhs, rhs) pairs compared in order; a failing entry reports the
 first pair that differs, for two classes the first canonical generator whose
 coefficients disagree.
+
+Each relation is declared once, by ``_identity(name, cases)`` over its run
+function, which enters it in ``RELATIONS``; its parameter names and the
+catalog constructors it calls are read from the code of that function.
 """
 
 import json
 from collections import namedtuple
 from fractions import Fraction
+from types import CodeType
 
 from .core import (
     DivisorClass,
@@ -24,6 +29,7 @@ from .core import (
 )
 from .maps import forget_point, glue_closed_tail, glue_tail, pullback
 from .catalog import (
+    CONSTRUCTORS,
     PARITIES,
     anti_ramification,
     bn_coefficient_check,
@@ -122,16 +128,31 @@ class Relation:
     """One family of identities: a case enumerator plus the sides of each case.
     ``run`` returns (lhs, rhs) pairs of two DivisorClasses, two pairing values
     or two bools (a coefficient check and its expected outcome), in the order
-    they are checked; it compares nothing, ``run_relation`` does."""
+    they are checked; it compares nothing, ``run_relation`` does.
 
-    def __init__(self, name, uses, cases, run):
+    ``params`` and ``uses`` are read from the code of ``run`` when the
+    relation is made, so a later wrapper of ``run`` changes neither."""
+
+    def __init__(self, name, cases, run):
         self.name = name
-        self.uses = uses  # catalog constructor names this family exercises
         self.cases = cases  # (g_max, n_max, h_max) -> list of param dicts
         self.run = run  # (**params) -> [(lhs, rhs), ...], at least one pair
         # the parameter names of run, which a param dict must match exactly
         code = run.__code__
         self.params = frozenset(code.co_varnames[:code.co_argcount])
+        # the catalog constructors that run, or a function nested in it, names
+        names = _names(code)
+        self.uses = tuple(c for c, (fn, _) in CONSTRUCTORS.items() if fn.__name__ in names)
+
+
+def _names(code):
+    """The global and attribute names that code and the code nested in it
+    (lambdas, comprehensions) load."""
+    names = set(code.co_names)
+    for c in code.co_consts:
+        if isinstance(c, CodeType):
+            names |= _names(c)
+    return names
 
 
 RELATIONS = {}
@@ -141,8 +162,14 @@ RELATIONS = {}
 _INT_PARAMS = frozenset("ghijkn")
 
 
-def _register(name, uses, cases, run):
-    RELATIONS[name] = Relation(name, tuple(uses), cases, run)
+def _identity(name, cases):
+    """Declare the decorated run function as the relation ``name`` with the
+    case enumerator ``cases``, and enter it in ``RELATIONS``."""
+    def declare(run):
+        RELATIONS[name] = Relation(name, cases, run)
+        return run
+
+    return declare
 
 
 # A run function that branches on a parameter tests every value each branch
@@ -156,40 +183,23 @@ def _refuse(name, **params):
 
 # -- residual / Weierstrass / marked-point classes ---------------------------
 
+@_identity("R1", lambda G, N, H: [{"g": g} for g in range(4, G + 1)])
 def _r1(g):
     dom = ModuliBase(g - 1, 1)
     lhs = pullback(glue_tail(dom, 1, 0, 1), residual(g))
     rhs = g * g * weierstrass(g - 1) + pullback(forget_point(dom, 1), diaz(g - 1))
     return [(lhs, rhs)]
 
-_register("R1", ["residual", "weierstrass", "diaz"],
-          lambda G, N, H: [{"g": g} for g in range(4, G + 1)], _r1)
 
-
+@_identity("R2", lambda G, N, H: [{"g": g, "h": h}
+                                  for h in range(2, H + 1)
+                                  for g in range(2, G - h + 1) if g + h >= 4])
 def _r2(g, h):
     dom = ModuliBase(g, 1)
     lhs = pullback(glue_tail(dom, h, 0, 1), residual(g + h))
     rhs = ((g + h) ** 2 * h - (h - 1)) * weierstrass(g) + d1_mero(g, h)
     return [(lhs, rhs)]
 
-_register("R2", ["residual", "weierstrass", "d1-mero"],
-          lambda G, N, H: [{"g": g, "h": h}
-                           for h in range(2, H + 1)
-                           for g in range(2, G - h + 1) if g + h >= 4],
-          _r2)
-
-
-def _r3(g, k, i):
-    if i == g - k:
-        _refuse("R3", g=g, i=i, k=k)
-    dom = ModuliBase(g - i, 1)
-    lhs = pullback(glue_tail(dom, i, 0, 1), d1_holo(g, k))
-    if i < g - k:
-        rhs = (k + 1) ** 2 * i * weierstrass(g - i) + d1_holo(g - i, k)
-    else:
-        rhs = ((k + 1) ** 2 * i - (k - g + i)) * weierstrass(g - i) \
-            + d1_mero(g - i, k + 1 - g + i)
-    return [(lhs, rhs)]
 
 def _r3_cases(G, N, H):
     out = []
@@ -202,42 +212,51 @@ def _r3_cases(G, N, H):
                 out.append({"g": g, "k": k, "i": i})
     return out
 
-_register("R3", ["d1-holo", "d1-mero", "weierstrass"], _r3_cases, _r3)
+
+@_identity("R3", _r3_cases)
+def _r3(g, k, i):
+    if i == g - k:
+        _refuse("R3", g=g, i=i, k=k)
+    dom = ModuliBase(g - i, 1)
+    lhs = pullback(glue_tail(dom, i, 0, 1), d1_holo(g, k))
+    if i < g - k:
+        rhs = (k + 1) ** 2 * i * weierstrass(g - i) + d1_holo(g - i, k)
+    else:
+        rhs = ((k + 1) ** 2 * i - (k - g + i)) * weierstrass(g - i) \
+            + d1_mero(g - i, k + 1 - g + i)
+    return [(lhs, rhs)]
 
 
+@_identity("R4", lambda G, N, H: [{"g": g} for g in range(3, min(G, N) + 1)])
 def _r4(g):
     dom = ModuliBase(g, 1)
     lhs = pullback(glue_tail(dom, 0, g - 1, 1), logan_class(g, (1,) * g))
     return [(lhs, weierstrass(g))]
 
-_register("R4", ["logan", "weierstrass"],
-          lambda G, N, H: [{"g": g} for g in range(3, min(G, N) + 1)], _r4)
 
-
+@_identity("R4b", lambda G, N, H: [{"g": g, "i": i, "n": n}
+                                   for g in range(3, min(G, N) + 1)
+                                   for i in range(1, g)
+                                   for n in range(i, g + 1)])
 def _r4b(g, i, n):
     curve = builtin_test_curve("Bin", ModuliBase(g, g), i=i, n=n)
     return [(pair(curve, logan_class(g, (1,) * g)),
              (n - i) * (i * i + g * n - g * i - i * n - 1))]
 
-_register("R4b", ["logan"],
-          lambda G, N, H: [{"g": g, "i": i, "n": n}
-                           for g in range(3, min(G, N) + 1)
-                           for i in range(1, g)
-                           for n in range(i, g + 1)],
-          _r4b)
 
-
+@_identity("R5", lambda G, N, H: [{"g": g} for g in range(3, min(G - 1, N - 1) + 1)])
 def _r5(g):
     dom = ModuliBase(g, g)
     lhs = pullback(glue_tail(dom, 1, 1, attach=g), logan_class(g + 1, (1,) * (g + 1)))
     return [(lhs, logan_class(g, (1,) * g))]
 
-_register("R5", ["logan"],
-          lambda G, N, H: [{"g": g} for g in range(3, min(G - 1, N - 1) + 1)], _r5)
-
 
 # -- meromorphic theta-type reductions ---------------------------------------
 
+@_identity("R6a", lambda G, N, H: [{"g": g, "h": h, "n": n}
+                                   for n in (2, 3)
+                                   for h in range(1, H + 1)
+                                   for g in range((3 if n == 2 else 4), G - h + 1)])
 def _r6a(g, h, n):
     if n == 2:
         dom = ModuliBase(g, 2)
@@ -253,14 +272,9 @@ def _r6a(g, h, n):
         _refuse("R6a", n=n)
     return [(lhs, rhs)]
 
-_register("R6a", ["logan", "theta-pullback"],
-          lambda G, N, H: [{"g": g, "h": h, "n": n}
-                           for n in (2, 3)
-                           for h in range(1, H + 1)
-                           for g in range((3 if n == 2 else 4), G - h + 1)],
-          _r6a)
 
-
+@_identity("R6b", lambda G, N, H: [{"g": g, "j": j}
+                                   for j in (1, 2) for g in range(3, G + 1)])
 def _r6b(g, j):
     dom = ModuliBase(g, 2)
     if j == 1:
@@ -275,11 +289,6 @@ def _r6b(g, j):
         _refuse("R6b", j=j)
     return [(lhs, rhs)]
 
-_register("R6b", ["theta-pullback"],
-          lambda G, N, H: [{"g": g, "j": j}
-                           for j in (1, 2) for g in range(3, G + 1)],
-          _r6b)
-
 
 def _spin_mix(t, parity, odd, even):
     """Pullback of a spin class of the given parity along a genus-t tail, in
@@ -289,6 +298,9 @@ def _spin_mix(t, parity, odd, even):
     return a * odd + b * even if parity == "odd" else b * odd + a * even
 
 
+@_identity("R7", lambda G, N, H: ([{"g": 3, "h": 0}] if G >= 3 else [])
+                 + [{"g": g, "h": h}
+                    for h in range(1, H + 1) for g in range(2, G - h + 1)])
 def _r7(g, h):
     if h == 0 and g == 3:  # genus-3 decomposition of the double-zero class
         rhs = theta_characteristic_locus(3, "odd") + theta_characteristic_locus(3, "even")
@@ -301,24 +313,17 @@ def _r7(g, h):
              _spin_mix(h, p, odd_g, even_g))
             for p in ("odd", "even")]
 
-_register("R7", ["theta-char", "d1-holo"],
-          lambda G, N, H: ([{"g": 3, "h": 0}] if G >= 3 else [])
-          + [{"g": g, "h": h}
-             for h in range(1, H + 1) for g in range(2, G - h + 1)],
-          _r7)
-
 
 # -- anti-ramification -------------------------------------------------------
 
+@_identity("R8a", lambda G, N, H: [{"g": g} for g in range(3, min(G, N + 1) + 1)])
 def _r8a(g):
     dom = ModuliBase(g, 1)
     lhs = pullback(glue_tail(dom, 0, g - 2, 1), anti_ramification(g))
     return [(lhs, d1_holo(g, 1))]
 
-_register("R8a", ["antiram", "d1-holo"],
-          lambda G, N, H: [{"g": g} for g in range(3, min(G, N + 1) + 1)], _r8a)
 
-
+@_identity("R8b", lambda G, N, H: [{"g": g} for g in range(3, min(G - 1, N) + 1)])
 def _r8b(g):
     dom = ModuliBase(g, g)
     lhs = pullback(glue_tail(dom, 1, 0, 1), anti_ramification(g + 1))
@@ -326,32 +331,25 @@ def _r8b(g):
         + pullback(forget_point(dom, 1), anti_ramification(g))
     return [(lhs, rhs)]
 
-_register("R8b", ["antiram", "logan"],
-          lambda G, N, H: [{"g": g} for g in range(3, min(G - 1, N) + 1)], _r8b)
-
 
 # -- coupled-partition classes -----------------------------------------------
 
+@_identity("R9a", lambda G, N, H: [{"g": g} for g in range(2, G + 1)])
 def _r9a(g):
     dom = ModuliBase(g, 1)
     lhs = pullback(glue_tail(dom, 0, 1, 1), coupled_partition(g, (1, 1)))
     return [(lhs, theta_characteristic_locus(g, "total"))]
 
-_register("R9a", ["coupled", "theta-char"],
-          lambda G, N, H: [{"g": g} for g in range(2, G + 1)], _r9a)
 
-
+@_identity("R9b", lambda G, N, H: [{"g": g, "h": h}
+                                   for h in range(1, H + 1) for g in range(2, G - h + 1)])
 def _r9b(g, h):
     dom = ModuliBase(g, 2)
     lhs = pullback(glue_tail(dom, h, 0, 1), coupled_partition(g + h, (1, 1)))
     return [(lhs, 4 ** h * coupled_partition(g, (1, 1)))]
 
-_register("R9b", ["coupled"],
-          lambda G, N, H: [{"g": g, "h": h}
-                           for h in range(1, H + 1) for g in range(2, G - h + 1)],
-          _r9b)
 
-
+@_identity("R10", lambda G, N, H: [{"g": g} for g in range(2, G)])
 def _r10(g):
     dom = ModuliBase(g, 3)
     lhs = pullback(glue_closed_tail(dom, 1, 1), coupled_partition(g + 1, (1, 1)))
@@ -359,19 +357,16 @@ def _r10(g):
         + 3 * pullback(forget_point(dom, 1), coupled_partition(g, (1, 1)))
     return [(lhs, rhs)]
 
-_register("R10", ["coupled"],
-          lambda G, N, H: [{"g": g} for g in range(2, G)], _r10)
 
-
+@_identity("R11a", lambda G, N, H: [{"g": g} for g in range(2, G + 1)])
 def _r11a(g):
     dom = ModuliBase(g, 2)
     lhs = pullback(glue_tail(dom, 0, 1, attach=2), coupled_partition(g, (-2, 1, 1)))
     return [(lhs, coupled_partition(g, (-2, 2)))]
 
-_register("R11a", ["coupled"],
-          lambda G, N, H: [{"g": g} for g in range(2, G + 1)], _r11a)
 
-
+@_identity("R11b", lambda G, N, H: [{"g": g, "parity": p}
+                                    for g in range(2, G) for p in ("odd", "even", "total")])
 def _r11b(g, parity):
     dom = ModuliBase(g, 2)
     if parity not in PARITIES:
@@ -382,12 +377,11 @@ def _r11b(g, parity):
         + 3 * pullback(forget_point(dom, 1), theta_characteristic_locus(g, parity))
     return [(lhs, rhs)]
 
-_register("R11b", ["coupled", "theta-char"],
-          lambda G, N, H: [{"g": g, "parity": p}
-                           for g in range(2, G) for p in ("odd", "even", "total")],
-          _r11b)
 
-
+@_identity("R12a", lambda G, N, H: [{"g": g, "h": h, "parity": "total"}
+                                    for h in range(3, max(H, 3) + 1) for g in range(2, G + 1)]
+                   + [{"g": g, "h": 4, "parity": p}
+                      for g in range(2, G + 1) for p in ("odd", "even")])
 def _r12a(g, h, parity):
     # the cases start at h = 3: at h = 2 the weights are the single double
     # pole, which coupled_partition builds by a formula of its own
@@ -397,14 +391,15 @@ def _r12a(g, h, parity):
     lhs = pullback(glue_tail(dom, 0, 1, 1), coupled_partition(g, (-h, h), parity))
     return [(lhs, 2 * theta_characteristic_locus(g, parity))]
 
-_register("R12a", ["coupled", "theta-char"],
-          lambda G, N, H: [{"g": g, "h": h, "parity": "total"}
-                           for h in range(3, max(H, 3) + 1) for g in range(2, G + 1)]
-          + [{"g": g, "h": 4, "parity": p}
-             for g in range(2, G + 1) for p in ("odd", "even")],
-          _r12a)
 
-
+@_identity("R12b", lambda G, N, H: [{"g": g, "h": h, "j": j, "parity": "total"}
+                                    for h in (3, 4)
+                                    for j in range(1, H + 1)
+                                    for g in range(2, G - j + 1)]
+                   + [{"g": g, "h": 4, "j": j, "parity": p}
+                      for j in range(1, H + 1)
+                      for g in range(2, G - j + 1)
+                      for p in ("odd", "even")])
 def _r12b(g, h, j, parity):
     dom = ModuliBase(g, 2)
     m = glue_tail(dom, j, 0, attach=2)
@@ -417,18 +412,10 @@ def _r12b(g, h, j, parity):
     lhs = pullback(m, coupled_partition(g + j, (-h, h), parity))
     return [(lhs, _spin_mix(j, parity, odd_g, even_g))]
 
-_register("R12b", ["coupled"],
-          lambda G, N, H: [{"g": g, "h": h, "j": j, "parity": "total"}
-                           for h in (3, 4)
-                           for j in range(1, H + 1)
-                           for g in range(2, G - j + 1)]
-          + [{"g": g, "h": 4, "j": j, "parity": p}
-             for j in range(1, H + 1)
-             for g in range(2, G - j + 1)
-             for p in ("odd", "even")],
-          _r12b)
 
-
+@_identity("R13", lambda G, N, H: [{"g": g, "case": c}
+                                   for g in range(2, G + 1)
+                                   for c in ("t", "t-spin", "a", "b", "c", "d", "e", "g", "h")])
 def _r13(g, case):
     C = coupled_partition
     theta = theta_characteristic_locus
@@ -464,15 +451,20 @@ def _r13(g, case):
         return [(pullback(m3, C(g, (2, 1, -2, -1))), rhs)]
     raise UnknownRelation("R13 case %r" % case)
 
-_register("R13", ["coupled", "theta-char"],
-          lambda G, N, H: [{"g": g, "case": c}
-                           for g in range(2, G + 1)
-                           for c in ("t", "t-spin", "a", "b", "c", "d", "e", "g", "h")],
-          _r13)
-
 
 # -- pinch-partition classes -------------------------------------------------
 
+def _r14_cases(G, N, H):
+    out = []
+    for h in range(1, H + 1):
+        for n in (2, 3):
+            gmin = 3 if n == 2 else 4
+            for g in range(gmin, G - h + 1):
+                out.append({"g": g, "h": h, "n": n})
+    return out
+
+
+@_identity("R14", _r14_cases)
 def _r14(g, h, n):
     if h < 1:
         _refuse("R14", h=h)
@@ -505,18 +497,9 @@ def _r14(g, h, n):
             + (4 * h - 2) * theta_pullback_class(g, (-h + 1,) + dom_d[1:])
     return [(lhs, rhs)]
 
-def _r14_cases(G, N, H):
-    out = []
-    for h in range(1, H + 1):
-        for n in (2, 3):
-            gmin = 3 if n == 2 else 4
-            for g in range(gmin, G - h + 1):
-                out.append({"g": g, "h": h, "n": n})
-    return out
 
-_register("R14", ["pinch", "logan", "theta-pullback"], _r14_cases, _r14)
-
-
+@_identity("R15", lambda G, N, H: [{"g": g, "h": h}
+                                   for h in range(2, max(H, 3) + 1) for g in range(3, G + 1)])
 def _r15(g, h):
     if h < 2:
         _refuse("R15", h=h)
@@ -525,12 +508,13 @@ def _r15(g, h):
     mult = 1 if h == 2 else 2
     return [(lhs, d1_holo(g, 1) + mult * weierstrass(g))]
 
-_register("R15", ["pinch", "d1-holo", "weierstrass"],
-          lambda G, N, H: [{"g": g, "h": h}
-                           for h in range(2, max(H, 3) + 1) for g in range(3, G + 1)],
-          _r15)
 
-
+@_identity("R16", lambda G, N, H: [{"g": g, "h": h, "parity": "total"}
+                                   for h in range(3, max(H, 3) + 1) for g in range(2, G + 1)]
+                  + [{"g": g, "h": h, "parity": p}
+                     for h in range(4, max(H, 3) + 1, 2)
+                     for g in range(2, G + 1)
+                     for p in ("odd", "even")])
 def _r16(g, h, parity):
     if h < 3:
         _refuse("R16", h=h)
@@ -541,18 +525,23 @@ def _r16(g, h, parity):
         + (h * h - 4) * d_infinity(g, parity)
     return [(lhs, rhs)]
 
-_register("R16", ["coupled", "theta-char", "dinf"],
-          lambda G, N, H: [{"g": g, "h": h, "parity": "total"}
-                           for h in range(3, max(H, 3) + 1) for g in range(2, G + 1)]
-          + [{"g": g, "h": h, "parity": p}
-             for h in range(4, max(H, 3) + 1, 2)
-             for g in range(2, G + 1)
-             for p in ("odd", "even")],
-          _r16)
-
 
 # -- coefficient obstruction and test-curve pairings -------------------------
 
+def _r17_cases(G, N, H):
+    out = []
+    for g in range(4, G + 1):
+        for cls in ("weierstrass", "double-zero-0", "bn-combination"):
+            out.append({"g": g, "cls": cls, "expect": True})
+        neg = ["residual", "theta-odd", "theta-even", "theta-total"]
+        neg += ["double-zero-k%d" % k for k in range(1, g)]
+        neg += ["pole-order-h%d" % h for h in range(2, H + 1)]
+        for cls in neg:
+            out.append({"g": g, "cls": cls, "expect": False})
+    return out
+
+
+@_identity("R17", _r17_cases)
 def _r17(g, cls, expect):
     # a case expects the check to hold or to fail; 1 == True would pass
     if type(expect) is not bool:
@@ -582,22 +571,21 @@ def _r17(g, cls, expect):
         raise UnknownRelation("R17 class %r" % (cls,))
     return [(bn_coefficient_check(a), expect)]
 
-def _r17_cases(G, N, H):
+
+def _r18_cases(G, N, H):
     out = []
-    for g in range(4, G + 1):
-        for cls in ("weierstrass", "double-zero-0", "bn-combination"):
-            out.append({"g": g, "cls": cls, "expect": True})
-        neg = ["residual", "theta-odd", "theta-even", "theta-total"]
-        neg += ["double-zero-k%d" % k for k in range(1, g)]
-        neg += ["pole-order-h%d" % h for h in range(2, H + 1)]
-        for cls in neg:
-            out.append({"g": g, "cls": cls, "expect": False})
+    for g in range(3, G + 1):
+        out.append({"g": g, "curve": "A", "i": 0})
+        for i in range(1, g - 1):
+            out.append({"g": g, "curve": "B", "i": i})
+        for i in range(1, g):
+            out.append({"g": g, "curve": "C", "i": i})
+        out.append({"g": g, "curve": "D", "i": 0})
+        out.append({"g": g, "curve": "E", "i": 0})
     return out
 
-_register("R17", ["bn", "weierstrass", "residual", "d1-holo", "d1-mero", "theta-char"],
-          _r17_cases, _r17)
 
-
+@_identity("R18", _r18_cases)
 def _r18(g, curve, i):
     # A, D and E take no index: their cases carry i = 0
     if curve in ("A", "D", "E") and i != 0:
@@ -628,20 +616,6 @@ def _r18(g, curve, i):
         c = builtin_test_curve("E", base)
         return [(pair(c, R), 0)]
     raise UnknownRelation("R18 curve %r" % curve)
-
-def _r18_cases(G, N, H):
-    out = []
-    for g in range(3, G + 1):
-        out.append({"g": g, "curve": "A", "i": 0})
-        for i in range(1, g - 1):
-            out.append({"g": g, "curve": "B", "i": i})
-        for i in range(1, g):
-            out.append({"g": g, "curve": "C", "i": i})
-        out.append({"g": g, "curve": "D", "i": 0})
-        out.append({"g": g, "curve": "E", "i": 0})
-    return out
-
-_register("R18", ["residual", "weierstrass"], _r18_cases, _r18)
 
 
 # A failure detail holds each computed number as a Fraction, also where it is

@@ -302,7 +302,7 @@ class TestVerifyVerb:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         bad = artifact.verify.Relation(
-            "BAD", ("weierstrass",),
+            "BAD",
             lambda G, N, H: [{}],
             lambda: [(weierstrass(3), 2 * weierstrass(3))],
         )

@@ -390,6 +390,15 @@ class TestGlueClosedTail:
         out = pullback(m, cls(m.codomain, bnd=[((2, set()), 1)]))
         assert equals(out, cls(m.domain, bnd=[((1, {1}), 1)]))
 
+    def test_default_attach_is_point_1(self):
+        dom = ModuliBase(3, 3)
+        m = glue_closed_tail(dom, 1)
+        assert dict(m.params) == dict(glue_closed_tail(dom, 1, 1).params) == {"h": 1, "attach": 1}
+        # psi differs by label, so the attach point shows in the pullback
+        a = cls(m.codomain, psi=[1, 2], bnd=[((1, {1}), 3)])
+        assert equals(pullback(m, a), pullback(glue_closed_tail(dom, 1, 1), a))
+        assert not equals(pullback(m, a), pullback(glue_closed_tail(dom, 1, 2), a))
+
 
 class TestIdentifyPoints:
     def test_delta0_pullback(self):

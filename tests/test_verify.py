@@ -40,8 +40,7 @@ from artifact.verify import (
 
 def _checked(monkeypatch, name, run, params):
     """The report entry of ``run(**params)`` registered as relation ``name``."""
-    monkeypatch.setitem(RELATIONS, name,
-                        Relation(name, ("weierstrass",), lambda G, N, H: [params], run))
+    monkeypatch.setitem(RELATIONS, name, Relation(name, lambda G, N, H: [params], run))
     return run_relation(name, params)
 
 
@@ -77,6 +76,21 @@ class TestSuite:
         for rel in RELATIONS.values():
             used.update(rel.uses)
         assert used == set(CONSTRUCTORS)
+
+    def test_uses_are_the_constructors_each_relation_calls(self, monkeypatch):
+        # uses is read from the code of run; here it is checked by running
+        # every case with each constructor spied where the relations call it
+        called = set()
+        for name, (fn, _) in CONSTRUCTORS.items():
+            def spy(*args, name=name, fn=fn, **kw):
+                called.add(name)
+                return fn(*args, **kw)
+            monkeypatch.setattr(verify, fn.__name__, spy)
+        for rel in RELATIONS.values():
+            called.clear()
+            for params in rel.cases(6, 6, 4):
+                rel.run(**params)
+            assert called == set(rel.uses), rel.name
 
     @pytest.mark.parametrize("name,params", [
         ("R1", {"g": 4, "h": 1}),  # a name the relation does not take
