@@ -40,17 +40,18 @@ raises ParamOutOfRange.
 Each public constructor is declared once, by ``_constructor(name)``, which
 enters it in ``CONSTRUCTORS`` under that name with the parameter names of
 its signature, keeps its classes in the one memo and runs each call as a
-whole with the cyclic collector paused (core._nogc), not only its audit:
-the class it returns, its psi list and its boundary dict are built without
-a collection walking them part-way.
+whole with the cyclic collector paused (core._nogc).  That is the one pause
+of a catalog class: its audit, the class it returns, its psi list and its
+boundary dict are built without a collection walking them part-way.
 
 The public constructors share one memo, ``_built``, a ``functools.lru_cache``
 that keeps the last 1024 classes: the registry suite rebuilds a few hundred
 classes thousands of times.  It sits inside the pause, so its keys and
 entries are allocated with the collector off.  A key is the constructor and
-its arguments as one positional tuple, the defaults filled in and lists made
+its positional arguments, the unset defaults filled in and lists made
 tuples, so ``logan_class(3, [1, 1, 1])`` and ``logan_class(3, (1, 1, 1))``
-share one class.  Only exact ints, strs and tuples of exact ints enter a
+share one class; a call that passes a keyword runs the constructor as is,
+outside the memo.  Only exact ints, strs and tuples of exact ints enter a
 key: 3.0, True and (1, 1.0) equal 3 and (1, 1) as dict keys, but the
 constructor refuses them, so a call with any other argument runs the
 constructor as is.  A refusal raises through the cache and is never kept,
@@ -165,7 +166,6 @@ def _check_spin_size(base):
                               % _MAX_SPIN_BITS)
 
 
-@_nogc
 def _assemble(base, regimes, view=len, colours=None):
     """Boundary dict from piecewise regimes [(predicate, formula)], enforcing
     that exactly one regime claims each canonical generator.  Predicates and
@@ -231,29 +231,15 @@ def _class(base, lam, psi, delta0, regimes, view=len, d=None):
     return DivisorClass._from_canonical(base, lam, psi, delta0, bnd, colours)
 
 
-def _memo_key(names, defaults, tails, args, kw):
-    """args and kw as one positional tuple of exact ints, strs and tuples of
-    exact ints: the unset parameters take their defaults and lists become
-    tuples.  None when an argument is anything else, or when args and kw do
-    not fill the parameters names once each.  A call with no keyword takes
-    its unset parameters from tails, the defaults after the first k
-    parameters for each k they may be left from, so it makes no set and no
-    generator."""
-    if not kw:
-        tail = tails.get(len(args))
-        if tail is None:
-            return None
-        args += tail
-    else:
-        rest = names[len(args):]
-        if len(args) > len(names) or not set(kw).issubset(rest):
-            return None
-        try:
-            args += tuple(kw[w] if w in kw else defaults[w] for w in rest)
-        except KeyError:
-            return None
+def _memo_key(first, given, args):
+    """args, then the defaults in given of the parameters that args leave
+    unset, as one tuple of exact ints, strs and tuples of exact ints, lists
+    made tuples; first is the number of parameters without a default.  None
+    when args do not fill the parameters or an argument is anything else."""
+    if not first <= len(args) <= first + len(given):
+        return None
     key = []
-    for x in args:
+    for x in args + given[len(args) - first:]:
         t = type(x)
         if t is int or t is str:
             key.append(x)
@@ -280,20 +266,19 @@ def _constructor(name):
     """Declare fn as the public constructor ``name``: enter it in
     ``CONSTRUCTORS`` with the parameter names of its signature, keep its
     classes in ``_built`` under fn and the key that ``_memo_key`` makes of
-    its arguments (a call that makes no key runs fn as is), and pause the
-    collector for the whole call."""
+    its positional arguments (a call with a keyword, or one that makes no
+    key, runs fn as is), and pause the collector for the whole call: the
+    one pause of a constructor call."""
     def declare(fn):
         code = fn.__code__
         names = code.co_varnames[:code.co_argcount]
         given = fn.__defaults__ or ()
         first = len(names) - len(given)
-        defaults = dict(zip(names[first:], given))
-        tails = {k: given[k - first:] for k in range(first, len(names) + 1)}
 
         @_nogc
         @functools.wraps(fn)
         def memo(*args, **kw):
-            key = _memo_key(names, defaults, tails, args, kw)
+            key = None if kw else _memo_key(first, given, args)
             return fn(*args, **kw) if key is None else _built(fn, key)
 
         CONSTRUCTORS[name] = (memo, names)

@@ -76,23 +76,23 @@ Boundary coefficients enter a class through two doors: a catalog formula
 reader of (i, S, c) entries, which spans each distinct label set once and
 visits each entry once.  The constructor hands it its ((i, S), c) pairs,
 and ``from_json`` the entries of a parsed document, each with its error
-class and its coefficient reader: ``_frac``, or ``_json_coeff``, which adds
-only JSON's type gate, and both read a string by the one parse,
-``_from_text``.  The labels of a constructor's entry are checked every
-time; those of every document once per distinct label list, when one proof
-per document shows that none of its values equals an int without being
-one.  A pair that is not its own key is read
-after every entry is checked, so a malformed entry anywhere is reported
-before a bad base or pair.  The reader adds up the entries of each key in
-one representation, a dict per label set, and both doors propose the
-colouring of their psi: the sums decide once, at the end, whether the
-class is stored one coefficient per orbit or key by key, so that both
-doors store a class by one rule.  ``_items`` is the one reading of a raw
-collection of (key, c) entries, which ``TestCurve`` shares for its
-pairing.  ``_check_size`` refuses a base with more than 2**22 boundary
-keys before any key is built.  The text serializers share
-``_writer``, which refuses a coefficient past Python's int-to-str digit
-limit with ParamOutOfRange.
+class and its coefficient reader: ``_frac``, the one reader of a number,
+or ``_json_coeff``, which is JSON's type gate in front of ``_frac``; a
+string is read by the one parse, ``_from_text``, which only ``_frac``
+calls.  The labels of a constructor's entry are checked every time; those
+of every document once per distinct label list, when one proof per
+document shows that none of its values equals an int without being one.
+A pair that is not its own key is read after every entry is checked, so a
+malformed entry anywhere is reported before a bad base or pair.  The
+reader adds up the entries of each key in one representation, a dict per
+label set, and both doors propose the colouring of their psi: the sums
+decide once, at the end, whether the class is stored one coefficient per
+orbit or key by key, so that both doors store a class by one rule.
+``_items`` is the one reading of a raw collection of (key, c) entries,
+which ``TestCurve`` shares for its pairing.  ``_check_size`` refuses a
+base with more than 2**22 boundary keys before any key is built.  The text
+serializers share ``_writer``, which refuses a coefficient past Python's
+int-to-str digit limit with ParamOutOfRange.
 """
 
 from collections import namedtuple
@@ -714,14 +714,19 @@ def enumerate_boundary(base):
 
 def _frac(x):
     """The canonical form of an exact number: an int (never a bool) when x is
-    integral, a Fraction otherwise.  A float is refused: it is not exact, and
-    one would mean that some formula divided two ints with ``/``.  Anything
+    integral, a Fraction otherwise.  This is the one reader of a coefficient
+    given from outside: to the constructor, a product or a test curve, and,
+    behind JSON's type gate (``_json_coeff``), in a document; a string is
+    read by ``_from_text``.  A float is refused: it is not exact, and one
+    would mean that some formula divided two ints with ``/``.  A bool is
+    refused as a float is: it is a truth value, not a number.  Anything
     else that Fraction refuses raises ParamOutOfRange."""
     if type(x) is int:
         return x
-    if isinstance(x, float):
-        raise ParamOutOfRange("coefficient %r is a float, not an exact number" % (x,))
     if not isinstance(x, Fraction):
+        if isinstance(x, (float, bool)):
+            raise ParamOutOfRange("coefficient %r is a %s, not an exact number"
+                                  % (x, type(x).__name__))
         try:
             x = _from_text(x) if type(x) is str else Fraction(x)
         except (TypeError, ValueError, ZeroDivisionError):
@@ -742,14 +747,15 @@ def _shown(x):
 def _from_text(s):
     """The Fraction that the text s names, read as Fraction reads it; text
     that Fraction refuses raises ValueError.  This is the one parse of a
-    coefficient string, for the constructor (``_frac``) and for a JSON
-    document (``_json_coeff``).  A value with more digits than Python writes
-    as text (``sys.get_int_max_str_digits()``, where 0 sets no limit), which
-    the writers would refuse, raises ParamOutOfRange.  Text with a run of
-    more digits than the limit, which Fraction would refuse as no number,
-    and text whose exponent alone reaches it are refused before they are
-    read, the latter before its power of ten is computed, as Fraction would
-    compute it at any size; any other s once it is read."""
+    coefficient string, and ``_frac`` its one caller, for the constructor
+    and for a JSON document alike.  A value with more digits than Python
+    writes as text (``sys.get_int_max_str_digits()``, where 0 sets no
+    limit), which the writers would refuse, raises ParamOutOfRange.  Text
+    with a run of more digits than the limit, which Fraction would refuse
+    as no number, and text whose exponent alone reaches it are refused
+    before they are read, the latter before its power of ten is computed,
+    as Fraction would compute it at any size; any other s once it is
+    read."""
     limit = sys.get_int_max_str_digits()
     _, e, power = s.lower().rpartition("e")
     # int() refuses a run of digits past the limit inside Fraction
@@ -1384,21 +1390,16 @@ def to_json(a):
 
 
 def _json_coeff(x):
-    """The coefficient that a JSON value names, in the form of ``_frac``: an
-    int (not a bool), or a string read by ``_from_text``, the one parse of a
-    coefficient string.  Any other value (a float, a bool, null, a list or
-    an object) raises MalformedJSON, and so does text that is not a number
-    or that ``_from_text`` refuses past the digit limit."""
-    if type(x) is int:
-        return x
-    if type(x) is str:
-        try:
-            return _frac(_from_text(x))
-        except (ValueError, ZeroDivisionError):
-            pass
-        except ParamOutOfRange as e:
-            raise MalformedJSON(str(e)) from None
-    raise MalformedJSON("coefficient %s is not an integer or a rational string" % _shown(x))
+    """The coefficient that a JSON value names, read by ``_frac`` behind
+    JSON's type gate: the value must be an int (not a bool) or a string.  Any
+    other value (a float, a bool, null, a list or an object) raises
+    MalformedJSON, and so does anything that ``_frac`` refuses."""
+    if type(x) is not int and type(x) is not str:
+        raise MalformedJSON("coefficient %s is not an integer or a rational string" % _shown(x))
+    try:
+        return _frac(x)
+    except ParamOutOfRange as e:
+        raise MalformedJSON(str(e)) from None
 
 
 def _json_fields(d, fields):
@@ -1442,10 +1443,10 @@ def from_json(s):
     stored key by key otherwise."""
     floats = []  # the float tokens of the document
     try:
-        # the text that json.loads reads, bytes decoded as it decodes them
+        # bytes decoded once, as json.loads decodes them
         text = (s.decode(json.detect_encoding(s), "surrogatepass")
                 if isinstance(s, (bytes, bytearray)) else s)
-        d = json.loads(s, parse_float=lambda x: floats.append(x) or float(x))
+        d = json.loads(text, parse_float=lambda x: floats.append(x) or float(x))
     except (TypeError, ValueError, RecursionError) as e:  # TypeError: s is not text
         raise MalformedJSON("not JSON: %s" % e) from None
     g, n, lam, psi, delta0, boundary = _json_fields(d, _HEAD)

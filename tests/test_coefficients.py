@@ -2,15 +2,17 @@
 integral and a Fraction otherwise (never a bool, a float or a Fraction with
 denominator 1)."""
 from fractions import Fraction
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import catalog
+from artifact import catalog, core
 from artifact.core import (
     DivisorClass,
     ModuliBase,
     ParamOutOfRange,
+    PicError,
     equals,
     from_json,
     normalize_genus2,
@@ -125,3 +127,49 @@ def test_a_float_coefficient_is_refused(build):
     # 0.1 has no exact value; storing its binary expansion would be a wrong answer
     with pytest.raises(ParamOutOfRange):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DivisorClass(ModuliBase(3, 1), lam=True),
+    lambda: catalog.weierstrass(3) * True,
+    lambda: core.TestCurve(ModuliBase(3, 1), "x", {"lambda": True}),
+], ids=["lambda", "multiple", "pairing"])
+def test_a_bool_coefficient_is_refused(build):
+    # True equals 1, but it is a truth value, not a number: it is refused as
+    # a float is, and as from_json refuses the token true
+    with pytest.raises(ParamOutOfRange):
+        build()
+
+
+# one coefficient of a class on (3, 1), as a JSON document with the text of
+# the coefficient left out, and as the constructor call given its value
+_SLOTS = {
+    "lambda": ('{"g":3,"n":1,"lambda":%s,"psi":["0"],"delta0":"0","boundary":[]}',
+               lambda v: DivisorClass(ModuliBase(3, 1), lam=v)),
+    "psi": ('{"g":3,"n":1,"lambda":"0","psi":[%s],"delta0":"0","boundary":[]}',
+            lambda v: DivisorClass(ModuliBase(3, 1), psi=[v])),
+    "boundary": ('{"g":3,"n":1,"lambda":"0","psi":["0"],"delta0":"0",'
+                 '"boundary":[{"i":1,"S":[1],"c":%s}]}',
+                 lambda v: DivisorClass(ModuliBase(3, 1), boundary=[((1, {1}), v)])),
+}
+
+
+def _outcome(build):
+    try:
+        return build()
+    except PicError as e:
+        return e
+
+
+@pytest.mark.parametrize("slot", sorted(_SLOTS))
+@pytest.mark.parametrize("text", ["0", "-2", '"1/2"', '" 3 "', '"007"', "true", "false",
+                                  "null", "1.5", "[]", "{}", '"x"', '"1/0"', '"nan"'])
+def test_both_doors_agree_on_every_json_coefficient(slot, text):
+    # from_json reads the text; the constructor, given the value that
+    # json.loads makes of it, builds an equal class or raises a PicError too
+    doc, build = _SLOTS[slot]
+    by_json = _outcome(lambda: from_json(doc % text))
+    by_value = _outcome(lambda: build(json.loads(text)))
+    assert isinstance(by_json, PicError) == isinstance(by_value, PicError), (by_json, by_value)
+    if not isinstance(by_json, PicError):
+        assert equals(by_json, by_value)

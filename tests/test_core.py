@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import core
+from artifact import catalog, core
 from artifact.catalog import (
     CONSTRUCTORS,
     BadWeights,
@@ -819,10 +819,14 @@ class TestModuliBaseContract:
 
 
 class TestCollectorPause:
-    def test_collector_is_paused_while_assembling(self):
+    def test_collector_is_paused_while_assembling(self, monkeypatch):
+        # the pause is the constructor's, and _assemble runs inside it
         seen = []
-        _assemble(ModuliBase(3, 1), [(lambda i, s: True, lambda i, s: seen.append(gc.isenabled()) or 1)])
-        assert seen and not any(seen)
+        assemble = catalog._assemble
+        monkeypatch.setattr(catalog, "_assemble",
+                            lambda *args: seen.append(gc.isenabled()) or assemble(*args))
+        weierstrass(3)
+        assert seen == [False]
         assert gc.isenabled()
 
     def test_restored_after_a_regime_gap(self):
@@ -919,10 +923,11 @@ class TestFromJsonRejects:
             "[]",
             '{"g":3,"n":0,"lambda":"x","psi":[],"delta0":"0","boundary":[]}',
             '{"g":3,"n":0,"lambda":1.5,"psi":[],"delta0":"0","boundary":[]}',
+            '{"g":3,"n":0,"lambda":true,"psi":[],"delta0":"0","boundary":[]}',
             '{"g":3,',
             "[" * 100000,
         ],
-        ids=["missing-n", "missing-S", "not-an-object", "bad-string", "float",
+        ids=["missing-n", "missing-S", "not-an-object", "bad-string", "float", "bool",
              "not-json", "too-deep"],
     )
     def test_malformed_input_raises(self, text):

@@ -353,6 +353,13 @@ def test_both_doors_read_entries_by_one_rule():
             ast.unparse(call)
 
 
+def test_both_doors_read_a_coefficient_by_one_rule():
+    # a coefficient string is parsed only inside _frac, and from_json's
+    # coefficient reader is JSON's type gate in front of _frac
+    assert _callers(lambda call: call.func.id == "_from_text") == [("core", "_frac")]
+    assert ("core", "_json_coeff") in _callers(lambda call: call.func.id == "_frac")
+
+
 def test_the_genus2_normal_form_has_one_caller():
     # equality, diff_first and hash all reach normalize_genus2 through _normal
     assert _callers(lambda call: call.func.id == "normalize_genus2") == [("core", "_normal")]
