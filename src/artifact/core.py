@@ -49,27 +49,29 @@ every orbit of the finer colouring takes the coefficient of the orbit that
 holds it, and ``_members`` gives the sets it splits into.  A sum,
 ``equals`` and ``diff_first`` refine both classes to the coarsest colouring
 finer than both (``_meet``), and ``hash`` reads every key, so that it does
-not depend on the colouring; ``delta`` and ``pair`` read one key at its
-representative.  Full expansion is the refinement to the singleton
-colouring (``_expand``), a dict made for the one call that needs it:
-``hash``, a copy, and a sum or comparison with a class stored key by key;
-no class keeps it.  ``boundary`` expands nothing: it is a view that reads
-the orbits (``_KeyView``), where a lookup costs one orbit and iteration
-yields the keys one at a time.  Nor do the serializers: ``_boundary_rows``
-writes the rows of every key from the orbits and a rank table that the
-class makes on its first write and keeps (``_table``): the member sets of
-its orbits in output order, the text of each and the orbit that owns it.
-The rows of one genus are one pass over the table, a row as the text of
-its label set between the two ends its writer makes once per genus and
-coefficient; no row is sorted.  Copies do not carry the table, and
-``hash`` and ``equals`` never read it.
+not depend on the colouring; ``delta``, ``pair`` and a lookup in
+``boundary`` read one key at its representative (``_coeff``).  Full
+expansion is the refinement to the singleton colouring (``_expand``), a
+dict made for the one call that needs it: ``hash``, a copy, and a sum or
+comparison with a class stored key by key; no class keeps it.
+``boundary`` expands nothing: it is a view that reads the orbits
+(``_KeyView``), where a lookup costs one orbit and iteration yields the keys
+one at a time.  Nor do the serializers: ``_boundary_rows`` writes the rows
+of every key from the orbits and a rank table that the class makes on its
+first write and keeps (``_table``): the member sets of its orbits in output
+order, the text of each and the orbit that owns it.  The rows of one genus
+are one pass over the table, a row as the text of its label set between
+the two ends its writer makes once per genus and coefficient; no row is
+sorted.  Copies do not carry the table, and ``hash`` and ``equals`` never
+read it.
 
 Classes are compared in one place: ``diff_first`` finds the first generator
 where two classes differ, and ``equals`` is ``diff_first(a, b) is None``.
-Both, and ``hash``, compare the one normal form ``_normal``, which on a
-genus-2 base eliminates lambda (``normalize_genus2``).  ``_check_pair`` is the
-one test of when two classes may be combined, and ``_lift_psi`` the one rule
-for where psi_k goes when the labels are moved.
+Both, ``hash`` and ``is_zero`` read the one normal form ``_normal``, which
+on a genus-2 base eliminates lambda (``normalize_genus2``); ``diff_first``
+names the generators as the writers do (``_generators``).  ``_check_pair``
+is the one test of when two classes may be combined, and ``_lift_psi`` the
+one rule for where psi_k goes when the labels are moved.
 
 Boundary coefficients enter a class through two doors: a catalog formula
 (``catalog._assemble``), or entry by entry through ``_read_boundary``, the one
@@ -524,12 +526,12 @@ def _split(a, colours):
             yield new(BoundaryIndex, (i, S)), c
 
 
-@_nogc
 def _expand(a):
     """The coefficient of every key of a, as a new dict: its orbits split
     into single keys.  It is made for the call that needs a dict (``hash``,
     a copy, and a sum or comparison with a class stored key by key), and no
-    class keeps it."""
+    class keeps it.  It does not pause the collector itself: its large
+    callers, ``relabel`` and the pullbacks, run paused already."""
     return dict(_split(a, None))
 
 
@@ -554,11 +556,11 @@ class _KeyView(Mapping):
     """The coefficient of every key of a class in orbit form, read from its
     orbits and keeping nothing; ``boundary`` shows it read-only.  A lookup
     costs one orbit: the key must be a pair (i, S) with a frozenset S that
-    ``_span`` admits, and its coefficient is the one stored at the
-    representative of S (``_rep``).  Iteration yields the keys one at a
-    time, in the order of ``_split``, and the length is the sum of the orbit
-    sizes.  What must see every key at once (a copy, ``|``, ``reversed`` and
-    ``repr``) gets a dict made for that call."""
+    ``_span`` admits, and its coefficient is read by ``_coeff``, the lookup
+    of ``delta`` and ``pair``, at the representative of S.  Iteration yields
+    the keys one at a time, in the order of ``_split``, and the length is the
+    sum of the orbit sizes.  What must see every key at once (a copy, ``|``,
+    ``reversed`` and ``repr``) gets a dict made for that call."""
 
     __slots__ = ("_a",)
 
@@ -568,12 +570,10 @@ class _KeyView(Mapping):
     def __getitem__(self, key):
         a = self._a
         if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], frozenset):
-            i, S = key
-            lo, hi = _span(a.base, S)
-            if lo <= hi:
-                c = a._orbits.get((i, _rep(a._colours, S)))
-                if c is not None:
-                    return c
+            lo, hi = _span(a.base, key[1])
+            c = _coeff(a, key) if lo <= hi else 0
+            if c:
+                return c
         hash(key)  # an unhashable key raises TypeError, as a dict does
         raise KeyError(key)
 
@@ -1009,12 +1009,12 @@ class DivisorClass(_Frozen):
         return _coeff(self, canonical_index(self.base, i, S))
 
     def is_zero(self):
-        return (
-            self.lam == 0
-            and all(c == 0 for c in self.psi)
-            and self.delta0 == 0
-            and not self._orbits
-        )
+        """Whether the class is 0, as ``equals`` answers it: read from the
+        normal form (``_normal``), so that on a genus-2 base a class that is
+        0 by the relation of ``normalize_genus2`` is zero.  Zeros are pruned,
+        so the boundary is 0 exactly when it holds no orbit."""
+        a = _normal(self)
+        return not (a.lam or any(a.psi) or a.delta0 or a._orbits)
 
     def __add__(self, other):
         _check_pair(self, other)
@@ -1190,8 +1190,7 @@ def diff_first(a, b):
     a, b = _normal(a), _normal(b)
     x, y = (a.lam, *a.psi, a.delta0), (b.lam, *b.psi, b.delta0)
     if x != y:
-        names = ["lambda", *("psi_%d" % j for j in a.base.labels()), "delta_0"]
-        return next((name, u, v) for name, u, v in zip(names, x, y) if u != v)
+        return next((name, u, v) for (name, _, u), v in zip(_generators(a), y) if u != v)
     # Under one colouring, and zeros pruned, equal dicts are exactly equal
     # coefficients, and unequal ones differ on some orbit, that is on all its
     # keys.  So the classes are compared on their common refinement, and the

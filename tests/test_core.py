@@ -18,7 +18,6 @@ from artifact.catalog import (
     CONSTRUCTORS,
     BadWeights,
     GenusTooSmall,
-    _assemble,
     coupled_partition,
     diaz,
     logan_class,
@@ -346,6 +345,47 @@ class TestGenus2Relation:
         base = ModuliBase(3, 0)
         lam = DivisorClass(base, lam=1)
         assert not equals(lam, zero_class(base))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_the_relation_is_zero_by_every_answer(self, n):
+        # R = lambda - (lambda in normal form) carries lambda = 1 and is 0 on
+        # (2, n): is_zero reads the normal form that equals and hash compare
+        base = ModuliBase(2, n)
+        lam = DivisorClass(base, lam=1)
+        R = lam - normalize_genus2(lam)
+        zero = zero_class(base)
+        assert R.lam == 1 and R.is_zero()
+        assert equals(R, zero) and R == zero and hash(R) == hash(zero)
+        assert not lam.is_zero() and not (R + lam).is_zero()
+
+
+def test_is_zero_agrees_with_equals():
+    # seeded classes on every base of random_class, their differences, and
+    # multiples of the genus-2 relation R, stored key by key and, with a
+    # symmetric boundary and equal psi, in orbit form
+    rng = seeded(39)
+    zeros = 0
+    for _ in range(150):
+        a = random_class(rng)
+        b = random_class(rng, a.base)
+        found = [a, b, a - b, a - a, a - DivisorClass(a.base, a.lam, a.psi, a.delta0)]
+        if a.base.g == 2:
+            lam = DivisorClass(a.base, lam=1)
+            R = lam - normalize_genus2(lam)
+            t = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            found += [t * R, a.lam * R, a - normalize_genus2(a), a - b + t * R,
+                      a + t * R - a, t * R + DivisorClass(a.base, delta0=1)]
+        for x in found:
+            want = equals(x, zero_class(x.base))
+            assert x.is_zero() == want, (x, want)
+            zeros += want
+    assert zeros > 150  # more than the a - a: genus-2 zero classes with a lambda
+    base = ModuliBase(2, 4)
+    w = DivisorClass(base, 2, [1] * 4, 3, normalize_genus2(DivisorClass(base, lam=1)).boundary)
+    for x in (w, w - normalize_genus2(w), w - w, 2 * w - normalize_genus2(w)):
+        assert x._colours is not None
+        assert x.is_zero() == equals(x, zero_class(base))
+    assert (w - normalize_genus2(w)).is_zero()
 
 
 class TestDiffFirst:
@@ -829,9 +869,20 @@ class TestCollectorPause:
         assert seen == [False]
         assert gc.isenabled()
 
-    def test_restored_after_a_regime_gap(self):
-        with pytest.raises(AssertionError):
-            _assemble(ModuliBase(3, 1), [(lambda i, s: False, lambda i, s: 1)])
+    def test_restored_after_a_regime_gap(self, monkeypatch):
+        # a regime list that claims no key fails the audit inside the
+        # constructor's pause, which ends as the error leaves the call
+        seen = []
+        assemble = catalog._assemble
+
+        def gap(base, regimes, *rest):
+            seen.append(gc.isenabled())
+            return assemble(base, [(lambda i, s: False, lambda i, s: 1)], *rest)
+
+        monkeypatch.setattr(catalog, "_assemble", gap)
+        with pytest.raises(AssertionError, match="0 regimes claim"):
+            weierstrass(3)
+        assert seen == [False]
         assert gc.isenabled()
 
     def test_restored_after_a_base_mismatch(self):
@@ -963,6 +1014,14 @@ class TestFromJsonRejects:
         assert a.lam == Fraction(text) and equals(from_json(to_json(a)), a)
         assert DivisorClass(ModuliBase(3, 0), text).lam == a.lam
         assert (DivisorClass(ModuliBase(3, 0), 1) * text).lam == a.lam
+
+    @pytest.mark.parametrize("text", ["1ex", "1e"])
+    def test_an_unreadable_exponent_is_refused_by_both_doors(self, text):
+        doc = '{"g":3,"n":0,"lambda":%s,"psi":[],"delta0":"0","boundary":[]}'
+        with pytest.raises(MalformedJSON, match="not an exact number"):
+            from_json(doc % json.dumps(text))
+        with pytest.raises(ParamOutOfRange, match="not an exact number"):
+            DivisorClass(ModuliBase(3, 0), text)
 
     @pytest.mark.parametrize("form", ["1e{0}", "1e-{0}", "1E+{0}", "10e{1}"])
     def test_a_value_past_the_digit_limit_is_refused_by_both_doors(self, form):
@@ -1350,6 +1409,11 @@ class TestHash:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_no_class_equals_another_kind_or_a_class_on_another_base(self):
+        a, b = zero_class(ModuliBase(3, 1)), zero_class(ModuliBase(4, 1))
+        assert a.__eq__(5) is NotImplemented and a.__eq__(b) is NotImplemented
+        assert a != 5 and a != b
+
     def test_boundary_enters_the_hash(self):
         base = ModuliBase(6, 3)
         classes = [DivisorClass(base, boundary={k: 1}) for k in enumerate_boundary(base)]
@@ -1395,6 +1459,9 @@ class TestCurveImmutable:
         with pytest.raises(TypeError):
             del c.pairing[("psi", 1)]
         assert pair(c, weierstrass(3)) == 24
+
+    def test_repr_names_the_curve_and_its_base(self):
+        assert repr(builtin_test_curve("A", ModuliBase(3, 1))) == "TestCurve(A, (3,1))"
 
     def test_rebuilt_from_its_view(self):
         c = builtin_test_curve("C", ModuliBase(4, 1), i=1)

@@ -148,6 +148,7 @@ class TestIntPolynomial:
     def test_str(self):
         assert str(IntPolynomial([10, 20, 5])) == "10 + 20*t + 5*t^2"
         assert str(IntPolynomial([])) == "0"
+        assert str(IntPolynomial([1, 0, 2])) == "1 + 2*t^2"  # a zero term is left out
 
     def test_equal_trimmed_coefficients_are_equal_and_hash_alike(self):
         p, q = IntPolynomial([1, 2, 0]), IntPolynomial((1, 2))

@@ -365,6 +365,43 @@ def test_the_genus2_normal_form_has_one_caller():
     assert _callers(lambda call: call.func.id == "normalize_genus2") == [("core", "_normal")]
 
 
+def _function(module, name):
+    """The definition of the function or method called name in module."""
+    return next(fn for fn in ast.walk(dict(_package_trees())[module])
+                if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
+def test_each_class_rule_is_written_once_in_core():
+    # every answer about a class reads the one normal form: equality through
+    # diff_first, hash and is_zero
+    assert sorted(set(_callers(lambda call: call.func.id == "_normal"))) == [
+        ("core", "DivisorClass.__hash__"), ("core", "DivisorClass.is_zero"),
+        ("core", "diff_first")]
+    # the generator names are written once, by _generators, for the writers
+    # and for diff_first
+    found = [(module, fn.name) for module, tree in _package_trees() for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and any(
+                 isinstance(n, ast.Constant) and n.value == "psi_%d" for n in ast.walk(fn))]
+    assert found == [("core", "_generators")], found
+    assert ("core", "diff_first") in _callers(lambda call: call.func.id == "_generators")
+    # the coefficient of a key is looked up by one rule
+    found = _callers(lambda call: call.func.id == "_coeff")
+    assert ("core", "_KeyView.__getitem__") in found, found
+
+
+def test_the_collector_is_paused_by_the_bulk_calls_only():
+    # _expand runs paused inside relabel and the pullbacks, and unpaused in
+    # the small calls that need a dict of every key
+    decorators = {(module, name): [ast.unparse(d) for d in _function(module, name).decorator_list]
+                  for module, name in [("core", "_expand"), ("core", "relabel"),
+                                       ("core", "from_json"), ("maps", "pullback"),
+                                       ("catalog", "memo")]}
+    assert decorators.pop(("core", "_expand")) == []
+    assert all(d[:1] == ["_nogc"] for d in decorators.values()), decorators
+    assert "memo" in {fn.name for fn in ast.walk(_function("catalog", "_constructor"))
+                      if isinstance(fn, ast.FunctionDef)}
+
+
 def test_classes_enter_through_the_formulas_and_the_reader():
     # a catalog class is assembled on the caller's labels, never relabeled,
     # and from_json reads its entries through the constructor
@@ -414,18 +451,38 @@ def test_the_two_sided_lift_is_written_once():
     assert not [f for f in labels if f[0] == "maps" and f[1] in handlers], labels
 
 
-def test_code_lines_counts_no_blank_comment_or_docstring_line(tmp_path):
-    # the rule of the line counts that ROADMAP reports for src/
+def _tool(name):
+    """The module tools/<name>.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "code_lines", Path(__file__).resolve().parent.parent / "tools" / "code_lines.py")
+        name, Path(__file__).resolve().parent.parent / "tools" / (name + ".py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_code_lines_counts_no_blank_comment_or_docstring_line(tmp_path):
+    # the rule of the line counts that ROADMAP reports for src/
+    tool = _tool("code_lines")
     source = tmp_path / "m.py"
     source.write_text('"""Module\ndocstring."""\n\n# a comment\nX = (1,\n     2)  # two\n\n\n'
                       'class C:\n    """One line."""\n\n    def f(self):\n'
                       '        """Two\n        lines."""\n        return """not a\n'
                       '        docstring"""\n')
     assert tool.code_lines(source) == 6
+
+
+def test_unreached_lists_no_def_class_import_or_docstring(tmp_path):
+    # the statements whose lines tools/unreached.py looks for in a trace:
+    # a bare string after the docstring is a statement, and a compound
+    # statement spans its body
+    source = tmp_path / "m.py"
+    source.write_text('"""Module\ndocstring."""\nimport os\nfrom sys import path\nX = 1\n\n\n'
+                      'class C:\n    """One line."""\n    Y = (2,\n         3)\n\n'
+                      '    def f(self):\n        """Doc."""\n        if X:\n'
+                      '            return """not a\n        docstring"""\n'
+                      '        "a bare string"\n')
+    assert _tool("unreached").statement_lines(source) == {(5, 5), (10, 11), (15, 17), (16, 17),
+                                                          (18, 18)}
 
 
 def test_only_core_makes_cuts_and_carries_a_colouring():

@@ -403,6 +403,7 @@ class TestReportTypes:
         assert repr(Report()) == "Report(entries=[])"
         with pytest.raises(TypeError):
             hash(Report())
+        assert Report().__eq__([]) is NotImplemented and Report() != []
 
     def test_reports_do_not_share_an_entry_list(self):
         a, b = Report(), Report()
